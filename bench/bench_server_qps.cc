@@ -1,8 +1,9 @@
 // Sustained throughput of the concurrent serving layer (src/server/).
 //
-// An open-loop mixed workload: N in-process clients drive one Server over
-// the wire protocol, each issuing its deterministic slice of a shared
-// template mix (plain groupings through three-operator correlated
+// A closed-loop mixed workload: N in-process clients drive one Server over
+// the wire protocol, each sending its next request only once the previous
+// reply arrived (Client::Call blocks) and issuing its deterministic slice of
+// a shared template mix (plain groupings through three-operator correlated
 // chains, plus a MUTATE stream in the mixed configuration). Reported per
 // configuration: sustained QPS, p50/p99 per-query latency, and the
 // result-cache hit rate. The percentiles come from the serving layer's own

@@ -1,8 +1,11 @@
 #include "dist/coordinator.h"
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <numeric>
 #include <optional>
+#include <sstream>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -26,7 +29,353 @@ std::vector<int> AllSiteIds(const std::vector<Site*>& sites) {
   return ids;
 }
 
+/// A payload arriving at a tree node, tagged with its sender: the drive
+/// slot id for a site, the EncodeAggregatorId endpoint for an aggregator.
+struct Inbound {
+  int from;
+  std::string payload;
+};
+
+/// The endpoint above `node`: the coordinator for the root's children (and
+/// for a single-site tree's lone leaf), the parent aggregator otherwise.
+int ParentEndpoint(const TreeTopology& tree, int node) {
+  const int parent = tree.nodes[static_cast<size_t>(node)].parent;
+  return parent < 0 || parent == tree.root ? kCoordinatorId
+                                           : EncodeAggregatorId(parent);
+}
+
+/// The node whose inbox a message sent to `endpoint` lands in.
+int NodeOfEndpoint(const TreeTopology& tree, int endpoint) {
+  return endpoint == kCoordinatorId ? tree.root : kAggregatorIdBase - endpoint;
+}
+
+/// The nodes a round talks to: the participating leaves and every
+/// aggregator above one. The coordinator (an internal root) is not one.
+std::vector<bool> ActiveNodes(const TreeTopology& tree,
+                              const std::vector<int>& leaves) {
+  std::vector<bool> active(tree.nodes.size(), false);
+  for (int v : leaves) {
+    for (; v >= 0 && !active[static_cast<size_t>(v)];
+         v = tree.nodes[static_cast<size_t>(v)].parent) {
+      active[static_cast<size_t>(v)] = true;
+    }
+  }
+  if (!tree.nodes[static_cast<size_t>(tree.root)].children.empty()) {
+    active[static_cast<size_t>(tree.root)] = false;
+  }
+  return active;
+}
+
+/// One control message (a query plan) to every active node from its parent.
+std::vector<DownMessage> ControlMessages(const TreeTopology& tree,
+                                         const std::vector<bool>& active,
+                                         const std::string& label) {
+  std::vector<DownMessage> down_of(tree.nodes.size());
+  for (size_t v = 0; v < down_of.size(); ++v) {
+    if (!active[v]) continue;
+    down_of[v] = DownMessage{ParentEndpoint(tree, static_cast<int>(v)),
+                             kQueryPlanBytes, 0, label};
+  }
+  return down_of;
+}
+
+/// The SKLD delta bases of one query: what each tree node last received of
+/// X, by node id. Nodes with equal generation tags hold identical bases, so
+/// an equal view over an equal tag encodes to the same bytes.
+struct DeltaBases {
+  std::vector<std::optional<Table>>* tables;
+  std::vector<size_t> gen;  ///< 0 = no base; a fresh encoding gets next_gen
+  size_t next_gen;
+};
+
+/// Phase A of an X round: each active node's view of X — the rows its
+/// subtree's ship `predicates` keep (Theorem 4: a leaf's own predicate, an
+/// aggregator's the OR of its leaves', all of X if any leaf has none),
+/// column-pruned — as an SKLD delta against its base when strictly smaller,
+/// the full payload attached as the retry fallback (docs/wire-format.md).
+/// Equal views over equal bases are encoded once. Returns each node's
+/// message and fills the node-sized `view_of`; `views` owns the decoded
+/// views, which is what each node holds after the round.
+Result<std::vector<DownMessage>> ShipViews(
+    const Table& x, const std::vector<std::string>& ship_cols,
+    const std::vector<ExprPtr>& predicates, const TreeTopology& tree,
+    const std::vector<bool>& active, WireFormat wire_format,
+    bool delta_enabled, int round, DeltaBases* bases,
+    std::vector<const Table*>* view_of, std::deque<Table>* views) {
+  const size_t num_nodes = tree.nodes.size();
+  std::vector<DownMessage> down_of(num_nodes);
+  // Leaves whose predicates a node's view ORs; empty = all of X.
+  std::vector<std::vector<int>> filter(num_nodes);
+  std::vector<std::optional<CompiledExpr>> ship(num_nodes);
+  // (filter, base generation) -> the node that holds that encoding.
+  std::map<std::pair<std::vector<int>, size_t>, size_t> encoded;
+  for (size_t v = 0; v < num_nodes; ++v) {
+    if (!active[v]) continue;
+    const TreeTopology::Node& node = tree.nodes[v];
+    const bool leaf = node.site_index >= 0;
+    if (leaf && v < predicates.size() && predicates[v] != nullptr) {
+      SKALLA_ASSIGN_OR_RETURN(
+          ship[v], CompiledExpr::Compile(predicates[v], &x.schema(), nullptr));
+      filter[v] = {static_cast<int>(v)};
+    } else if (!leaf) {
+      bool everything = false;
+      for (int c : node.children) {
+        if (!active[static_cast<size_t>(c)]) continue;
+        const std::vector<int>& sub = filter[static_cast<size_t>(c)];
+        everything |= sub.empty();
+        filter[v].insert(filter[v].end(), sub.begin(), sub.end());
+      }
+      if (everything) filter[v].clear();
+    }
+    const int endpoint = leaf ? node.site_index : EncodeAggregatorId(node.id);
+    std::optional<Table>& cached = (*bases->tables)[v];
+    DownMessage& msg = down_of[v];
+    const auto [it, fresh] =
+        encoded.emplace(std::make_pair(filter[v], bases->gen[v]), v);
+    if (!fresh) {
+      // The same view over the same base: the same bytes.
+      const size_t u = it->second;
+      msg = down_of[u];
+      (*view_of)[v] = (*view_of)[u];
+      bases->gen[v] = bases->gen[u];
+    } else {
+      const Table* to_ship = &x;
+      Table reduced;
+      if (!filter[v].empty()) {
+        reduced = Table(x.schema_ptr());
+        for (const Row& row : x.rows()) {
+          for (int s : filter[v]) {
+            if (ship[static_cast<size_t>(s)]->EvalBool(&row, nullptr)) {
+              reduced.AddRow(row);
+              break;
+            }
+          }
+        }
+        to_ship = &reduced;
+        if (obs::JournalEnabled()) {
+          obs::JournalRecord jr;
+          jr.event = obs::JournalEvent::kReduction;
+          jr.round = round;
+          jr.site = endpoint;
+          jr.rows = reduced.num_rows();
+          jr.rows_before = x.num_rows();
+          obs::JournalAppend(std::move(jr));
+        }
+      }
+      Table pruned;
+      if (!ship_cols.empty() &&
+          static_cast<int>(ship_cols.size()) < x.schema().num_fields()) {
+        SKALLA_ASSIGN_OR_RETURN(pruned, Project(*to_ship, ship_cols));
+        to_ship = &pruned;
+      }
+      std::string full_payload =
+          Serializer::SerializeTable(*to_ship, wire_format);
+      std::string payload;
+      size_t fallback = 0;
+      std::string label = "X fragment";
+      if (delta_enabled && cached.has_value()) {
+        std::string delta = Serializer::SerializeDelta(*cached, *to_ship);
+        if (delta.size() < full_payload.size()) {
+          payload = std::move(delta);
+          fallback = full_payload.size();
+          label = "X delta";
+        }
+      }
+      if (fallback == 0) payload = std::move(full_payload);
+      msg = DownMessage{kCoordinatorId, payload.size(), to_ship->num_rows(),
+                        std::move(label), fallback,
+                        Serializer::WireSize(*to_ship, WireFormat::kSkl1)};
+      // The node's view is what the shipped bytes decode to — against its
+      // base for a delta, standalone otherwise.
+      SKALLA_ASSIGN_OR_RETURN(
+          Table decoded,
+          Serializer::DecodeShipment(cached ? &*cached : nullptr, payload));
+      views->push_back(std::move(decoded));
+      (*view_of)[v] = &views->back();
+      bases->gen[v] = bases->next_gen++;
+    }
+    msg.from = ParentEndpoint(tree, static_cast<int>(v));
+    cached = *(*view_of)[v];
+    if (obs::JournalEnabled()) {
+      obs::JournalRecord jr;
+      jr.event = obs::JournalEvent::kBaseShipped;
+      jr.round = round;
+      jr.site = endpoint;
+      jr.bytes = msg.bytes;
+      jr.rows = msg.rows;
+      jr.label = msg.fallback_bytes > 0 ? "SKLD" : WireFormatName(wire_format);
+      obs::JournalAppend(std::move(jr));
+    }
+  }
+  return down_of;
+}
+
+/// Ships every active aggregator its message, top-down; leaf edges are the
+/// wave driver's. Sibling subtrees transfer in parallel, so a level costs
+/// the max over senders of their serialized outbound volume.
+void ShipToAggregators(SimNetwork* net, const TreeTopology& tree,
+                       const std::vector<bool>& active,
+                       const std::vector<DownMessage>& down_of,
+                       RoundMetrics* rm) {
+  for (int level = tree.num_levels - 2; level >= 1; --level) {
+    std::map<int, double> outbound;
+    double level_comm = 0;
+    for (int v : tree.NodesAtLevel(level)) {
+      if (!active[static_cast<size_t>(v)]) continue;
+      const DownMessage& msg = down_of[static_cast<size_t>(v)];
+      const TransferOutcome out =
+          net->Transfer(msg.from, EncodeAggregatorId(v), msg.bytes, msg.rows,
+                        msg.label, 0, TransferDirection::kToSite);
+      rm->bytes_to_sites += msg.bytes;
+      rm->groups_to_sites += msg.rows;
+      rm->bytes_baseline_skl1 +=
+          msg.baseline_bytes > 0 ? msg.baseline_bytes : msg.bytes;
+      if (msg.fallback_bytes > msg.bytes) {
+        rm->bytes_saved_by_delta += msg.fallback_bytes - msg.bytes;
+      }
+      level_comm = std::max(level_comm, outbound[msg.from] += out.seconds);
+    }
+    rm->comm_sec += level_comm;
+  }
+}
+
+/// Combines replies bottom-up: every active aggregator folds its inbox with
+/// CombineSubResults (with no `slots`, a distinct union of the keys) and
+/// forwards one relation to its parent. A level costs the max over parents
+/// of their inbound volume plus the slowest merge. Returns the root's inbox.
+Result<std::vector<Inbound>> CombineUp(
+    SimNetwork* net, const TreeTopology& tree, const std::vector<bool>& active,
+    std::vector<std::vector<Inbound>> inbox, const std::string& label,
+    WireFormat wire_format, int num_key, const std::vector<SubSlot>& slots,
+    RoundMetrics* rm) {
+  std::optional<obs::ScopedSpan> up_span;
+  if (tree.num_levels > 2) {
+    up_span.emplace("round.propagate_up", obs::kTrackCoordinator);
+  }
+  std::vector<double> inbound_sec(tree.nodes.size(), 0.0);
+  for (int level = 1; level + 1 < tree.num_levels; ++level) {
+    double level_comm = 0;
+    double level_merge_cpu = 0;
+    for (int v : tree.NodesAtLevel(level)) {
+      if (!active[static_cast<size_t>(v)]) continue;
+      Stopwatch merge_sw;
+      std::vector<Table> received;
+      int64_t merged_rows = 0;
+      for (const Inbound& in : inbox[static_cast<size_t>(v)]) {
+        SKALLA_ASSIGN_OR_RETURN(Table t,
+                                Serializer::DeserializeTable(in.payload));
+        merged_rows += t.num_rows();
+        received.push_back(std::move(t));
+      }
+      std::vector<const Table*> inputs;
+      for (const Table& t : received) inputs.push_back(&t);
+      SKALLA_ASSIGN_OR_RETURN(Table combined,
+                              CombineSubResults(inputs, num_key, slots));
+      const double merge_sec = merge_sw.ElapsedSeconds();
+      level_merge_cpu = std::max(level_merge_cpu, merge_sec);
+      if (obs::JournalEnabled()) {
+        obs::JournalRecord jr;
+        jr.event = obs::JournalEvent::kSyncMerge;
+        jr.round = net->current_round();
+        jr.site = EncodeAggregatorId(v);
+        jr.rows = merged_rows;
+        jr.seconds = merge_sec;
+        jr.label = "tree";
+        obs::JournalAppend(std::move(jr));
+      }
+      std::string payload = Serializer::SerializeTable(combined, wire_format);
+      const TransferOutcome out = net->Transfer(
+          EncodeAggregatorId(v), ParentEndpoint(tree, v), payload.size(),
+          combined.num_rows(), label, 0, TransferDirection::kToCoordinator);
+      rm->bytes_to_coord += payload.size();
+      rm->groups_to_coord += combined.num_rows();
+      rm->bytes_baseline_skl1 +=
+          Serializer::WireSize(combined, WireFormat::kSkl1);
+      const size_t parent =
+          static_cast<size_t>(tree.nodes[static_cast<size_t>(v)].parent);
+      level_comm = std::max(level_comm, inbound_sec[parent] += out.seconds);
+      inbox[parent].push_back(
+          Inbound{EncodeAggregatorId(v), std::move(payload)});
+    }
+    rm->comm_sec += level_comm;
+    rm->coord_cpu_sec += level_merge_cpu;
+  }
+  return std::move(inbox[static_cast<size_t>(tree.root)]);
+}
+
 }  // namespace
+
+TreeTopology TreeTopology::Build(int num_sites, int fan_in) {
+  SKALLA_CHECK(num_sites >= 1);
+  SKALLA_CHECK(fan_in >= 2);
+  TreeTopology tree;
+  std::vector<int> current_level;
+  for (int s = 0; s < num_sites; ++s) {
+    Node leaf;
+    leaf.id = static_cast<int>(tree.nodes.size());
+    leaf.site_index = s;
+    leaf.level = 0;
+    current_level.push_back(leaf.id);
+    tree.nodes.push_back(std::move(leaf));
+  }
+  int level = 0;
+  while (current_level.size() > 1) {
+    ++level;
+    std::vector<int> next_level;
+    for (size_t i = 0; i < current_level.size();
+         i += static_cast<size_t>(fan_in)) {
+      Node parent;
+      parent.id = static_cast<int>(tree.nodes.size());
+      parent.level = level;
+      const size_t end =
+          std::min(current_level.size(), i + static_cast<size_t>(fan_in));
+      for (size_t c = i; c < end; ++c) {
+        parent.children.push_back(current_level[c]);
+        tree.nodes[static_cast<size_t>(current_level[c])].parent = parent.id;
+      }
+      next_level.push_back(parent.id);
+      tree.nodes.push_back(std::move(parent));
+    }
+    current_level = std::move(next_level);
+  }
+  tree.root = current_level[0];
+  tree.num_levels = level + 1;
+  return tree;
+}
+
+std::vector<int> TreeTopology::NodesAtLevel(int level) const {
+  std::vector<int> out;
+  for (const Node& node : nodes) {
+    if (node.level == level) out.push_back(node.id);
+  }
+  return out;
+}
+
+std::string TreeTopology::ToString() const {
+  std::ostringstream os;
+  os << "tree with " << num_levels << " level(s), root " << root << "\n";
+  for (const Node& node : nodes) {
+    if (node.children.empty()) continue;
+    os << "  node " << node.id << " (level " << node.level << ") <- [";
+    for (size_t i = 0; i < node.children.size(); ++i) {
+      if (i) os << ", ";
+      os << node.children[i];
+    }
+    os << "]\n";
+  }
+  return os.str();
+}
+
+Coordinator::Coordinator(std::vector<Site*> sites, NetworkConfig config)
+    : Coordinator(sites, std::max<int>(2, static_cast<int>(sites.size())),
+                  config) {}
+
+Coordinator::Coordinator(std::vector<Site*> sites, int fan_in,
+                         NetworkConfig config)
+    : sites_(std::move(sites)),
+      topology_(TreeTopology::Build(
+          std::max<int>(1, static_cast<int>(sites_.size())), fan_in)),
+      network_(config) {}
 
 Status Coordinator::CheckCancelled() const {
   if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
@@ -84,20 +433,21 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
   // selected every ship is a full payload.
   const bool delta_enabled = network_.config().delta_shipping &&
                              wire_format == WireFormat::kSkl2;
-  // What each site slot last received of X (fused rounds ship only a plan
-  // and leave the cache untouched). Deltas in later rounds are encoded
-  // against this, mirroring the site's cached copy. With an attached
-  // external cache the mirror survives the query, so the next query's
-  // first ship can already go out as a delta.
+  // What each tree node last received of X (fused rounds ship only a plan
+  // and leave it untouched). Deltas in later rounds are encoded against
+  // this, mirroring the node's cached copy. With an attached external
+  // cache the mirror survives the query, so the next query's first ship
+  // can already go out as a delta.
   std::vector<std::optional<Table>> private_ship_cache;
-  if (external_ship_cache_ != nullptr) {
-    external_ship_cache_->resize(sites_.size());
-  } else {
-    private_ship_cache.resize(sites_.size());
-  }
   std::vector<std::optional<Table>>& ship_cache =
       external_ship_cache_ != nullptr ? *external_ship_cache_
                                       : private_ship_cache;
+  ship_cache.resize(topology_.nodes.size());
+  DeltaBases bases{&ship_cache, std::vector<size_t>(ship_cache.size()),
+                   ship_cache.size() + 1};
+  for (size_t v = 0; v < ship_cache.size(); ++v) {
+    if (ship_cache[v].has_value()) bases.gen[v] = v + 1;
+  }
 
   SKALLA_ASSIGN_OR_RETURN(SchemaMap schemas, CollectSchemas(plan));
   const GmdjExpr expr = plan.ToExpr();
@@ -106,8 +456,6 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
   const int num_key = static_cast<int>(plan.key_attrs.size());
   std::vector<int> key_cols(static_cast<size_t>(num_key));
   std::iota(key_cols.begin(), key_cols.end(), 0);
-
-  SKALLA_RETURN_NOT_OK(CheckCancelled());
 
   // Resuming from a cached prefix: the first `resume_rounds_` plan rounds
   // (and the base round) are skipped and X is seeded from the cached
@@ -139,78 +487,41 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
   HashIndex x_index;
   x_index.Build(x, key_cols);
 
-  // ---- Round 0: base-values query (unless fused per Prop. 2). ----
-  if (!plan.fuse_base && !resuming) {
-    network_.BeginRound("base");
-    obs::ScopedSpan round_span("round.base", obs::kTrackCoordinator);
-    RoundMetrics rm;
-    rm.label = "base query";
-    rm.streaming = network_.config().streaming_sync;
-    const std::vector<int> base_sites =
-        plan.base_sites.empty() ? AllSiteIds(sites_) : plan.base_sites;
-    rm.sites = static_cast<int>(base_sites.size());
-    const std::vector<DownMessage> down(
-        base_sites.size(),
-        DownMessage{kCoordinatorId, kQueryPlanBytes, 0, "base query plan"});
-    const std::vector<int> reply_to(base_sites.size(), kCoordinatorId);
-    auto eval = [&plan](int /*p*/, Site* site, double* cpu) {
-      return site->EvalBase(plan.base, cpu);
-    };
-    SKALLA_ASSIGN_OR_RETURN(
-        std::vector<std::string> replies,
-        DriveRoundWithRetries(&network_, retry, &rm, &roster, base_sites,
-                              down, reply_to, "B_i", eval, parallel_sites_,
-                              LinkModel::kSharedLink, wire_format));
-    double coord_cpu = 0;
-    for (size_t p = 0; p < replies.size(); ++p) {
-      const std::string& payload = replies[p];
-      Stopwatch sw;
-      SKALLA_ASSIGN_OR_RETURN(Table received,
-                              Serializer::DeserializeTable(payload));
-      // Incremental distinct union into X.
-      for (const Row& row : received.rows()) {
-        if (x_index.Lookup(row, key_cols) == nullptr) {
-          x.AddRow(row);
-          x_index.Insert(x, x.num_rows() - 1);
-        }
-      }
-      const double merge_sec = sw.ElapsedSeconds();
-      coord_cpu += merge_sec;
-      if (obs::JournalEnabled()) {
-        obs::JournalRecord jr;
-        jr.event = obs::JournalEvent::kSyncMerge;
-        jr.round = network_.current_round();
-        jr.site = base_sites[p];
-        jr.rows = received.num_rows();
-        jr.seconds = merge_sec;
-        obs::JournalAppend(std::move(jr));
-      }
-    }
-    rm.coord_cpu_sec = coord_cpu;
-    local_metrics.rounds.push_back(std::move(rm));
-  }
-
-  // ---- GMDJ rounds. ----
-  for (size_t r = resuming ? resume_rounds_ : 0; r < plan.rounds.size();
-       ++r) {
-    const PlanRound& round = plan.rounds[r];
+  // ---- Rounds. Step 0 is the base-values query — a round without
+  //      operators, whose merge is the distinct union of the B_i — unless
+  //      it is fused into the first round (Prop. 2) or resumed past; step
+  //      r + 1 evaluates plan round r. ----
+  const PlanRound base_query_round;
+  for (size_t step = resuming ? resume_rounds_ + 1 : (plan.fuse_base ? 1 : 0);
+       step <= plan.rounds.size(); ++step) {
+    const bool base = step == 0;
+    const size_t r = base ? 0 : step - 1;
+    const PlanRound& round = base ? base_query_round : plan.rounds[r];
+    // Cancellation is polled at every round boundary.
     SKALLA_RETURN_NOT_OK(CheckCancelled());
-    network_.BeginRound("gmdj round " + std::to_string(r + 1));
-    obs::ScopedSpan round_span("round.gmdj", obs::kTrackCoordinator);
-    if (round_span.armed()) {
+    const std::string name =
+        base ? "base" : "gmdj round " + std::to_string(r + 1);
+    network_.BeginRound(name);
+    obs::ScopedSpan round_span(base ? "round.base" : "round.gmdj",
+                               obs::kTrackCoordinator);
+    if (round_span.armed() && !base) {
       round_span.set_detail("round " + std::to_string(r + 1));
     }
     RoundMetrics rm;
     rm.streaming = network_.config().streaming_sync;
-    rm.label = round.ops.size() == 1
-                   ? "gmdj round " + std::to_string(r + 1)
-                   : "gmdj round " + std::to_string(r + 1) + " (chain of " +
-                         std::to_string(round.ops.size()) + ")";
-    const std::vector<int> participants = round.participating_sites.empty()
-                                              ? AllSiteIds(sites_)
-                                              : round.participating_sites;
+    rm.label = base ? "base query" : name;
+    if (round.ops.size() > 1) {
+      rm.label += " (chain of " + std::to_string(round.ops.size()) + ")";
+    }
+    const std::vector<int>& chosen_sites =
+        base ? plan.base_sites : round.participating_sites;
+    const std::vector<int> participants =
+        chosen_sites.empty() ? AllSiteIds(sites_) : chosen_sites;
     rm.sites = static_cast<int>(participants.size());
-    const bool fused_base_round = plan.fuse_base && r == 0;
+    const bool fused_base_round = plan.fuse_base && !base && r == 0;
+    // Rounds that ship a plan instead of X, and whose merge adds groups.
+    const bool plan_only = base || fused_base_round;
+    const std::vector<bool> active = ActiveNodes(topology_, participants);
 
     // Sub-aggregate layout of this round's H relations.
     int sub_width = 0;
@@ -228,131 +539,62 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     };
     for (auto& row : acc) row = init_acc_row();
 
-    // Compile per-site ship predicates when aware group reduction is on.
-    std::vector<std::optional<CompiledExpr>> ship(sites_.size());
-    if (round.flags.aware_group_reduction && r < plan.ship_predicates.size()) {
-      for (size_t s = 0;
-           s < plan.ship_predicates[r].size() && s < sites_.size(); ++s) {
-        const ExprPtr& pred = plan.ship_predicates[r][s];
-        if (pred == nullptr) continue;
-        SKALLA_ASSIGN_OR_RETURN(
-            CompiledExpr compiled,
-            CompiledExpr::Compile(pred, &x.schema(), nullptr));
-        ship[s] = std::move(compiled);
-      }
-    }
+    // Per-site ship predicates, when aware group reduction is on.
+    const std::vector<ExprPtr> no_predicates;
+    const std::vector<ExprPtr>& predicates =
+        round.flags.aware_group_reduction && r < plan.ship_predicates.size()
+            ? plan.ship_predicates[r]
+            : no_predicates;
 
     double coord_cpu = 0;
 
-    // ---- Phase A (coordinator): reduce, prune, and serialize each site's
+    // ---- Phase A (coordinator): reduce, prune, and serialize each node's
     //      view of X. Shipping — and any re-shipping under faults — is the
     //      retry driver's job; a retried attempt re-sends the identical
     //      fragment, which is what makes rounds idempotent. ----
-    std::optional<obs::ScopedSpan> prepare_span;
-    if (!fused_base_round) {
-      prepare_span.emplace("round.prepare", obs::kTrackCoordinator);
-    }
-    std::vector<Table> site_views(participants.size());
-    std::vector<DownMessage> down(participants.size());
-    for (size_t p = 0; p < participants.size(); ++p) {
-      const int sid = participants[p];
-      if (fused_base_round) {
-        down[p] = DownMessage{kCoordinatorId, kQueryPlanBytes, 0,
-                              "fused plan"};
-        continue;
-      }
-      // Coordinator-side group reduction (row filtering per Theorem 4)
-      // and column pruning.
-      Stopwatch filter_sw;
-      const Table* to_ship = &x;
-      Table reduced;
-      if (ship[static_cast<size_t>(sid)].has_value()) {
-        const CompiledExpr& pred = *ship[static_cast<size_t>(sid)];
-        reduced = Table(x.schema_ptr());
-        for (const Row& row : x.rows()) {
-          if (pred.EvalBool(&row, nullptr)) reduced.AddRow(row);
-        }
-        to_ship = &reduced;
-        if (obs::JournalEnabled()) {
-          obs::JournalRecord jr;
-          jr.event = obs::JournalEvent::kReduction;
-          jr.round = network_.current_round();
-          jr.site = sid;
-          jr.rows_before = x.num_rows();
-          jr.rows = reduced.num_rows();
-          obs::JournalAppend(std::move(jr));
-        }
-      }
-      Table pruned;
-      if (!round.ship_cols.empty() &&
-          static_cast<int>(round.ship_cols.size()) < x.schema().num_fields()) {
-        SKALLA_ASSIGN_OR_RETURN(pruned, Project(*to_ship, round.ship_cols));
-        to_ship = &pruned;
-      }
-      const int64_t shipped_rows = to_ship->num_rows();
-      std::string full_payload =
-          Serializer::SerializeTable(*to_ship, wire_format);
-      const size_t baseline =
-          Serializer::WireSize(*to_ship, WireFormat::kSkl1);
-      std::optional<Table>& cached = ship_cache[static_cast<size_t>(sid)];
-      // Ship an SKLD delta against what the site already holds whenever it
-      // is strictly smaller; the full payload stays attached as the
-      // fallback the retry driver sends on re-ship (docs/wire-format.md).
-      std::string payload;
-      size_t fallback = 0;
-      std::string label = "X fragment";
-      if (delta_enabled && cached.has_value()) {
-        std::string delta = Serializer::SerializeDelta(*cached, *to_ship);
-        if (delta.size() < full_payload.size()) {
-          payload = std::move(delta);
-          fallback = full_payload.size();
-          label = "X delta";
-        }
-      }
-      if (fallback == 0) payload = std::move(full_payload);
-      if (obs::JournalEnabled()) {
-        obs::JournalRecord jr;
-        jr.event = obs::JournalEvent::kBaseShipped;
-        jr.round = network_.current_round();
-        jr.site = sid;
-        jr.bytes = payload.size();
-        jr.rows = shipped_rows;
-        jr.label = fallback > 0 ? "SKLD" : WireFormatName(wire_format);
-        obs::JournalAppend(std::move(jr));
-      }
-      down[p] = DownMessage{kCoordinatorId, payload.size(), shipped_rows,
-                            std::move(label), fallback, baseline};
-      // The site's view is what the shipped bytes decode to — against its
-      // cache for a delta, standalone otherwise.
+    std::vector<DownMessage> down_of;
+    std::vector<const Table*> view_of(topology_.nodes.size(), nullptr);
+    std::deque<Table> views;
+    if (plan_only) {
+      down_of = ControlMessages(topology_, active,
+                                base ? "base query plan" : "fused plan");
+    } else {
+      obs::ScopedSpan prepare_span("round.prepare", obs::kTrackCoordinator);
+      Stopwatch prepare_sw;
       SKALLA_ASSIGN_OR_RETURN(
-          site_views[p],
-          Serializer::DecodeShipment(cached ? &*cached : nullptr, payload));
-      cached = site_views[p];
-      coord_cpu += filter_sw.ElapsedSeconds();
-    }
-    if (prepare_span.has_value()) {
-      if (prepare_span->armed()) {
-        prepare_span->set_detail(std::to_string(participants.size()) +
-                                 " fragment(s)");
+          down_of, ShipViews(x, round.ship_cols, predicates, topology_,
+                             active, wire_format, delta_enabled,
+                             network_.current_round(), &bases, &view_of,
+                             &views));
+      coord_cpu += prepare_sw.ElapsedSeconds();
+      if (prepare_span.armed()) {
+        prepare_span.set_detail(std::to_string(participants.size()) +
+                                " fragment(s)");
       }
-      prepare_span.reset();
+    }
+    std::vector<int> drive_participants = participants;
+    std::vector<DownMessage> down;
+    std::vector<const Table*> slot_views;
+    for (int s : participants) {
+      down.push_back(down_of[static_cast<size_t>(s)]);
+      slot_views.push_back(view_of[static_cast<size_t>(s)]);
     }
 
     // ---- Skew rebalancing (docs/skew.md): when the detector predicts a
     //      straggler for this round and its φ-twin replica is available,
-    //      the replica joins the wave as a helper slot evaluating the
-    //      straggler's upper detail fragment. The split is legal for
-    //      single-operator, non-fused rounds only: the two H fragments are
-    //      disjoint scan covers of the same detail relation, so merging
-    //      both through the Theorem 1 fold below is byte-identical to the
-    //      unsplit round (DESIGN.md invariant 12). ----
-    std::vector<int> drive_participants = participants;
+    //      the replica joins the wave as a helper slot — one more child of
+    //      the straggler's parent — evaluating the straggler's upper detail
+    //      fragment. The split is legal for single-operator, non-fused
+    //      rounds only: the two H fragments are disjoint scan covers of the
+    //      same detail relation, so merging both through the Theorem 1 fold
+    //      is byte-identical to the unsplit round (DESIGN.md invariant
+    //      12). ----
     // Per-slot detail scan windows ([0, -1) = everything) and assigned row
     // counts (for the detector's per-row feedback normalization).
     std::vector<std::pair<int64_t, int64_t>> ranges(participants.size(),
                                                     {0, -1});
     std::vector<int64_t> assigned_rows(participants.size(), 0);
-    const bool splittable = skew_detector_ != nullptr && !fused_base_round &&
+    const bool splittable = skew_detector_ != nullptr && !plan_only &&
                             round.ops.size() == 1;
     if (splittable) {
       std::vector<int64_t> rows(participants.size(), 0);
@@ -386,18 +628,19 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
         const int helper_sid = roster.AddHelperSlot(
             replica_it->second, roster.active(decision.hot_slot));
         drive_participants.push_back(helper_sid);
-        // The helper gets its own full (never delta — it holds no cached
-        // X) copy of the straggler's fragment, flagged so its traffic
-        // lands in the rebalance surcharge counters.
-        std::string helper_payload =
-            Serializer::SerializeTable(site_views[p_hot], wire_format);
-        DownMessage helper_msg{
-            kCoordinatorId, helper_payload.size(),
-            site_views[p_hot].num_rows(), "X fragment (rebalance)", 0,
-            Serializer::WireSize(site_views[p_hot], WireFormat::kSkl1)};
+        // The helper holds no cached X, so it gets its own full copy of
+        // the straggler's view (the delta's fallback size when the
+        // straggler got a delta), flagged so its traffic lands in the
+        // rebalance surcharge counters.
+        DownMessage helper_msg = down[p_hot];
+        if (helper_msg.fallback_bytes > 0) {
+          helper_msg.bytes = helper_msg.fallback_bytes;
+        }
+        helper_msg.fallback_bytes = 0;
+        helper_msg.label = "X fragment (rebalance)";
         helper_msg.rebalance = true;
         down.push_back(std::move(helper_msg));
-        site_views.push_back(site_views[p_hot]);
+        slot_views.push_back(slot_views[p_hot]);
         ranges[p_hot] = {0, decision.split_at};
         ranges.push_back({decision.split_at, -1});
         assigned_rows[p_hot] = decision.split_at;
@@ -408,22 +651,21 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
           jr.event = obs::JournalEvent::kReduction;
           jr.round = network_.current_round();
           jr.site = decision.hot_slot;
-          jr.rows_before = decision.rows;
           jr.rows = decision.split_at;
+          jr.rows_before = decision.rows;
           jr.label = "rebalance split";
           obs::JournalAppend(std::move(jr));
         }
       }
     }
 
-    // ---- Phase B: fault-tolerant per-site exchange (ship, evaluate in
-    //      parallel when enabled, reply), retried per RetryPolicy. ----
-    const std::vector<int> reply_to(drive_participants.size(),
-                                    kCoordinatorId);
-    auto eval = [&](int p, Site* site, double* cpu) {
+    // ---- Phase B: aggregator messages top-down, the fault-tolerant leaf
+    //      exchange (retried per RetryPolicy), then the bottom-up combine;
+    //      in the depth-1 tree every reply reaches the root in slot order. ----
+    auto eval = [&](int p, Site* site, double* cpu) -> Result<Table> {
+      if (base) return site->EvalBase(plan.base, cpu);
       SiteRoundInput input;
-      input.x = fused_base_round ? nullptr
-                                 : &site_views[static_cast<size_t>(p)];
+      input.x = slot_views[static_cast<size_t>(p)];
       input.base = fused_base_round ? &plan.base : nullptr;
       input.ops = &round.ops;
       input.key_attrs = &plan.key_attrs;
@@ -433,12 +675,22 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       input.detail_hi = ranges[static_cast<size_t>(p)].second;
       return site->EvalRound(input, cpu);
     };
+    ShipToAggregators(&network_, topology_, active, down_of, &rm);
+    const std::string reply_label = base ? "B_i" : "H_i";
     SKALLA_ASSIGN_OR_RETURN(
         std::vector<std::string> replies,
         DriveRoundWithRetries(&network_, retry, &rm, &roster,
-                              drive_participants, down, reply_to, "H_i",
-                              eval, parallel_sites_, LinkModel::kSharedLink,
-                              wire_format));
+                              drive_participants, down, reply_label, eval,
+                              parallel_sites_, wire_format));
+    std::vector<std::vector<Inbound>> inbox(topology_.nodes.size());
+    for (size_t p = 0; p < replies.size(); ++p) {
+      inbox[static_cast<size_t>(NodeOfEndpoint(topology_, down[p].from))]
+          .push_back(Inbound{drive_participants[p], std::move(replies[p])});
+    }
+    SKALLA_ASSIGN_OR_RETURN(
+        std::vector<Inbound> inbound,
+        CombineUp(&network_, topology_, active, std::move(inbox), reply_label,
+                  wire_format, num_key, slots, &rm));
 
     // Feed the measured per-slot wall times back to the detector (primary
     // slots only — a helper's timing belongs to the replica's hardware,
@@ -453,21 +705,21 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     }
 
     // ---- Phase C (coordinator): synchronize (Theorem 1) in
-    //      deterministic site order. ----
+    //      deterministic child order; the base query and a round fused
+    //      with it add the groups they find. ----
     std::optional<obs::ScopedSpan> sync_span;
     sync_span.emplace("round.sync", obs::kTrackCoordinator);
-    for (size_t p = 0; p < drive_participants.size(); ++p) {
-      const int sid = drive_participants[p];
+    for (const Inbound& in : inbound) {
       Stopwatch merge_sw;
       SKALLA_ASSIGN_OR_RETURN(Table h,
-                              Serializer::DeserializeTable(replies[p]));
+                              Serializer::DeserializeTable(in.payload));
       for (const Row& h_row : h.rows()) {
         const std::vector<int64_t>* match = x_index.Lookup(h_row, key_cols);
         int64_t row_id;
         if (match == nullptr) {
-          if (!fused_base_round) {
+          if (!plan_only) {
             return Status::Internal(
-                "site " + std::to_string(sid) +
+                "site " + std::to_string(in.from) +
                 " returned a group missing from the base-result structure");
           }
           Row key_row(h_row.begin(), h_row.begin() + num_key);
@@ -492,7 +744,7 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
         obs::JournalRecord jr;
         jr.event = obs::JournalEvent::kSyncMerge;
         jr.round = network_.current_round();
-        jr.site = sid;
+        jr.site = in.from;
         jr.rows = h.num_rows();
         jr.seconds = merge_sec;
         obs::JournalAppend(std::move(jr));
@@ -500,31 +752,34 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     }
     sync_span.reset();
 
-    // ---- Finalize this round's aggregates into new X columns. ----
-    obs::ScopedSpan finalize_span("round.finalize", obs::kTrackCoordinator);
-    Stopwatch finalize_sw;
-    std::vector<Field> new_fields = x.schema().fields();
-    for (const SubSlot& slot : slots) new_fields.push_back(slot.final_field);
-    Table new_x(MakeSchema(std::move(new_fields)));
-    new_x.Reserve(x.num_rows());
-    for (int64_t i = 0; i < x.num_rows(); ++i) {
-      Row row = x.row(i);
-      const std::vector<Value>& acc_row = acc[static_cast<size_t>(i)];
-      for (const SubSlot& slot : slots) {
-        row.push_back(FinalizeSubValues(
-            slot.func, &acc_row[static_cast<size_t>(slot.offset)]));
+    // ---- Finalize this round's aggregates into new X columns (the base
+    //      query has none). ----
+    if (!base) {
+      obs::ScopedSpan finalize_span("round.finalize", obs::kTrackCoordinator);
+      Stopwatch finalize_sw;
+      std::vector<Field> new_fields = x.schema().fields();
+      for (const SubSlot& slot : slots) new_fields.push_back(slot.final_field);
+      Table new_x(MakeSchema(std::move(new_fields)));
+      new_x.Reserve(x.num_rows());
+      for (int64_t i = 0; i < x.num_rows(); ++i) {
+        Row row = x.row(i);
+        const std::vector<Value>& acc_row = acc[static_cast<size_t>(i)];
+        for (const SubSlot& slot : slots) {
+          row.push_back(FinalizeSubValues(
+              slot.func, &acc_row[static_cast<size_t>(slot.offset)]));
+        }
+        new_x.AddRow(std::move(row));
       }
-      new_x.AddRow(std::move(row));
+      x = std::move(new_x);
+      x_index.Build(x, key_cols);
+      coord_cpu += finalize_sw.ElapsedSeconds();
     }
-    x = std::move(new_x);
-    x_index.Build(x, key_cols);
-    coord_cpu += finalize_sw.ElapsedSeconds();
 
-    rm.coord_cpu_sec = coord_cpu;
+    rm.coord_cpu_sec += coord_cpu;
     local_metrics.rounds.push_back(std::move(rm));
 
     ops_done += round.ops.size();
-    if (round_observer_) round_observer_(ops_done, x);
+    if (!base && round_observer_) round_observer_(ops_done, x);
   }
 
 

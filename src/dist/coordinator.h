@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -17,10 +18,48 @@
 
 namespace skalla {
 
+/// \brief A k-ary aggregation tree over the warehouse sites.
+///
+/// The paper's conclusions name "multi-tiered coordinator architectures or
+/// spanning-tree networks" as future work; this topology realizes it.
+/// Leaves are the Skalla sites; internal nodes are aggregator instances
+/// that merge their children's sub-results (Theorem 1 composes, so merging
+/// is correct at any level) before forwarding a single combined relation
+/// upward. Each node has its own network link, so sibling subtrees
+/// transfer in parallel — trading extra hops (latency) for a root link
+/// that carries one relation per child instead of one per site.
+///
+/// The root is the coordinator; with fan-in >= the site count the tree has
+/// depth 1, the paper's flat architecture. Nodes are numbered bottom-up:
+/// leaf i serves site i, and every child's id is below its parent's.
+struct TreeTopology {
+  struct Node {
+    int id = -1;
+    int parent = -1;
+    std::vector<int> children;  ///< empty for leaves
+    int site_index = -1;        ///< leaf only: index into the site vector
+    int level = 0;              ///< 0 = leaves, increasing upward
+  };
+
+  std::vector<Node> nodes;
+  int root = -1;
+  int num_levels = 0;  ///< levels of nodes (1 = degenerate single node)
+
+  /// Builds a bottom-up k-ary tree over `num_sites` leaves.
+  /// Requires num_sites >= 1 and fan_in >= 2.
+  static TreeTopology Build(int num_sites, int fan_in);
+
+  /// Nodes at a level, bottom-up.
+  std::vector<int> NodesAtLevel(int level) const;
+
+  std::string ToString() const;
+};
+
 /// Nominal wire size of a shipped query plan (control message).
 inline constexpr size_t kQueryPlanBytes = 512;
 
-/// \brief The Skalla coordinator: drives Alg. GMDJDistribEval.
+/// \brief The Skalla coordinator: drives Alg. GMDJDistribEval over a
+/// TreeTopology.
 ///
 /// The coordinator owns the simulated network and the base-result structure
 /// X. For each round it ships X (possibly per-site reduced) to the
@@ -28,11 +67,23 @@ inline constexpr size_t kQueryPlanBytes = 512;
 /// synchronizes them into X via the super-aggregates (Theorem 1). The merge
 /// is O(|H|) thanks to a hash index on the key attributes K.
 ///
+/// The sites are the leaves of the topology; the flat coordinator is the
+/// depth-1 tree. Deeper trees add aggregators (the paper's Sect.-6
+/// multi-tier coordinators) that forward each child its view of X and
+/// combine their children's sub-results; Theorem 1 composes, so only the
+/// cost profile differs. Aggregator hops are assumed reliable.
+///
 /// Sites are borrowed, not owned; they must outlive the coordinator.
 class Coordinator {
  public:
-  Coordinator(std::vector<Site*> sites, NetworkConfig config = NetworkConfig())
-      : sites_(std::move(sites)), network_(config) {}
+  /// The flat coordinator: the depth-1 tree.
+  Coordinator(std::vector<Site*> sites, NetworkConfig config = NetworkConfig());
+
+  /// A coordinator at the root of a k-ary aggregation tree over the sites
+  /// (TreeTopology::Build; requires fan_in >= 2). A fan-in of at least the
+  /// site count is the flat coordinator.
+  Coordinator(std::vector<Site*> sites, int fan_in,
+              NetworkConfig config = NetworkConfig());
 
   /// Executes a distributed plan and returns the finalized base-result
   /// structure (= the query answer). Fills `metrics` when non-null.
@@ -41,6 +92,7 @@ class Coordinator {
 
   SimNetwork& network() { return network_; }
   const std::vector<Site*>& sites() const { return sites_; }
+  const TreeTopology& topology() const { return topology_; }
 
   /// Registers `replica` as the failover target for primary slot
   /// `site_id`. When the primary exhausts its retry budget during a query,
@@ -100,7 +152,8 @@ class Coordinator {
 
   /// Shares the SKLD delta-base cache across queries (borrowed; may be
   /// null to keep the default per-query cache). The cache mirrors what
-  /// each site slot last received of X; with delta shipping enabled,
+  /// each topology node (leaf or aggregator, by node id) last received of
+  /// X and is resized to the node count; with delta shipping enabled,
   /// consecutive queries over slowly-changing base structures then ship
   /// deltas from the first round instead of re-priming per query. Query
   /// *results* are unaffected — the decoded site view always equals the
@@ -120,7 +173,8 @@ class Coordinator {
   /// registered (AddReplica), the replica joins the round as a helper slot
   /// evaluating the straggler's upper detail fragment; the two H
   /// fragments merge through the same Theorem 1 fold, byte-identical to
-  /// the unsplit round (DESIGN.md invariant 12, docs/skew.md). Only
+  /// the unsplit round (DESIGN.md invariant 12, docs/skew.md). The helper
+  /// is one more child of the straggler's parent, at any depth. Only
   /// single-operator, non-fused rounds are split.
   void set_skew_detector(SkewDetector* detector) { skew_detector_ = detector; }
   SkewDetector* skew_detector() const { return skew_detector_; }
@@ -138,6 +192,7 @@ class Coordinator {
 
   std::vector<Site*> sites_;
   std::map<int, Site*> replicas_;
+  TreeTopology topology_;
   SimNetwork network_;
   bool parallel_sites_ = false;
   int local_threads_ = 0;

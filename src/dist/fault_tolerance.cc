@@ -68,9 +68,8 @@ obs::Counter& SiteBytesCounter(int sid, bool to_site) {
 Result<std::vector<std::string>> DriveRoundWithRetries(
     SimNetwork* net, const RetryPolicy& retry, RoundMetrics* rm,
     SiteRoster* roster, const std::vector<int>& participants,
-    const std::vector<DownMessage>& down, const std::vector<int>& reply_to,
-    const std::string& reply_label, const SiteEvalFn& eval, bool parallel,
-    LinkModel link_model, WireFormat reply_format) {
+    const std::vector<DownMessage>& down, const std::string& reply_label,
+    const SiteEvalFn& eval, bool parallel, WireFormat reply_format) {
   obs::ScopedSpan drive_span("round.drive", obs::kTrackCoordinator);
   if (drive_span.armed()) drive_span.set_detail(rm->label);
   {
@@ -97,8 +96,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     obs::JournalAppend(std::move(jr));
   };
   const size_t n = participants.size();
-  // Per-slot wall timings for the skew detector; sized to this drive's
-  // slots (the tree coordinator drives its rounds through one rm too).
+  // Per-slot wall timings for the skew detector.
   if (rm->site_seconds.size() < n) rm->site_seconds.resize(n, 0.0);
   const int attempts_per_budget = std::max(1, retry.max_attempts);
   std::vector<std::string> replies(n);
@@ -110,8 +108,8 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
   int attempt = 0;
 
   while (!pending.empty()) {
-    // Per-slot link-time charge of this wave; folded into comm_sec at the
-    // end of the wave according to the link model.
+    // Per-slot link-time charge of this wave; folded into comm_sec per
+    // sender link at the end of the wave.
     std::vector<double> charge(n, 0.0);
 
     // ---- Downstream wave (deterministic slot order). ----
@@ -221,7 +219,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       std::string payload =
           Serializer::SerializeTable(reply_table, reply_format);
       const TransferOutcome out = net->Transfer(
-          site->id(), reply_to[p], payload.size(), reply_table.num_rows(),
+          site->id(), down[p].from, payload.size(), reply_table.num_rows(),
           reply_label, attempt, TransferDirection::kToCoordinator);
       rm->bytes_to_coord += payload.size();
       rm->groups_to_coord += reply_table.num_rows();
@@ -291,19 +289,16 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       done[p] = true;
     }
 
-    // ---- Fold this wave's link time into the round. ----
-    if (link_model == LinkModel::kSharedLink) {
-      for (size_t p : pending) rm->comm_sec += charge[p];
-    } else {
-      std::map<int, double> per_parent;
-      for (size_t p : pending) per_parent[down[p].from] += charge[p];
-      double wave_comm = 0.0;
-      for (const auto& [parent, sum] : per_parent) {
-        (void)parent;
-        wave_comm = std::max(wave_comm, sum);
-      }
-      rm->comm_sec += wave_comm;
+    // ---- Fold this wave's link time into the round: slots sharing a
+    //      sender serialize on its link, distinct senders run in parallel.
+    //      Sums run in slot order, so a flat wave charges exactly the sum
+    //      over slots. ----
+    std::map<int, double> per_sender;
+    double wave_comm = 0.0;
+    for (size_t p : pending) {
+      wave_comm = std::max(wave_comm, per_sender[down[p].from] += charge[p]);
     }
+    rm->comm_sec += wave_comm;
 
     // ---- Cull finished slots; exhausted slots fail over or abort. ----
     std::vector<size_t> next_pending;

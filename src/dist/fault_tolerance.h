@@ -54,7 +54,9 @@ class SiteRoster {
 
 /// The constant downstream half of one slot's per-round exchange.
 struct DownMessage {
-  int from = kCoordinatorId;  ///< sender endpoint (coordinator/aggregator)
+  /// Sender endpoint (coordinator or aggregator); the slot's reply travels
+  /// back to it, and slots sharing a sender share its link.
+  int from = kCoordinatorId;
   size_t bytes = 0;
   int64_t rows = 0;
   std::string label;
@@ -82,17 +84,6 @@ struct DownMessage {
 using SiteEvalFn =
     std::function<Result<Table>(int p, Site* site, double* cpu_sec)>;
 
-/// How per-slot communication time composes into round time.
-enum class LinkModel {
-  /// Every exchange serializes on the coordinator's shared access link
-  /// (the flat coordinator): a wave costs the sum over slots.
-  kSharedLink,
-  /// Slots talking to the same parent endpoint share that parent's link;
-  /// distinct parents transfer in parallel (aggregation tree): a wave
-  /// costs the max over parents of the per-parent sum.
-  kPerParentLinks,
-};
-
 /// \brief Drives one round's per-site exchanges under faults.
 ///
 /// For each participant slot, repeatedly performs the full idempotent
@@ -107,8 +98,10 @@ enum class LinkModel {
 /// (wave by wave); only local evaluation is parallelized when `parallel`
 /// is set, so the network transfer/event logs are identical either way.
 ///
-/// `reply_to[p]` is the endpoint the reply travels to (the coordinator, or
-/// an aggregation-tree parent). Retry, timeout, drop, failover, and
+/// Each reply travels back to its DownMessage's sender (the coordinator or
+/// an aggregation-tree parent). Slots sharing a sender share its link, so a
+/// wave costs the max over senders of the per-sender sum (for a flat round,
+/// the sum over slots). Retry, timeout, drop, failover, and
 /// retransmission counters are accumulated into `rm`; retransmitted bytes
 /// and groups are also counted as real traffic in the round totals.
 /// Replies travel in `reply_format`; their SKL1-equivalent size is folded
@@ -117,9 +110,8 @@ enum class LinkModel {
 Result<std::vector<std::string>> DriveRoundWithRetries(
     SimNetwork* net, const RetryPolicy& retry, RoundMetrics* rm,
     SiteRoster* roster, const std::vector<int>& participants,
-    const std::vector<DownMessage>& down, const std::vector<int>& reply_to,
-    const std::string& reply_label, const SiteEvalFn& eval, bool parallel,
-    LinkModel link_model = LinkModel::kSharedLink,
+    const std::vector<DownMessage>& down, const std::string& reply_label,
+    const SiteEvalFn& eval, bool parallel,
     WireFormat reply_format = DefaultWireFormat());
 
 }  // namespace skalla

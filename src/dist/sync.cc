@@ -66,9 +66,4 @@ Result<Table> CombineSubResults(const std::vector<const Table*>& inputs,
   return out;
 }
 
-Result<Table> DistinctUnion(const std::vector<const Table*>& inputs) {
-  SKALLA_ASSIGN_OR_RETURN(Table all, UnionAll(inputs));
-  return Distinct(all);
-}
-
 }  // namespace skalla

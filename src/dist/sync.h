@@ -36,10 +36,6 @@ Result<Table> CombineSubResults(const std::vector<const Table*>& inputs,
                                 int num_key,
                                 const std::vector<SubSlot>& slots);
 
-/// Duplicate-eliminating union of base-query results (round-0 merging at
-/// any tree level).
-Result<Table> DistinctUnion(const std::vector<const Table*>& inputs);
-
 }  // namespace skalla
 
 #endif  // SKALLA_DIST_SYNC_H_

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "common/string_util.h"
-#include "dist/tree_coordinator.h"
+#include "dist/coordinator.h"
 #include "storage/serializer.h"
 
 namespace skalla {

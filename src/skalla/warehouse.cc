@@ -175,12 +175,25 @@ Result<QueryResult> Warehouse::ExecutePlan(const DistributedPlan& plan) {
 
 Result<QueryResult> Warehouse::ExecutePlan(const DistributedPlan& plan,
                                            const ExecHooks& hooks) {
+  return ExecuteOnTree(plan, hooks, /*fan_in=*/0);
+}
+
+Result<QueryResult> Warehouse::ExecutePlanTree(const DistributedPlan& plan,
+                                               int fan_in) {
+  return ExecuteOnTree(plan, ExecHooks(), fan_in);
+}
+
+Result<QueryResult> Warehouse::ExecuteOnTree(const DistributedPlan& plan,
+                                             const ExecHooks& hooks,
+                                             int fan_in) {
   std::vector<Site*> site_ptrs;
   site_ptrs.reserve(sites_.size());
   for (const auto& site : sites_) site_ptrs.push_back(site.get());
   NetworkConfig net = net_;
   if (hooks.deadline_sec >= 0.0) net.retry.timeout_sec = hooks.deadline_sec;
-  Coordinator coordinator(std::move(site_ptrs), net);
+  Coordinator coordinator =
+      fan_in == 0 ? Coordinator(std::move(site_ptrs), net)
+                  : Coordinator(std::move(site_ptrs), fan_in, net);
   coordinator.set_parallel_sites(parallel_sites_);
   coordinator.set_local_threads(
       hooks.local_threads >= 0 ? hooks.local_threads : local_threads_);
@@ -188,26 +201,6 @@ Result<QueryResult> Warehouse::ExecutePlan(const DistributedPlan& plan,
   coordinator.set_round_observer(hooks.round_observer);
   coordinator.set_resume(hooks.resume_x, hooks.resume_rounds);
   coordinator.set_ship_cache(hooks.ship_cache);
-  coordinator.set_skew_detector(&skew_detector_);
-  coordinator.network().set_fault_injector(injector_);
-  for (const auto& [sid, replica] : replicas_) {
-    coordinator.AddReplica(sid, replica.get());
-  }
-  QueryResult result;
-  result.plan = plan;
-  SKALLA_ASSIGN_OR_RETURN(result.table,
-                          coordinator.Execute(plan, &result.metrics));
-  return result;
-}
-
-Result<QueryResult> Warehouse::ExecutePlanTree(const DistributedPlan& plan,
-                                               int fan_in) {
-  std::vector<Site*> site_ptrs;
-  site_ptrs.reserve(sites_.size());
-  for (const auto& site : sites_) site_ptrs.push_back(site.get());
-  TreeCoordinator coordinator(std::move(site_ptrs), fan_in, net_);
-  coordinator.set_parallel_sites(parallel_sites_);
-  coordinator.set_local_threads(local_threads_);
   coordinator.set_skew_detector(&skew_detector_);
   coordinator.network().set_fault_injector(injector_);
   for (const auto& [sid, replica] : replicas_) {
@@ -232,7 +225,8 @@ Result<QueryResult> Warehouse::ExecuteAuto(const GmdjExpr& expr,
   estimator.AddRelation(plan.base.source_table, *stats);
 
   int fan_in = 0;
-  // Tree execution currently supports full-participation plans only.
+  // EstimateTree prices full-participation plans only, so a plan that
+  // skips sites stays flat.
   bool tree_eligible = plan.base_sites.empty();
   for (const PlanRound& round : plan.rounds) {
     if (!round.participating_sites.empty()) tree_eligible = false;

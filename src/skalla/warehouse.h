@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "dist/coordinator.h"
 #include "dist/rebalance.h"
-#include "dist/tree_coordinator.h"
 #include "dist/metrics.h"
 #include "dist/plan.h"
 #include "dist/site.h"
@@ -142,9 +141,9 @@ class Warehouse {
                                   const ExecHooks& hooks);
 
   /// Executes a pre-built plan over a multi-tier aggregation tree with the
-  /// given fan-in (dist/tree_coordinator.h; the paper's future-work
-  /// architecture). Produces the same relation as ExecutePlan with a
-  /// different cost profile.
+  /// given fan-in (TreeTopology; the paper's future-work architecture).
+  /// Produces the same relation as ExecutePlan with a different cost
+  /// profile.
   Result<QueryResult> ExecutePlanTree(const DistributedPlan& plan,
                                       int fan_in);
 
@@ -233,6 +232,10 @@ class Warehouse {
  private:
   /// The profiled statistics of `plan`'s base relation (cached).
   Result<const RelationStats*> BaseStats(const DistributedPlan& plan);
+  /// The one body of ExecutePlan (fan_in 0: the flat, depth-1 tree) and
+  /// ExecutePlanTree.
+  Result<QueryResult> ExecuteOnTree(const DistributedPlan& plan,
+                                    const ExecHooks& hooks, int fan_in);
   std::vector<std::unique_ptr<Site>> sites_;
   /// Failover replicas keyed by primary site id (owned here, registered
   /// with each coordinator at execution time).

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "dist/coordinator.h"
-#include "dist/tree_coordinator.h"
 #include "net/fault_injector.h"
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
@@ -433,7 +432,7 @@ TEST_F(FaultInjectionTest, MetricsEqualNetworkTotalsUnderRetriesTree) {
 
   std::vector<Site*> sites;
   for (int i = 0; i < wh.num_sites(); ++i) sites.push_back(&wh.site(i));
-  TreeCoordinator coordinator(sites, /*fan_in=*/2, NetworkConfig());
+  Coordinator coordinator(sites, /*fan_in=*/2, NetworkConfig());
   coordinator.network().set_fault_injector(&injector);
 
   ExecutionMetrics metrics;

@@ -130,14 +130,16 @@ TEST(CombineSubResultsTest, AssociativityProperty) {
   }
 }
 
-TEST(DistinctUnionTest, DeduplicatesAcrossInputs) {
+// The base round merges B_i relations through the same fold with no
+// sub-aggregates: a duplicate-eliminating union of the keys.
+TEST(CombineSubResultsTest, NoSlotsIsADistinctUnion) {
   Table a(MakeSchema({{"g", ValueType::kInt64}}));
   a.AddRow({Value(1)});
   a.AddRow({Value(2)});
   Table b(MakeSchema({{"g", ValueType::kInt64}}));
   b.AddRow({Value(2)});
   b.AddRow({Value(3)});
-  ASSERT_OK_AND_ASSIGN(Table merged, DistinctUnion({&a, &b}));
+  ASSERT_OK_AND_ASSIGN(Table merged, CombineSubResults({&a, &b}, 1, {}));
   EXPECT_EQ(merged.num_rows(), 3);
 }
 

@@ -15,7 +15,6 @@
 
 #include "common/random.h"
 #include "dist/coordinator.h"
-#include "dist/tree_coordinator.h"
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
 #include "storage/serializer.h"
@@ -374,7 +373,7 @@ TEST_F(WireEndToEndTest, MetricsEqualNetworkBytesUnderDelta) {
       EXPECT_GT(flat_table.num_rows(), 0);
       ExpectBytesMatchNetwork(flat_metrics, flat.network());
 
-      TreeCoordinator tree(sites, /*fan_in=*/2, Config(format, delta));
+      Coordinator tree(sites, /*fan_in=*/2, Config(format, delta));
       ExecutionMetrics tree_metrics;
       ASSERT_OK_AND_ASSIGN(Table tree_table,
                            tree.Execute(plan, &tree_metrics));
