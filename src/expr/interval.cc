@@ -118,11 +118,6 @@ ExprPtr NumLit(double v) {
   return Lit(Value(v));
 }
 
-bool PureSide(const ExprPtr& expr, Side side) {
-  const Side other = side == Side::kBase ? Side::kDetail : Side::kBase;
-  return ReferencesSide(expr, side) && !ReferencesSide(expr, other);
-}
-
 /// Maximum value-set size expanded into an explicit membership disjunction
 /// (beyond this, the range relaxation is used).
 constexpr size_t kMaxInlineSet = 16;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/wrapping.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/columnar.h"
@@ -21,22 +22,12 @@ void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
 
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutDouble(std::string* out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
+/// Appends the bytes of a fixed-width value (u32, u64 or double).
+template <typename T>
+void PutFixed(std::string* out, T v) {
+  char buf[sizeof v];
+  std::memcpy(buf, &v, sizeof v);
+  out->append(buf, sizeof v);
 }
 
 /// Unsigned LEB128; at most 10 bytes for a u64.
@@ -76,22 +67,12 @@ class Reader {
     pos_ += 1;
     return true;
   }
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) return false;
-    std::memcpy(v, bytes_.data() + pos_, 4);
-    pos_ += 4;
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > bytes_.size()) return false;
-    std::memcpy(v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool ReadDouble(double* v) {
-    if (pos_ + 8 > bytes_.size()) return false;
-    std::memcpy(v, bytes_.data() + pos_, 8);
-    pos_ += 8;
+  /// Reads a fixed-width value (u32, u64 or double).
+  template <typename T>
+  bool ReadFixed(T* v) {
+    if (pos_ + sizeof *v > bytes_.size()) return false;
+    std::memcpy(v, bytes_.data() + pos_, sizeof *v);
+    pos_ += sizeof *v;
     return true;
   }
   bool ReadString(uint32_t len, std::string* v) {
@@ -131,13 +112,13 @@ void PutValue(std::string* out, const Value& v) {
     case ValueType::kNull:
       break;
     case ValueType::kInt64:
-      PutU64(out, static_cast<uint64_t>(v.AsInt64()));
+      PutFixed(out, static_cast<uint64_t>(v.AsInt64()));
       break;
     case ValueType::kDouble:
-      PutDouble(out, v.AsDouble());
+      PutFixed(out, v.AsDouble());
       break;
     case ValueType::kString:
-      PutU32(out, static_cast<uint32_t>(v.AsString().size()));
+      PutFixed(out, static_cast<uint32_t>(v.AsString().size()));
       out->append(v.AsString());
       break;
   }
@@ -153,18 +134,18 @@ Result<Value> ReadValue(Reader* reader) {
       return Value::Null();
     case ValueType::kInt64: {
       uint64_t raw = 0;
-      if (!reader->ReadU64(&raw)) return Status::IoError("truncated int64");
+      if (!reader->ReadFixed(&raw)) return Status::IoError("truncated int64");
       return Value(static_cast<int64_t>(raw));
     }
     case ValueType::kDouble: {
       double d = 0;
-      if (!reader->ReadDouble(&d)) return Status::IoError("truncated double");
+      if (!reader->ReadFixed(&d)) return Status::IoError("truncated double");
       return Value(d);
     }
     case ValueType::kString: {
       uint32_t len = 0;
       std::string s;
-      if (!reader->ReadU32(&len) || !reader->ReadString(len, &s)) {
+      if (!reader->ReadFixed(&len) || !reader->ReadString(len, &s)) {
         return Status::IoError("truncated string");
       }
       return Value(std::move(s));
@@ -174,10 +155,13 @@ Result<Value> ReadValue(Reader* reader) {
 }
 
 // ---------------------------------------------------------------------------
-// SKL2 per-column codec. A column range [begin, end) over one table column
-// is classified into one of five codecs; the homogeneous codecs carry a
-// null bitmap (LSB-first within each byte, bit set = non-null) followed by
-// the packed non-null values.
+// SKL2 per-column codec. A column section over the rows [begin, end) of one
+// table column opens with a u8 tag: the low four bits name the codec, bit 7
+// (kNullFree) says a bitmap-carrying codec dropped its null bitmap because
+// every value is present, and bits 4-6 are reserved (zero). A null bitmap
+// is LSB-first within each byte, bit set = non-null, and is followed by the
+// packed non-null values. Every codec past the first five is chosen only
+// when it makes the section strictly smaller (docs/wire-format.md §3).
 
 enum ColumnCodec : uint8_t {
   kColAllNull = 0,
@@ -185,23 +169,55 @@ enum ColumnCodec : uint8_t {
   kColDouble = 2,
   kColString = 3,
   kColMixed = 4,  ///< heterogeneous non-null types: per-value tag + payload
+  kColIntegralDouble = 5,  ///< int64-exact doubles, written as kColInt64
+  kColRepeat = 6,  ///< varint field index of an earlier, byte-equal section
 };
 
-ColumnCodec ClassifyColumn(const Table& t, int col, int64_t begin,
-                           int64_t end) {
-  bool seen = false;
-  ValueType type = ValueType::kNull;
-  for (int64_t r = begin; r < end; ++r) {
-    const Value& v = t.Get(r, col);
-    if (v.type() == ValueType::kNull) continue;
-    if (!seen) {
-      seen = true;
-      type = v.type();
-    } else if (v.type() != type) {
-      return kColMixed;
-    }
-  }
-  if (!seen) return kColAllNull;
+constexpr uint8_t kCodecMask = 0x0f;
+constexpr uint8_t kNullFree = 0x80;
+
+/// Appends `cur` as the zig-zag varint of its difference from `*prev`, the
+/// section's previous non-null value (0 before the first). The difference
+/// wraps on overflow and unwraps identically on decode (two's complement).
+void PutDelta(std::string* out, int64_t cur, int64_t* prev) {
+  PutVarint(out, ZigZagEncode(WrapSub(cur, *prev)));
+  *prev = cur;
+}
+
+/// True when `d` equals an int64 bit for bit, stored in `*out`. The range
+/// check runs before the cast, which is undefined for NaN, ±inf and values
+/// outside [-2^63, 2^63); the bit compare rejects -0.0 and fractions.
+bool ExactInt64(double d, int64_t* out) {
+  if (!(d >= -0x1p63 && d < 0x1p63)) return false;
+  *out = static_cast<int64_t>(d);
+  const double back = static_cast<double>(*out);
+  return std::memcmp(&back, &d, sizeof d) == 0;
+}
+
+/// Appends the non-null doubles of a section, which `each(fn)` passes to
+/// `fn` in row order: as the int64 deltas of kColIntegralDouble when every
+/// value is ExactInt64 and the varints take fewer bytes than the raw 8 per
+/// value, raw otherwise. Returns the codec written.
+template <typename Each>
+ColumnCodec PutDoubles(std::string* out, const Each& each) {
+  const size_t start = out->size();
+  bool integral = true;
+  size_t count = 0;
+  int64_t prev = 0;
+  each([&](double d) {
+    ++count;
+    int64_t i = 0;
+    integral = integral && ExactInt64(d, &i);
+    if (integral) PutDelta(out, i, &prev);
+  });
+  if (integral && out->size() - start < 8 * count) return kColIntegralDouble;
+  out->resize(start);
+  each([out](double d) { PutFixed(out, d); });
+  return kColDouble;
+}
+
+/// The homogeneous codec of a column whose non-null values have `type`.
+ColumnCodec CodecOf(ValueType type) {
   switch (type) {
     case ValueType::kInt64:
       return kColInt64;
@@ -210,8 +226,26 @@ ColumnCodec ClassifyColumn(const Table& t, int col, int64_t begin,
     case ValueType::kString:
       return kColString;
     default:
-      return kColAllNull;  // unreachable
+      return kColAllNull;  // kNull: no non-null value
   }
+}
+
+/// Classifies the non-null cells of [begin, end); `*has_nulls` reports
+/// whether any cell is NULL.
+ColumnCodec ClassifyColumn(const Table& t, int col, int64_t begin,
+                           int64_t end, bool* has_nulls) {
+  ValueType type = ValueType::kNull;  // of the non-null cells seen so far
+  for (int64_t r = begin; r < end; ++r) {
+    const ValueType v = t.Get(r, col).type();
+    if (v == ValueType::kNull) {
+      *has_nulls = true;
+    } else if (type == ValueType::kNull) {
+      type = v;
+    } else if (v != type) {
+      return kColMixed;  // carries no bitmap, so *has_nulls is moot
+    }
+  }
+  return CodecOf(type);
 }
 
 void PutNullBitmap(std::string* out, const Table& t, int col, int64_t begin,
@@ -228,51 +262,50 @@ void PutNullBitmap(std::string* out, const Table& t, int col, int64_t begin,
   out->append(bitmap);
 }
 
+/// Row-path section writer: boxes every cell through Table::Get. Used for
+/// SKLD sub-ranges, type-deviant columns and SerializeTableRowPath.
 void EncodeColumnRange(std::string* out, const Table& t, int col,
                        int64_t begin, int64_t end) {
-  const ColumnCodec codec = ClassifyColumn(t, col, begin, end);
+  bool has_nulls = false;
+  const ColumnCodec codec = ClassifyColumn(t, col, begin, end, &has_nulls);
+  const size_t tag = out->size();
   PutU8(out, codec);
+  if (codec == kColAllNull) return;
+  if (codec == kColMixed) {
+    for (int64_t r = begin; r < end; ++r) PutValue(out, t.Get(r, col));
+    return;
+  }
+  if (has_nulls) PutNullBitmap(out, t, col, begin, end);
+  // Passes each non-null cell to `fn`, in row order.
+  auto each = [&](auto&& fn) {
+    for (int64_t r = begin; r < end; ++r) {
+      const Value& v = t.Get(r, col);
+      if (v.type() != ValueType::kNull) fn(v);
+    }
+  };
+  ColumnCodec written = codec;
   switch (codec) {
-    case kColAllNull:
-      break;
     case kColInt64: {
-      PutNullBitmap(out, t, col, begin, end);
       int64_t prev = 0;
-      for (int64_t r = begin; r < end; ++r) {
-        const Value& v = t.Get(r, col);
-        if (v.type() == ValueType::kNull) continue;
-        const int64_t cur = v.AsInt64();
-        // Delta over the non-null subsequence; the difference wraps on
-        // overflow and unwraps identically on decode (two's complement).
-        PutVarint(out, ZigZagEncode(static_cast<int64_t>(
-                           static_cast<uint64_t>(cur) -
-                           static_cast<uint64_t>(prev))));
-        prev = cur;
-      }
+      each([&](const Value& v) { PutDelta(out, v.AsInt64(), &prev); });
       break;
     }
-    case kColDouble: {
-      PutNullBitmap(out, t, col, begin, end);
-      for (int64_t r = begin; r < end; ++r) {
-        const Value& v = t.Get(r, col);
-        if (v.type() != ValueType::kNull) PutDouble(out, v.AsDouble());
-      }
+    case kColDouble:
+      written = PutDoubles(out, [&](auto&& fn) {
+        each([&](const Value& v) { fn(v.AsDouble()); });
+      });
       break;
-    }
     case kColString: {
-      PutNullBitmap(out, t, col, begin, end);
       // First-appearance dictionary: deterministic given the row order.
       std::unordered_map<std::string_view, uint64_t> index;
       std::vector<std::string_view> dict;
       std::vector<uint64_t> codes;
-      for (int64_t r = begin; r < end; ++r) {
-        const Value& v = t.Get(r, col);
-        if (v.type() == ValueType::kNull) continue;
+      each([&](const Value& v) {
         const std::string_view s = v.AsString();
         auto [it, inserted] = index.emplace(s, dict.size());
         if (inserted) dict.push_back(s);
         codes.push_back(it->second);
-      }
+      });
       PutVarint(out, dict.size());
       for (std::string_view s : dict) {
         PutVarint(out, s.size());
@@ -281,67 +314,10 @@ void EncodeColumnRange(std::string* out, const Table& t, int col,
       for (uint64_t code : codes) PutVarint(out, code);
       break;
     }
-    case kColMixed: {
-      for (int64_t r = begin; r < end; ++r) PutValue(out, t.Get(r, col));
+    default:
       break;
-    }
   }
-}
-
-size_t ColumnRangeSize(const Table& t, int col, int64_t begin, int64_t end) {
-  const ColumnCodec codec = ClassifyColumn(t, col, begin, end);
-  size_t size = 1;  // codec tag
-  const size_t bitmap = static_cast<size_t>((end - begin + 7) / 8);
-  switch (codec) {
-    case kColAllNull:
-      break;
-    case kColInt64: {
-      size += bitmap;
-      int64_t prev = 0;
-      for (int64_t r = begin; r < end; ++r) {
-        const Value& v = t.Get(r, col);
-        if (v.type() == ValueType::kNull) continue;
-        const int64_t cur = v.AsInt64();
-        size += VarintSize(ZigZagEncode(static_cast<int64_t>(
-            static_cast<uint64_t>(cur) - static_cast<uint64_t>(prev))));
-        prev = cur;
-      }
-      break;
-    }
-    case kColDouble: {
-      size += bitmap;
-      for (int64_t r = begin; r < end; ++r) {
-        if (t.Get(r, col).type() != ValueType::kNull) size += 8;
-      }
-      break;
-    }
-    case kColString: {
-      size += bitmap;
-      std::unordered_map<std::string_view, uint64_t> index;
-      uint64_t next_code = 0;
-      size_t dict_bytes = 0;
-      for (int64_t r = begin; r < end; ++r) {
-        const Value& v = t.Get(r, col);
-        if (v.type() == ValueType::kNull) continue;
-        const std::string_view s = v.AsString();
-        auto [it, inserted] = index.emplace(s, next_code);
-        if (inserted) {
-          dict_bytes += VarintSize(s.size()) + s.size();
-          ++next_code;
-        }
-        size += VarintSize(it->second);
-      }
-      size += VarintSize(next_code) + dict_bytes;
-      break;
-    }
-    case kColMixed: {
-      for (int64_t r = begin; r < end; ++r) {
-        size += t.Get(r, col).SerializedSize();
-      }
-      break;
-    }
-  }
-  return size;
+  (*out)[tag] = static_cast<char>(written | (has_nulls ? 0 : kNullFree));
 }
 
 // Columnar-fed SKL2 encoding (docs/wire-format.md §3): for a full-table
@@ -354,48 +330,24 @@ size_t ColumnRangeSize(const Table& t, int col, int64_t begin, int64_t end) {
 // no-re-derivation rule in DESIGN.md §5. Sub-table ranges (SerializeDelta)
 // and unusable columns keep the row path.
 
-bool ColumnarAnyNonNull(const ColumnarTable::Column& col, int64_t n) {
-  if (!col.has_nulls) return n > 0;
-  for (const uint64_t w : col.valid) {
-    if (w != 0) return true;
-  }
-  return false;
-}
-
 ColumnCodec ClassifyColumnar(const ColumnarTable::Column& col, int64_t n) {
   // A usable column has no type-deviant cells, so kColMixed is impossible.
-  if (!ColumnarAnyNonNull(col, n)) return kColAllNull;
-  switch (col.type) {
-    case ValueType::kInt64:
-      return kColInt64;
-    case ValueType::kDouble:
-      return kColDouble;
-    case ValueType::kString:
-      return kColString;
-    default:
-      return kColAllNull;  // unreachable: kNull columns have no non-nulls
-  }
+  const bool any_non_null =
+      col.has_nulls ? std::any_of(col.valid.begin(), col.valid.end(),
+                                  [](uint64_t w) { return w != 0; })
+                    : n > 0;
+  return any_non_null ? CodecOf(col.type) : kColAllNull;
 }
 
+/// The wire bitmap of a column with NULLs: byte i is byte (i % 8) of the
+/// snapshot's LSB-first u64 word i / 8. Trailing bits are zero in both.
 void PutNullBitmapColumnar(std::string* out,
                            const ColumnarTable::Column& col, int64_t n) {
   const size_t bytes = static_cast<size_t>((n + 7) / 8);
   std::string bitmap(bytes, '\0');
-  if (!col.has_nulls) {
-    // Every bit below n set, trailing bits clear — as the row path writes.
-    for (size_t i = 0; i < bytes; ++i) bitmap[i] = static_cast<char>(0xff);
-    const int rem = static_cast<int>(n % 8);
-    if (rem != 0) {
-      bitmap[bytes - 1] = static_cast<char>((1u << rem) - 1);
-    }
-  } else {
-    // The snapshot bitmap is LSB-first u64 words; byte i of the wire
-    // bitmap is byte (i % 8) of word (i / 8). Trailing bits are zero in
-    // both representations.
-    for (size_t i = 0; i < bytes; ++i) {
-      bitmap[i] = static_cast<char>((col.valid[i >> 3] >> ((i & 7) * 8)) &
-                                    0xff);
-    }
+  for (size_t i = 0; i < bytes; ++i) {
+    bitmap[i] =
+        static_cast<char>((col.valid[i >> 3] >> ((i & 7) * 8)) & 0xff);
   }
   out->append(bitmap);
 }
@@ -403,34 +355,29 @@ void PutNullBitmapColumnar(std::string* out,
 void EncodeColumnarFull(std::string* out, const ColumnarTable::Column& col,
                         int64_t n) {
   const ColumnCodec codec = ClassifyColumnar(col, n);
+  const size_t tag = out->size();
   PutU8(out, codec);
+  if (codec == kColAllNull) return;
+  if (col.has_nulls) PutNullBitmapColumnar(out, col, n);
+  ColumnCodec written = codec;
   switch (codec) {
-    case kColAllNull:
-      break;
     case kColInt64: {
-      PutNullBitmapColumnar(out, col, n);
       int64_t prev = 0;
       for (int64_t r = 0; r < n; ++r) {
-        if (!col.IsValid(r)) continue;
-        const int64_t cur = col.ints[static_cast<size_t>(r)];
-        PutVarint(out, ZigZagEncode(static_cast<int64_t>(
-                           static_cast<uint64_t>(cur) -
-                           static_cast<uint64_t>(prev))));
-        prev = cur;
-      }
-      break;
-    }
-    case kColDouble: {
-      PutNullBitmapColumnar(out, col, n);
-      for (int64_t r = 0; r < n; ++r) {
         if (col.IsValid(r)) {
-          PutDouble(out, col.doubles[static_cast<size_t>(r)]);
+          PutDelta(out, col.ints[static_cast<size_t>(r)], &prev);
         }
       }
       break;
     }
+    case kColDouble:
+      written = PutDoubles(out, [&](auto&& fn) {
+        for (int64_t r = 0; r < n; ++r) {
+          if (col.IsValid(r)) fn(col.doubles[static_cast<size_t>(r)]);
+        }
+      });
+      break;
     case kColString: {
-      PutNullBitmapColumnar(out, col, n);
       // The snapshot dictionary is first-appearance over all rows — for a
       // full-table range, exactly the wire dictionary and codes.
       PutVarint(out, col.dict.size());
@@ -444,63 +391,55 @@ void EncodeColumnarFull(std::string* out, const ColumnarTable::Column& col,
       }
       break;
     }
-    case kColMixed:
-      break;  // unreachable for usable columns
+    default:
+      break;  // kColMixed is unreachable for usable columns
+  }
+  (*out)[tag] = static_cast<char>(written | (col.has_nulls ? 0 : kNullFree));
+}
+
+/// Appends the column sections of one payload: `encode(c)` writes field
+/// c's section over `rows[c]` values, and a field with no rows gets no
+/// section. A section whose bytes equal those of an earlier literal
+/// section over as many rows becomes kColRepeat plus that section's field
+/// index, when the repeat is strictly smaller.
+template <typename Encode>
+void PutSections(std::string* out, const std::vector<int64_t>& rows,
+                 const Encode& encode) {
+  struct Literal {
+    size_t start;
+    size_t size;
+    size_t field;
+  };
+  std::vector<Literal> literals;
+  for (size_t c = 0; c < rows.size(); ++c) {
+    if (rows[c] == 0) continue;
+    const size_t start = out->size();
+    encode(c);
+    const size_t size = out->size() - start;
+    const std::string_view section(out->data() + start, size);
+    const auto same = std::find_if(
+        literals.begin(), literals.end(), [&](const Literal& l) {
+          return rows[l.field] == rows[c] && l.size == size &&
+                 std::string_view(out->data() + l.start, size) == section;
+        });
+    if (same != literals.end() && 1 + VarintSize(same->field) < size) {
+      out->resize(start);
+      PutU8(out, kColRepeat);
+      PutVarint(out, same->field);
+    } else {
+      literals.push_back(Literal{start, size, c});
+    }
   }
 }
 
-size_t ColumnarFullSize(const ColumnarTable::Column& col, int64_t n) {
-  const ColumnCodec codec = ClassifyColumnar(col, n);
-  size_t size = 1;  // codec tag
-  const size_t bitmap = static_cast<size_t>((n + 7) / 8);
-  switch (codec) {
-    case kColAllNull:
-      break;
-    case kColInt64: {
-      size += bitmap;
-      int64_t prev = 0;
-      for (int64_t r = 0; r < n; ++r) {
-        if (!col.IsValid(r)) continue;
-        const int64_t cur = col.ints[static_cast<size_t>(r)];
-        size += VarintSize(ZigZagEncode(static_cast<int64_t>(
-            static_cast<uint64_t>(cur) - static_cast<uint64_t>(prev))));
-        prev = cur;
-      }
-      break;
-    }
-    case kColDouble: {
-      size += bitmap;
-      for (int64_t r = 0; r < n; ++r) {
-        if (col.IsValid(r)) size += 8;
-      }
-      break;
-    }
-    case kColString: {
-      size += bitmap;
-      size += VarintSize(col.dict.size());
-      for (const std::string& s : col.dict) {
-        size += VarintSize(s.size()) + s.size();
-      }
-      for (int64_t r = 0; r < n; ++r) {
-        const int32_t code = col.codes[static_cast<size_t>(r)];
-        if (code >= 0) size += VarintSize(static_cast<uint64_t>(code));
-      }
-      break;
-    }
-    case kColMixed:
-      break;  // unreachable for usable columns
-  }
-  return size;
-}
+/// Clamp for up-front reserves so a large-but-plausible claimed row count
+/// cannot throw std::bad_alloc before the payload proves it out; vectors
+/// grow amortized past the clamp.
+constexpr uint64_t kReserveClamp = uint64_t{1} << 16;
 
-/// Decodes one column section of `n` values into `*out` (appended).
-Status DecodeColumnRange(Reader* reader, int64_t n,
-                         std::vector<Value>* out) {
-  uint8_t codec = 0;
-  if (!reader->ReadU8(&codec)) return Status::IoError("truncated column tag");
-  if (codec > kColMixed) {
-    return Status::IoError("unknown column codec " + std::to_string(codec));
-  }
+/// Decodes one non-repeat column section of `n` values into `*out`.
+Status DecodeColumnRange(Reader* reader, uint8_t codec, bool null_free,
+                         int64_t n, std::vector<Value>* out) {
   if (codec == kColAllNull) {
     out->insert(out->end(), static_cast<size_t>(n), Value::Null());
     return Status::OK();
@@ -512,19 +451,21 @@ Status DecodeColumnRange(Reader* reader, int64_t n,
     }
     return Status::OK();
   }
-  // Homogeneous codecs: null bitmap first.
-  const size_t bitmap_bytes = static_cast<size_t>((n + 7) / 8);
+  // Bitmap-carrying codecs: the null bitmap first, unless null-free.
   std::string bitmap;
-  if (!reader->ReadString(static_cast<uint32_t>(bitmap_bytes), &bitmap)) {
+  if (!null_free &&
+      !reader->ReadString(static_cast<uint32_t>((n + 7) / 8), &bitmap)) {
     return Status::IoError("truncated null bitmap");
   }
-  auto non_null = [&bitmap](int64_t i) {
-    return (static_cast<uint8_t>(bitmap[static_cast<size_t>(i / 8)]) >>
-            (i % 8)) &
-           1u;
+  auto non_null = [&bitmap, null_free](int64_t i) {
+    return null_free ||
+           ((static_cast<uint8_t>(bitmap[static_cast<size_t>(i / 8)]) >>
+             (i % 8)) &
+            1u) != 0;
   };
   switch (codec) {
-    case kColInt64: {
+    case kColInt64:
+    case kColIntegralDouble: {
       int64_t prev = 0;
       for (int64_t r = 0; r < n; ++r) {
         if (!non_null(r)) {
@@ -532,9 +473,9 @@ Status DecodeColumnRange(Reader* reader, int64_t n,
           continue;
         }
         SKALLA_ASSIGN_OR_RETURN(uint64_t raw, ReadVarint(reader));
-        prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
-                                    static_cast<uint64_t>(ZigZagDecode(raw)));
-        out->push_back(Value(prev));
+        prev = WrapAdd(prev, ZigZagDecode(raw));
+        out->push_back(codec == kColInt64 ? Value(prev)
+                                          : Value(static_cast<double>(prev)));
       }
       return Status::OK();
     }
@@ -545,7 +486,7 @@ Status DecodeColumnRange(Reader* reader, int64_t n,
           continue;
         }
         double d = 0;
-        if (!reader->ReadDouble(&d)) {
+        if (!reader->ReadFixed(&d)) {
           return Status::IoError("truncated double column");
         }
         out->push_back(Value(d));
@@ -590,28 +531,72 @@ Status DecodeColumnRange(Reader* reader, int64_t n,
   }
 }
 
+/// Decodes the column sections PutSections wrote for `rows` into
+/// `(*columns)[c]`. A repeat copies the values of an earlier field, which
+/// must span as many rows; it never decodes more cells than the fields'
+/// row counts allow, so the payload's cell cap bounds it too.
+Status DecodeSections(Reader* reader, const std::vector<int64_t>& rows,
+                      std::vector<std::vector<Value>>* columns) {
+  for (size_t c = 0; c < rows.size(); ++c) {
+    const int64_t n = rows[c];
+    if (n == 0) continue;
+    uint8_t tag = 0;
+    if (!reader->ReadU8(&tag)) return Status::IoError("truncated column tag");
+    if ((tag & ~(kCodecMask | kNullFree)) != 0) {
+      return Status::IoError("unknown column codec flags " +
+                             std::to_string(tag));
+    }
+    const uint8_t codec = tag & kCodecMask;
+    const bool null_free = (tag & kNullFree) != 0;
+    if (codec > kColRepeat) {
+      return Status::IoError("unknown column codec " + std::to_string(codec));
+    }
+    if (null_free &&
+        (codec == kColAllNull || codec == kColMixed || codec == kColRepeat)) {
+      return Status::IoError("null-free flag on a column codec without a "
+                             "null bitmap");
+    }
+    std::vector<Value>& out = (*columns)[c];
+    if (codec == kColRepeat) {
+      SKALLA_ASSIGN_OR_RETURN(uint64_t k, ReadVarint(reader));
+      if (k >= c) {
+        return Status::IoError("column repeat must name an earlier section");
+      }
+      if (rows[k] != n) {
+        return Status::IoError("column repeat row count mismatch");
+      }
+      out = (*columns)[k];
+      continue;
+    }
+    out.reserve(static_cast<size_t>(
+        std::min(static_cast<uint64_t>(n), kReserveClamp)));
+    SKALLA_RETURN_NOT_OK(DecodeColumnRange(reader, codec, null_free, n, &out));
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Shared header helpers.
 
 void PutSchema(std::string* out, const Schema& schema) {
-  PutU32(out, static_cast<uint32_t>(schema.num_fields()));
+  PutFixed(out, static_cast<uint32_t>(schema.num_fields()));
   for (const Field& f : schema.fields()) {
     PutU8(out, static_cast<uint8_t>(f.type));
-    PutU32(out, static_cast<uint32_t>(f.name.size()));
+    PutFixed(out, static_cast<uint32_t>(f.name.size()));
     out->append(f.name);
   }
 }
 
 Result<std::vector<Field>> ReadSchema(Reader* reader) {
   uint32_t nfields = 0;
-  if (!reader->ReadU32(&nfields)) return Status::IoError("truncated schema");
+  if (!reader->ReadFixed(&nfields)) return Status::IoError("truncated schema");
   std::vector<Field> fields;
   fields.reserve(nfields);
   for (uint32_t i = 0; i < nfields; ++i) {
     uint8_t type = 0;
     uint32_t name_len = 0;
     std::string name;
-    if (!reader->ReadU8(&type) || !reader->ReadU32(&name_len) ||
+    if (!reader->ReadU8(&type) || !reader->ReadFixed(&name_len) ||
         !reader->ReadString(name_len, &name)) {
       return Status::IoError("truncated field");
     }
@@ -664,11 +649,6 @@ bool WireEqual(const Value& a, const Value& b) {
 /// path — the guard is absolute instead.
 constexpr uint64_t kMaxDecodedCells = uint64_t{1} << 32;
 
-/// Clamp for up-front reserves so a large-but-plausible claimed row count
-/// cannot throw std::bad_alloc before the payload proves it out; vectors
-/// grow amortized past the clamp.
-constexpr uint64_t kReserveClamp = uint64_t{1} << 16;
-
 /// Rejects row counts the payload cannot back, before any allocation
 /// proportional to the claim happens. SKL1 spends at least one tag byte
 /// per value, giving a tight size-relative bound; SKL2 gets the absolute
@@ -688,7 +668,7 @@ Result<Table> DecodeSkl1Body(Reader* reader) {
   SKALLA_ASSIGN_OR_RETURN(std::vector<Field> fields, ReadSchema(reader));
   const size_t nfields = fields.size();
   uint64_t nrows = 0;
-  if (!reader->ReadU64(&nrows)) return Status::IoError("truncated row count");
+  if (!reader->ReadFixed(&nrows)) return Status::IoError("truncated row count");
   SKALLA_RETURN_NOT_OK(
       CheckRowCount(nrows, nfields, reader->remaining(), /*columnar=*/false));
   Table table(MakeSchema(std::move(fields)));
@@ -710,17 +690,13 @@ Result<Table> DecodeSkl2Body(Reader* reader) {
   SKALLA_ASSIGN_OR_RETURN(std::vector<Field> fields, ReadSchema(reader));
   const size_t nfields = fields.size();
   uint64_t nrows = 0;
-  if (!reader->ReadU64(&nrows)) return Status::IoError("truncated row count");
+  if (!reader->ReadFixed(&nrows)) return Status::IoError("truncated row count");
   SKALLA_RETURN_NOT_OK(
       CheckRowCount(nrows, nfields, reader->remaining(), /*columnar=*/true));
   std::vector<std::vector<Value>> columns(nfields);
-  if (nrows > 0) {
-    for (size_t c = 0; c < nfields; ++c) {
-      columns[c].reserve(static_cast<size_t>(std::min(nrows, kReserveClamp)));
-      SKALLA_RETURN_NOT_OK(DecodeColumnRange(
-          reader, static_cast<int64_t>(nrows), &columns[c]));
-    }
-  }
+  SKALLA_RETURN_NOT_OK(DecodeSections(
+      reader, std::vector<int64_t>(nfields, static_cast<int64_t>(nrows)),
+      &columns));
   if (!reader->AtEnd()) return Status::IoError("trailing bytes after table");
   Table table(MakeSchema(std::move(fields)));
   table.Reserve(static_cast<int64_t>(std::min(nrows, kReserveClamp)));
@@ -740,7 +716,7 @@ Result<Table> DecodeDeltaBody(const Table* cached, Reader* reader) {
     return Status::IoError("delta payload without a cached base table");
   }
   uint64_t base_hash = 0;
-  if (!reader->ReadU64(&base_hash)) {
+  if (!reader->ReadFixed(&base_hash)) {
     return Status::IoError("truncated delta base hash");
   }
   if (base_hash != Serializer::ContentHash(*cached)) {
@@ -786,16 +762,13 @@ Result<Table> DecodeDeltaBody(const Table* cached, Reader* reader) {
   }
   // Column sections: new columns over all rows, mapped columns over the
   // appended suffix only.
-  std::vector<std::vector<Value>> sections(nfields);
+  std::vector<int64_t> rows(nfields);
   for (size_t c = 0; c < nfields; ++c) {
-    const int64_t n = static_cast<int64_t>(
-        mapping[c] < 0 ? total_rows : total_rows - kept_rows);
-    if (n > 0) {
-      sections[c].reserve(static_cast<size_t>(
-          std::min(static_cast<uint64_t>(n), kReserveClamp)));
-      SKALLA_RETURN_NOT_OK(DecodeColumnRange(reader, n, &sections[c]));
-    }
+    rows[c] = static_cast<int64_t>(mapping[c] < 0 ? total_rows
+                                                  : total_rows - kept_rows);
   }
+  std::vector<std::vector<Value>> sections(nfields);
+  SKALLA_RETURN_NOT_OK(DecodeSections(reader, rows, &sections));
   if (!reader->AtEnd()) return Status::IoError("trailing bytes after delta");
   Table table(MakeSchema(std::move(fields)));
   table.Reserve(static_cast<int64_t>(std::min(total_rows, kReserveClamp)));
@@ -821,23 +794,35 @@ Result<Table> DecodeDeltaBody(const Table* cached, Reader* reader) {
 
 namespace {
 
-/// SKL2 payload size computed through the row path only — the reference
-/// encoder's reserve must not touch the columnar snapshot.
-size_t RowPathPayloadSize(const Table& table, Serializer::Format format) {
-  if (format == Serializer::Format::kSkl1) {
-    size_t size = 0;
-    for (const Row& row : table.rows()) {
-      for (const Value& v : row) size += v.SerializedSize();
-    }
-    return size;
-  }
+/// The encoding alone, without a span or metric, so WireSize can measure
+/// through it. `columnar_feed` reads usable columns from the snapshot.
+std::string EncodeTable(const Table& table, Serializer::Format format,
+                        bool columnar_feed) {
+  std::string out;
+  PutFixed(&out, format == Serializer::Format::kSkl1 ? kMagicSkl1 : kMagicSkl2);
+  PutSchema(&out, table.schema());
   const int64_t nrows = table.num_rows();
-  if (nrows == 0) return 0;
-  size_t size = 0;
-  for (int c = 0; c < table.schema().num_fields(); ++c) {
-    size += ColumnRangeSize(table, c, 0, nrows);
+  PutFixed(&out, static_cast<uint64_t>(nrows));
+  if (format == Serializer::Format::kSkl1) {
+    for (const Row& row : table.rows()) {
+      for (const Value& v : row) PutValue(&out, v);
+    }
+    return out;
   }
-  return size;
+  const std::shared_ptr<const ColumnarTable> view =
+      columnar_feed && nrows > 0 ? table.columnar() : nullptr;
+  PutSections(&out,
+              std::vector<int64_t>(
+                  static_cast<size_t>(table.schema().num_fields()), nrows),
+              [&](size_t c) {
+                const int col = static_cast<int>(c);
+                if (view != nullptr && view->column(col).usable) {
+                  EncodeColumnarFull(&out, view->column(col), nrows);
+                } else {
+                  EncodeColumnRange(&out, table, col, 0, nrows);
+                }
+              });
+  return out;
 }
 
 std::string SerializeTableImpl(const Table& table, Serializer::Format format,
@@ -846,33 +831,12 @@ std::string SerializeTableImpl(const Table& table, Serializer::Format format,
   static obs::Histogram& encode_seconds = obs::GetHistogram(
       "skalla_storage_encode_seconds", obs::HistogramLayout::LatencySeconds());
   obs::ScopedHistogramTimer timer(&encode_seconds);
-  std::string out;
-  out.reserve(columnar_feed
-                  ? Serializer::WireSize(table, format)
-                  : HeaderSize(table) + RowPathPayloadSize(table, format));
-  PutU32(&out, format == Serializer::Format::kSkl1 ? kMagicSkl1 : kMagicSkl2);
-  PutSchema(&out, table.schema());
-  const int64_t nrows = table.num_rows();
-  PutU64(&out, static_cast<uint64_t>(nrows));
-  if (format == Serializer::Format::kSkl1) {
-    for (const Row& row : table.rows()) {
-      for (const Value& v : row) PutValue(&out, v);
-    }
-  } else if (nrows > 0) {
-    const std::shared_ptr<const ColumnarTable> view =
-        columnar_feed ? table.columnar() : nullptr;
-    for (int c = 0; c < table.schema().num_fields(); ++c) {
-      if (view != nullptr && view->column(c).usable) {
-        EncodeColumnarFull(&out, view->column(c), nrows);
-      } else {
-        EncodeColumnRange(&out, table, c, 0, nrows);
-      }
-    }
-  }
+  std::string out = EncodeTable(table, format, columnar_feed);
   if (span.armed()) {
     span.set_detail(
         (format == Serializer::Format::kSkl1 ? "SKL1 " : "SKL2 ") +
-        std::to_string(nrows) + " rows " + std::to_string(out.size()) + "B");
+        std::to_string(table.num_rows()) + " rows " +
+        std::to_string(out.size()) + "B");
   }
   if (obs::MetricsEnabled()) {
     static obs::Histogram& skl1_bytes =
@@ -905,7 +869,7 @@ Result<Table> Serializer::DeserializeTable(std::string_view bytes) {
   }
   Reader reader(bytes);
   uint32_t magic = 0;
-  if (!reader.ReadU32(&magic)) return Status::IoError("bad table magic");
+  if (!reader.ReadFixed(&magic)) return Status::IoError("bad table magic");
   switch (magic) {
     case kMagicSkl1:
       return DecodeSkl1Body(&reader);
@@ -920,27 +884,18 @@ Result<Table> Serializer::DeserializeTable(std::string_view bytes) {
 }
 
 size_t Serializer::WireSize(const Table& table, Format format) {
-  return HeaderSize(table) + TablePayloadSize(table, format);
+  if (format == Format::kSkl2) {
+    return EncodeTable(table, format, /*columnar_feed=*/true).size();
+  }
+  size_t size = HeaderSize(table);
+  for (const Row& row : table.rows()) {
+    for (const Value& v : row) size += v.SerializedSize();
+  }
+  return size;
 }
 
 size_t Serializer::TablePayloadSize(const Table& table, Format format) {
-  if (format == Format::kSkl1) {
-    size_t size = 0;
-    for (const Row& row : table.rows()) {
-      for (const Value& v : row) size += v.SerializedSize();
-    }
-    return size;
-  }
-  const int64_t nrows = table.num_rows();
-  if (nrows == 0) return 0;
-  const std::shared_ptr<const ColumnarTable> view = table.columnar();
-  size_t size = 0;
-  for (int c = 0; c < table.schema().num_fields(); ++c) {
-    const ColumnarTable::Column& col = view->column(c);
-    size += col.usable ? ColumnarFullSize(col, nrows)
-                       : ColumnRangeSize(table, c, 0, nrows);
-  }
-  return size;
+  return WireSize(table, format) - HeaderSize(table);
 }
 
 std::string Serializer::SerializeDelta(const Table& base,
@@ -984,8 +939,8 @@ std::string Serializer::SerializeDelta(const Table& base,
   }
   const int64_t total = table.num_rows();
   std::string out;
-  PutU32(&out, kMagicSkld);
-  PutU64(&out, ContentHash(base));
+  PutFixed(&out, kMagicSkld);
+  PutFixed(&out, ContentHash(base));
   PutSchema(&out, table.schema());
   for (size_t c = 0; c < nfields; ++c) {
     PutVarint(&out, mapping[c] < 0 ? 0
@@ -993,12 +948,14 @@ std::string Serializer::SerializeDelta(const Table& base,
   }
   PutVarint(&out, static_cast<uint64_t>(kept));
   PutVarint(&out, static_cast<uint64_t>(total));
+  std::vector<int64_t> rows(nfields);
   for (size_t c = 0; c < nfields; ++c) {
-    const int64_t begin = mapping[c] < 0 ? 0 : kept;
-    if (begin < total) {
-      EncodeColumnRange(&out, table, static_cast<int>(c), begin, total);
-    }
+    rows[c] = mapping[c] < 0 ? total : total - kept;
   }
+  PutSections(&out, rows, [&](size_t c) {
+    EncodeColumnRange(&out, table, static_cast<int>(c), total - rows[c],
+                      total);
+  });
   if (span.armed()) {
     span.set_detail("SKLD kept " + std::to_string(kept) + "/" +
                     std::to_string(total) + " rows " +
@@ -1021,7 +978,7 @@ Result<Table> Serializer::DecodeShipment(const Table* cached,
   }
   Reader reader(bytes);
   uint32_t magic = 0;
-  if (!reader.ReadU32(&magic)) return Status::IoError("bad table magic");
+  if (!reader.ReadFixed(&magic)) return Status::IoError("bad table magic");
   switch (magic) {
     case kMagicSkl1:
       return DecodeSkl1Body(&reader);

@@ -25,12 +25,17 @@ namespace skalla {
 ///          (int64/double: 8 bytes; string: u32 len + bytes; null: none)
 ///
 /// SKL2 (columnar): same magic/schema/nrows header with magic 'SKL2', then
-/// for each column (only when nrows > 0): u8 codec tag, and for the
-/// homogeneous codecs a null bitmap (LSB-first, bit set = non-null)
-/// followed by the packed non-null values — int64 as zig-zag varint deltas,
-/// double as raw 8-byte patterns (NaN/±inf bit-exact), string as a
-/// first-appearance dictionary plus varint codes. Columns mixing non-null
-/// types fall back to a per-value tagged codec.
+/// for each column (only when nrows > 0): a u8 tag whose low four bits name
+/// the codec and whose bit 7 marks a null-free section, and for the
+/// homogeneous codecs a null bitmap (LSB-first, bit set = non-null; absent
+/// when null-free) followed by the packed non-null values — int64 as
+/// zig-zag varint deltas, double as raw 8-byte patterns (NaN/±inf
+/// bit-exact) or, when every value is an int64 bit for bit, as that
+/// int64's varint deltas, string as a first-appearance dictionary plus
+/// varint codes. Columns mixing non-null types fall back to a per-value
+/// tagged codec, and a section byte-equal to an earlier one over as many
+/// rows is sent as a repeat of that field's index. A size codec is used
+/// only when it makes its section strictly smaller.
 ///
 /// SKLD (delta): ships only what changed versus a base table the receiver
 /// already holds; decoded with DecodeShipment(). Layout: magic 'SKLD',
@@ -63,8 +68,9 @@ class Serializer {
   /// need a base table, use DecodeShipment().
   static Result<Table> DeserializeTable(std::string_view bytes);
 
-  /// Exact wire size of `table` without materializing the bytes:
-  /// WireSize(t, f) == SerializeTable(t, f).size() for every t and f.
+  /// Exact wire size: WireSize(t, f) == SerializeTable(t, f).size() for
+  /// every t and f. For SKL2 this is the length of the encoding itself
+  /// (without the encode span and metrics); SKL1 sums per-value sizes.
   static size_t WireSize(const Table& table,
                          Format format = DefaultWireFormat());
 

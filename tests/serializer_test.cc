@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/random.h"
 #include "storage/csv.h"
 #include "test_util.h"
@@ -149,8 +151,15 @@ TEST(SerializerMalformedTest, BadMagicBothFormats) {
 }
 
 TEST(SerializerMalformedTest, TruncatedNullBitmap) {
+  // One NULL keeps the bitmap: a column without NULLs is sent null-free.
   Table t(MakeSchema({{"a", ValueType::kInt64}}));
-  for (int64_t i = 0; i < 16; ++i) t.AddRow({Value(i)});
+  for (int64_t i = 0; i < 16; ++i) {
+    if (i == 3) {
+      t.AddRow({Value::Null()});
+    } else {
+      t.AddRow({Value(i)});
+    }
+  }
   const std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
   // Cut inside the 2-byte bitmap that follows the column tag.
   const std::string_view cut =
@@ -164,7 +173,7 @@ TEST(SerializerMalformedTest, OverflowingVarint) {
   std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
   // Replace the single-byte varint delta with ten 0xff continuation bytes:
   // more than 64 bits of payload must be rejected, not wrapped.
-  bytes.resize(kSkl2OneColHeader + 2);  // keep tag + 1-byte bitmap
+  bytes.resize(kSkl2OneColHeader + 1);  // keep the null-free tag
   bytes.append(10, '\xff');
   ExpectIoError(Serializer::DeserializeTable(bytes), "varint");
 }
@@ -173,7 +182,7 @@ TEST(SerializerMalformedTest, TruncatedVarint) {
   Table t(MakeSchema({{"a", ValueType::kInt64}}));
   t.AddRow({Value(int64_t{5})});
   std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
-  bytes.resize(kSkl2OneColHeader + 2);
+  bytes.resize(kSkl2OneColHeader + 1);  // keep the null-free tag
   bytes.push_back('\x80');  // continuation bit set, then EOF
   ExpectIoError(Serializer::DeserializeTable(bytes), "varint");
 }
@@ -194,6 +203,125 @@ TEST(SerializerMalformedTest, UnknownColumnCodec) {
   std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
   bytes[kSkl2OneColHeader] = '\x63';
   ExpectIoError(Serializer::DeserializeTable(bytes), "codec");
+}
+
+/// A hand-built SKL2 payload: the header of `schema` claiming `nrows` rows,
+/// then `sections` verbatim.
+std::string Skl2Payload(SchemaPtr schema, uint64_t nrows,
+                        const std::string& sections) {
+  std::string bytes =
+      Serializer::SerializeTable(Table(std::move(schema)), WireFormat::kSkl2);
+  std::memcpy(bytes.data() + bytes.size() - 8, &nrows, 8);
+  return bytes + sections;
+}
+
+/// Decodes `sections` as the payload of a 2-row table of int64 columns a,
+/// b and c.
+Result<Table> DecodeThreeInts(const std::string& sections) {
+  return Serializer::DeserializeTable(
+      Skl2Payload(MakeSchema({{"a", ValueType::kInt64},
+                              {"b", ValueType::kInt64},
+                              {"c", ValueType::kInt64}}),
+                  2, sections));
+}
+
+/// A null-free int64 section of the two values 1 and 2.
+std::string OneTwo() { return std::string("\x81\x02\x02", 3); }
+
+TEST(SerializerMalformedTest, RepeatMustNameAnEarlierSection) {
+  // b repeats a, and c repeats b: a chain of repeats is fine.
+  ASSERT_OK_AND_ASSIGN(
+      Table ok, DecodeThreeInts(OneTwo() + std::string("\x06\x00\x06\x01", 4)));
+  EXPECT_EQ(ok.Get(1, 2), Value(int64_t{2}));
+  for (const std::string& repeat : {
+           std::string("\x06\x01", 2),  // b names itself
+           std::string("\x06\x02", 2),  // b names the later c
+           std::string("\x06\x03", 2),  // no field 3
+           std::string("\x06\xff\xff\xff\xff\x0f", 6),
+       }) {
+    ExpectIoError(DecodeThreeInts(OneTwo() + repeat + OneTwo()), "repeat");
+  }
+  // The first section has nothing to repeat.
+  ExpectIoError(
+      DecodeThreeInts(std::string("\x06\x00", 2) + OneTwo() + OneTwo()),
+      "repeat");
+}
+
+TEST(SerializerMalformedTest, RepeatIndexVarintChecked) {
+  ExpectIoError(DecodeThreeInts(OneTwo() + std::string("\x06\x80", 2)),
+                "varint");
+  ExpectIoError(DecodeThreeInts(OneTwo() + "\x06" + std::string(10, '\xff')),
+                "varint");
+}
+
+TEST(SerializerMalformedTest, DeltaRepeatAcrossRowCountsRejected) {
+  Table base(MakeSchema({{"k", ValueType::kInt64}}));
+  Table next(MakeSchema({{"k", ValueType::kInt64},
+                         {"o", ValueType::kInt64}}));
+  for (int64_t i = 0; i < 12; ++i) {
+    if (i < 10) base.AddRow({Value(i)});
+    next.AddRow({Value(i), Value(i * 7)});
+  }
+  // k ships its 2 appended rows; the new o ends the payload with its
+  // 12 rows: a null-free tag, then deltas 0 and eleven times 7.
+  std::string delta = Serializer::SerializeDelta(base, next);
+  const std::string o_section =
+      std::string("\x81\x00", 2) + std::string(11, '\x0e');
+  ASSERT_EQ(delta.substr(delta.size() - o_section.size()), o_section);
+  // o as a repeat of the 2-row k section.
+  delta.resize(delta.size() - o_section.size());
+  delta += std::string("\x06\x00", 2);
+  ExpectIoError(Serializer::DecodeShipment(&base, delta), "row count");
+}
+
+TEST(SerializerMalformedTest, IntegralSectionVarintsChecked) {
+  Table t(MakeSchema({{"d", ValueType::kDouble}}));
+  t.AddRow({Value(5.0)});
+  std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  ASSERT_EQ(bytes.substr(kSkl2OneColHeader), std::string("\x85\x0a", 2));
+  bytes.resize(kSkl2OneColHeader + 1);
+  ExpectIoError(Serializer::DeserializeTable(bytes), "varint");
+  ExpectIoError(Serializer::DeserializeTable(bytes + '\x80'), "varint");
+  ExpectIoError(Serializer::DeserializeTable(bytes + std::string(10, '\xff')),
+                "varint");
+}
+
+TEST(SerializerMalformedTest, NullFreeFlagOnlyOnBitmapCodecs) {
+  Table all_null(MakeSchema({{"a", ValueType::kInt64}}));
+  all_null.AddRow({Value::Null()});
+  Table mixed(MakeSchema({{"a", ValueType::kInt64}}));
+  mixed.AddRow({Value(int64_t{1})});
+  mixed.AddRow({Value("x")});
+  for (const Table* t : {&all_null, &mixed}) {
+    std::string bytes = Serializer::SerializeTable(*t, WireFormat::kSkl2);
+    ASSERT_LE(static_cast<uint8_t>(bytes[kSkl2OneColHeader]), 0x04);
+    bytes[kSkl2OneColHeader] |= '\x80';
+    ExpectIoError(Serializer::DeserializeTable(bytes), "null-free");
+  }
+  ExpectIoError(DecodeThreeInts(OneTwo() + std::string("\x86\x00", 2)),
+                "null-free");
+}
+
+TEST(SerializerMalformedTest, UnknownCodecFlagBitsAndCodecsRejected) {
+  Table t(MakeSchema({{"a", ValueType::kInt64}}));
+  t.AddRow({Value(int64_t{5})});
+  const std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  ASSERT_EQ(static_cast<uint8_t>(bytes[kSkl2OneColHeader]), 0x81);
+  for (const char tag : {'\x91', '\xa1', '\xc1', '\x11', '\x07', '\x0f'}) {
+    std::string bad = bytes;
+    bad[kSkl2OneColHeader] = tag;
+    ExpectIoError(Serializer::DeserializeTable(bad), "codec");
+  }
+}
+
+TEST(SerializerMalformedTest, CellCapBoundsRepeatSections) {
+  // Two one-byte sections (all NULL, then its repeat) claiming 2^31 + 1
+  // rows each: over the 2^32-cell cap, rejected before any allocation.
+  ExpectIoError(
+      Serializer::DeserializeTable(Skl2Payload(
+          MakeSchema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}),
+          (uint64_t{1} << 31) + 1, std::string("\x00\x06\x00", 3))),
+      "row count");
 }
 
 TEST(SerializerMalformedTest, AbsurdRowCountRejectedBeforeAllocating) {

@@ -246,6 +246,23 @@ TEST(ServerHostileInputTest, QueryOnEmptyWarehouseIsTyped) {
   EXPECT_NE(reply.status().code(), StatusCode::kInternal);
 }
 
+TEST(ServerHostileInputTest, Int64OverflowIsNotACrash) {
+  Server srv(2);
+  Client client(&srv);
+  ASSERT_OK(client.Call("LOAD tpcr 2000").status());
+  // The left operand is INT64_MIN, and INT64_MIN % -1 overflows the
+  // quotient, which traps on x86. int64 arithmetic wraps in the dialect
+  // and x % -1 is 0, so the condition holds on every detail row.
+  ASSERT_OK_AND_ASSIGN(
+      std::string reply,
+      client.Call("QUERY SELECT NationKey, COUNT(*) AS cnt FROM TPCR "
+                  "GROUP BY NationKey EXTEND COUNT(*) AS x WHERE "
+                  "(Quantity - Quantity - 9223372036854775807 - 1) % -1 = 0"));
+  EXPECT_NE(reply.find("NationKey"), std::string::npos) << reply;
+  ASSERT_OK_AND_ASSIGN(std::string stats, client.Call("STATS"));
+  EXPECT_NE(stats.find("queries_submitted"), std::string::npos);
+}
+
 TEST(ServerHostileInputTest, RandomBytesNeverCrashTheServer) {
   Server srv(2);
   Rng rng(0xBADF00D);

@@ -224,6 +224,40 @@ TEST(EvalBoolBatchTest, ArithmeticNullsDivModZero) {
                            nullptr, nullptr, t);
 }
 
+TEST(EvalBoolBatchTest, Int64ExtremesWrapTheSameOnBothPaths) {
+  // int64 -, +, -, * and % wrap mod 2^64 and x % -1 is 0 on both paths:
+  // every pair of extremes, compared against every extreme as a pivot.
+  const int64_t edges[] = {kI64Min, kI64Min + 1, -2, -1, 0,
+                           1,       2,           kI64Max - 1, kI64Max};
+  Table t(MakeSchema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}));
+  for (const int64_t a : edges) {
+    for (const int64_t b : edges) t.AddRow({Value(a), Value(b)});
+  }
+  for (const ExprPtr& result :
+       {Neg(RCol("a")), Add(RCol("a"), RCol("b")), Sub(RCol("a"), RCol("b")),
+        Mul(RCol("a"), RCol("b")), Mod(RCol("a"), RCol("b")),
+        Mod(RCol("a"), Lit(Value(int64_t{-1})))}) {
+    SCOPED_TRACE(result->ToString());
+    for (const int64_t pivot : edges) {
+      ExpectBatchMatchesScalar(Eq(result, Lit(Value(pivot))), nullptr,
+                               nullptr, t);
+      ExpectBatchMatchesScalar(Lt(result, Lit(Value(pivot))), nullptr,
+                               nullptr, t);
+    }
+  }
+  // The wrapped values themselves, on the scalar path.
+  const Row row{Value(kI64Min), Value(int64_t{-1})};
+  auto eval = [&](const ExprPtr& e) {
+    auto compiled = CompiledExpr::Compile(e, nullptr, &t.schema());
+    EXPECT_TRUE(compiled.ok());
+    return compiled->Eval(nullptr, &row);
+  };
+  EXPECT_EQ(eval(Mod(RCol("a"), RCol("b"))), Value(int64_t{0}));
+  EXPECT_EQ(eval(Neg(RCol("a"))), Value(kI64Min));
+  EXPECT_EQ(eval(Mul(RCol("a"), RCol("b"))), Value(kI64Min));
+  EXPECT_EQ(eval(Sub(RCol("a"), Lit(Value(int64_t{1})))), Value(kI64Max));
+}
+
 TEST(EvalBoolBatchTest, KleeneLogicAndNullTests) {
   const Table t = EdgeDetailTable();
   const ExprPtr cmp_null = Gt(RCol("i"), Lit(Value::Null()));  // UNKNOWN
