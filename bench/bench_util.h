@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -12,6 +13,15 @@
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
 #include "tpc/dbgen.h"
+
+// Build provenance for JsonReport, defined by bench/CMakeLists.txt; other
+// builds that include this header stamp "unknown".
+#ifndef SKALLA_BENCH_COMMIT
+#define SKALLA_BENCH_COMMIT "unknown"
+#endif
+#ifndef SKALLA_BENCH_BUILD_TYPE
+#define SKALLA_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace skalla {
 namespace bench {
@@ -94,10 +104,14 @@ inline void PrintSeriesHeader(const char* title, const char* cols) {
 /// be diffed and plotted without scraping stdout:
 ///
 ///   {"bench": "parallel_local",
+///    "provenance": {"commit": "f7d8613", "build_type": "Release",
+///                   "cores": 4},
 ///    "results": [{"name": "hash/t4",
 ///                 "params": {"threads": 4, "rows": 1048576},
 ///                 "wall_ms": 812.4, "bytes_shipped": 0}, ...]}
 ///
+/// `provenance` names the build that measured the numbers: the commit at
+/// configure time, CMAKE_BUILD_TYPE, and the hardware thread count.
 /// `bytes_shipped` carries the simulated network volume for distributed
 /// benchmarks (ExecutionMetrics::TotalBytes()) and 0 for purely local ones.
 class JsonReport {
@@ -125,7 +139,11 @@ class JsonReport {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return;
     }
-    std::fprintf(f, "{\"bench\": \"%s\",\n \"results\": [", bench_name_.c_str());
+    std::fprintf(f,
+                 "{\"bench\": \"%s\",\n \"provenance\": {\"commit\": \"%s\", "
+                 "\"build_type\": \"%s\", \"cores\": %u},\n \"results\": [",
+                 bench_name_.c_str(), SKALLA_BENCH_COMMIT,
+                 SKALLA_BENCH_BUILD_TYPE, std::thread::hardware_concurrency());
     for (size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];
       std::fprintf(f, "%s\n  {\"name\": \"%s\", \"params\": {",

@@ -5,8 +5,8 @@
 // columnar batch path) — on an int64-heavy synthetic detail table. Besides
 // the rows/s series it checks the byte-identity guarantee (both runs must
 // serialize to the same SKL1 bytes) and that the toggle actually took
-// effect (via the process-wide ScanCounters), then writes the series to
-// BENCH_vectorized_scan.json. A final "group_by" case times the
+// effect (via the ScanCounters each evaluation reports), then writes the
+// series to BENCH_vectorized_scan.json. A final "group_by" case times the
 // columnar-fed HashGroupBy (src/engine/operators.cc) against a
 // row-at-a-time reference implementation of the same operator.
 //
@@ -48,8 +48,9 @@ ExprPtr MustParse(const std::string& text) {
 }
 
 Table MustEval(const Table& base, const Table& detail, const GmdjOp& op,
-               const LocalGmdjOptions& options) {
-  auto result = EvalGmdjOp(base, detail, op, options);
+               const LocalGmdjOptions& options,
+               ScanCounters* scan = nullptr) {
+  auto result = EvalGmdjOp(base, detail, op, options, scan);
   if (!result.ok()) {
     std::fprintf(stderr, "EvalGmdjOp failed: %s\n",
                  result.status().ToString().c_str());
@@ -216,18 +217,16 @@ int main(int argc, char** argv) {
       options.vectorize = vectorize;
       Table out;
       double best_ms = 0;
-      const ScanCounters before = ScanCountersSnapshot();
+      ScanCounters counts;
       for (int rep = 0; rep < repetitions; ++rep) {
         Stopwatch watch;
-        out = MustEval(base, detail, op, options);
+        out = MustEval(base, detail, op, options, &counts);
         const double elapsed = watch.ElapsedSeconds() * 1e3;
         if (rep == 0 || elapsed < best_ms) best_ms = elapsed;
       }
-      const ScanCounters after = ScanCountersSnapshot();
-      const int64_t vec_morsels =
-          after.morsels_vectorized - before.morsels_vectorized;
+      const bool ran_vectorized = counts.morsels_vectorized > 0;
       toggles_took_effect =
-          toggles_took_effect && ((vec_morsels > 0) == (vectorize == 1));
+          toggles_took_effect && ran_vectorized == (vectorize == 1);
       ms[vectorize] = best_ms;
       bytes[vectorize] = Serializer::SerializeTable(out);
       report.Add(std::string(cfg.name) + (vectorize ? "/vectorized"

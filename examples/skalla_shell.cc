@@ -24,12 +24,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/string_util.h"
 #include "engine/operators.h"
 #include "flow/flowgen.h"
-#include "obs/metrics.h"
 #include "skalla/persistence.h"
 #include "skalla/report.h"
 #include "skalla/warehouse.h"
@@ -195,10 +193,6 @@ class Shell {
       std::cout << "parse error: " << parsed.status() << "\n";
       return;
     }
-    // \profile scopes the metrics registry around the execution so the
-    // per-site load section reflects just this query.
-    std::vector<obs::MetricValue> before;
-    if (profile) before = obs::SnapshotMetrics();
     auto result = warehouse_->Execute(
         *parsed, optimize_ ? OptimizerOptions::All() : OptimizerOptions::None());
     if (!result.ok()) {
@@ -206,9 +200,7 @@ class Shell {
       return;
     }
     if (profile) {
-      QueryProfileInfo info;
-      info.registry_delta = obs::DiffMetrics(before, obs::SnapshotMetrics());
-      std::cout << FormatQueryProfile(&*result, info);
+      std::cout << FormatQueryProfile(&*result, QueryProfileInfo());
     } else {
       std::cout << FormatExecutionReport(*result);
     }

@@ -662,8 +662,9 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     // ---- Phase B: aggregator messages top-down, the fault-tolerant leaf
     //      exchange (retried per RetryPolicy), then the bottom-up combine;
     //      in the depth-1 tree every reply reaches the root in slot order. ----
-    auto eval = [&](int p, Site* site, double* cpu) -> Result<Table> {
-      if (base) return site->EvalBase(plan.base, cpu);
+    auto eval = [&](int p, Site* site,
+                    SiteEvalReport* report) -> Result<Table> {
+      if (base) return site->EvalBase(plan.base, &report->cpu_sec);
       SiteRoundInput input;
       input.x = slot_views[static_cast<size_t>(p)];
       input.base = fused_base_round ? &plan.base : nullptr;
@@ -673,7 +674,7 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       input.num_threads = local_threads_;
       input.detail_lo = ranges[static_cast<size_t>(p)].first;
       input.detail_hi = ranges[static_cast<size_t>(p)].second;
-      return site->EvalRound(input, cpu);
+      return site->EvalRound(input, report);
     };
     ShipToAggregators(&network_, topology_, active, down_of, &rm);
     const std::string reply_label = base ? "B_i" : "H_i";

@@ -4,7 +4,6 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "gmdj/local_eval.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -77,10 +76,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         obs::GetCounter("skalla_dist_rounds_total");
     rounds_total.Increment();
   }
-  // Rounds run sequentially on the coordinator, so diffing the
-  // process-wide scan counters across the round attributes exactly the
-  // local evaluations driven here (all sites, all attempts).
-  const ScanCounters scan_before = ScanCountersSnapshot();
   const int round = net->current_round();
   auto journal_site_event = [round](obs::JournalEvent event, int sid,
                                     int attempt, double seconds,
@@ -98,6 +93,8 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
   const size_t n = participants.size();
   // Per-slot wall timings for the skew detector.
   if (rm->site_seconds.size() < n) rm->site_seconds.resize(n, 0.0);
+  rm->site_loads.resize(n);
+  for (size_t p = 0; p < n; ++p) rm->site_loads[p].site = participants[p];
   const int attempts_per_budget = std::max(1, retry.max_attempts);
   std::vector<std::string> replies(n);
   std::vector<int> budget(n, attempts_per_budget);
@@ -118,10 +115,13 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     for (size_t p : pending) {
       const int sid = participants[p];
       Site* site = roster->active(sid);
+      SiteLoad& load = rm->site_loads[p];
+      load.attempts++;
       journal_site_event(obs::JournalEvent::kAttemptStart, sid, attempt, 0,
                          "");
       if (attempt > 0) {
         rm->retries++;
+        load.retries++;
         static obs::Counter& retries_total =
             obs::GetCounter("skalla_dist_retries_total");
         retries_total.Increment();
@@ -139,6 +139,8 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
                         attempt, TransferDirection::kToSite);
       rm->bytes_to_sites += send_bytes;
       rm->groups_to_sites += msg.rows;
+      load.bytes_in += send_bytes;
+      load.groups_in += msg.rows;
       if (msg.rebalance && attempt == 0) {
         // The split surcharge: attempt-0 traffic of helper slots (retries
         // of the same slot are already in the retry surcharge).
@@ -167,6 +169,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         // Loss is detected at the attempt deadline (or, without deadlines,
         // by an immediate negative acknowledgement).
         rm->drops++;
+        load.drops++;
         static obs::Counter& drops_total =
             obs::GetCounter("skalla_dist_drops_total");
         drops_total.Increment();
@@ -184,7 +187,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     // ---- Local evaluation (parallel across sites when enabled). ----
     std::vector<Result<Table>> outcomes(
         n, Result<Table>(Status::Internal("not evaluated")));
-    std::vector<double> cpus(n, 0.0);
+    std::vector<SiteEvalReport> reports(n);
     auto eval_one = [&](size_t p) {
       const int sid = participants[p];
       // Local evaluation runs on pool threads; home its spans (and the
@@ -197,7 +200,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         span.set_detail("site " + std::to_string(sid) + " attempt " +
                         std::to_string(attempt));
       }
-      outcomes[p] = eval(static_cast<int>(p), roster->active(sid), &cpus[p]);
+      outcomes[p] = eval(static_cast<int>(p), roster->active(sid), &reports[p]);
     };
     if (parallel && eligible.size() > 1) {
       // Site tasks of a wave run on the shared pool (one task per slot,
@@ -214,6 +217,13 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     for (size_t p : eligible) {
       const int sid = participants[p];
       Site* site = roster->active(sid);
+      SiteLoad& load = rm->site_loads[p];
+      const double cpu = reports[p].cpu_sec;
+      const ScanCounters& scan = reports[p].scan;
+      rm->detail_rows_scanned += scan.rows_scanned;
+      rm->detail_rows_matched += scan.rows_matched;
+      rm->morsels_vectorized += scan.morsels_vectorized;
+      rm->morsels_scalar += scan.morsels_scalar;
       // Non-fault evaluation errors are logic bugs, not outages: propagate.
       SKALLA_ASSIGN_OR_RETURN(Table reply_table, std::move(outcomes[p]));
       std::string payload =
@@ -223,6 +233,8 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
           reply_label, attempt, TransferDirection::kToCoordinator);
       rm->bytes_to_coord += payload.size();
       rm->groups_to_coord += reply_table.num_rows();
+      load.bytes_out += payload.size();
+      load.groups_out += reply_table.num_rows();
       if (down[p].rebalance && attempt == 0) {
         rm->bytes_rebalance += payload.size();
         rm->groups_rebalance_to_coord += reply_table.num_rows();
@@ -242,49 +254,54 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       const double deadline = retry.DeadlineSeconds(attempt);
       if (!out.delivered) {
         rm->drops++;
+        load.drops++;
         static obs::Counter& drops_total =
             obs::GetCounter("skalla_dist_drops_total");
         drops_total.Increment();
-        rm->site_cpu_sum_sec += cpus[p];  // the site did do the work
-        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpus[p]);
+        rm->site_cpu_sum_sec += cpu;  // the site did do the work
+        load.cpu_sec += cpu;
+        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
         last_failure[p] = FailureKind::kUnreachable;
         // The coordinator waited through the whole exchange before giving
         // up on the reply.
         charge[p] += retry.deadline_enabled() ? deadline
                                               : down_sec[p] + out.seconds;
         journal_site_event(obs::JournalEvent::kAttemptFinish, sid, attempt,
-                           cpus[p], "lost-up");
+                           cpu, "lost-up");
         continue;
       }
-      const double attempt_sec = down_sec[p] + cpus[p] + out.seconds;
+      const double attempt_sec = down_sec[p] + cpu + out.seconds;
       if (retry.deadline_enabled() && attempt_sec > deadline) {
         rm->timeouts++;
+        load.timeouts++;
         static obs::Counter& timeouts_total =
             obs::GetCounter("skalla_dist_timeouts_total");
         timeouts_total.Increment();
-        rm->site_cpu_sum_sec += cpus[p];
-        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpus[p]);
+        rm->site_cpu_sum_sec += cpu;
+        load.cpu_sec += cpu;
+        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
         last_failure[p] = FailureKind::kTimeout;
         charge[p] += deadline;
         journal_site_event(obs::JournalEvent::kAttemptTimeout, sid, attempt,
-                           cpus[p], "");
+                           cpu, "");
         continue;
       }
       charge[p] += down_sec[p] + out.seconds;
       // Track the fastest and slowest successful site alongside the max —
       // PROFILE's min/avg/max column and straggler flag come from these.
       rm->site_cpu_min_sec = rm->slowest_site < 0
-                                 ? cpus[p]
-                                 : std::min(rm->site_cpu_min_sec, cpus[p]);
-      if (rm->slowest_site < 0 || cpus[p] > rm->site_cpu_max_sec) {
+                                 ? cpu
+                                 : std::min(rm->site_cpu_min_sec, cpu);
+      if (rm->slowest_site < 0 || cpu > rm->site_cpu_max_sec) {
         rm->slowest_site = sid;
       }
-      rm->site_cpu_max_sec = std::max(rm->site_cpu_max_sec, cpus[p]);
-      rm->site_cpu_sum_sec += cpus[p];
-      rm->site_seconds[p] = cpus[p];
-      if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpus[p]);
+      rm->site_cpu_max_sec = std::max(rm->site_cpu_max_sec, cpu);
+      rm->site_cpu_sum_sec += cpu;
+      load.cpu_sec += cpu;
+      rm->site_seconds[p] = cpu;
+      if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
       journal_site_event(obs::JournalEvent::kAttemptFinish, sid, attempt,
-                         cpus[p], "ok");
+                         cpu, "ok");
       replies[p] = std::move(payload);
       done[p] = true;
     }
@@ -321,6 +338,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
               sid, rm->label.c_str(), attempts_used, why.c_str()));
         }
         rm->failovers++;
+        rm->site_loads[p].failovers++;
         static obs::Counter& failovers_total =
             obs::GetCounter("skalla_dist_failovers_total");
         failovers_total.Increment();
@@ -332,12 +350,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     pending = std::move(next_pending);
     ++attempt;
   }
-  const ScanCounters scan_after = ScanCountersSnapshot();
-  rm->detail_rows_scanned += scan_after.rows_scanned - scan_before.rows_scanned;
-  rm->detail_rows_matched += scan_after.rows_matched - scan_before.rows_matched;
-  rm->morsels_vectorized +=
-      scan_after.morsels_vectorized - scan_before.morsels_vectorized;
-  rm->morsels_scalar += scan_after.morsels_scalar - scan_before.morsels_scalar;
   return replies;
 }
 

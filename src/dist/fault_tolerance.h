@@ -80,9 +80,9 @@ struct DownMessage {
 };
 
 /// Local evaluation callback: slot index, the site serving it (primary or
-/// replica), and an out-parameter for the site's CPU seconds.
+/// replica), and the report it fills (CPU seconds and scan counts).
 using SiteEvalFn =
-    std::function<Result<Table>(int p, Site* site, double* cpu_sec)>;
+    std::function<Result<Table>(int p, Site* site, SiteEvalReport* report)>;
 
 /// \brief Drives one round's per-site exchanges under faults.
 ///
@@ -103,7 +103,9 @@ using SiteEvalFn =
 /// wave costs the max over senders of the per-sender sum (for a flat round,
 /// the sum over slots). Retry, timeout, drop, failover, and
 /// retransmission counters are accumulated into `rm`; retransmitted bytes
-/// and groups are also counted as real traffic in the round totals.
+/// and groups are also counted as real traffic in the round totals. Each
+/// slot also gets its own rm->site_loads row, and every evaluated attempt's
+/// scan counts are added to the round's.
 /// Replies travel in `reply_format`; their SKL1-equivalent size is folded
 /// into the round's bytes_baseline_skl1 alongside each DownMessage's
 /// baseline_bytes.

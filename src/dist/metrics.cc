@@ -1,5 +1,7 @@
 #include "dist/metrics.h"
 
+#include <cstdio>
+#include <map>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -219,6 +221,87 @@ std::string ExecutionMetrics::ToString() const {
         r.site_cpu_max_sec, r.coord_cpu_sec, r.comm_sec);
   }
   return os.str();
+}
+
+namespace {
+
+double SkewFactor(double max_value, double sum, size_t n) {
+  if (n == 0 || sum <= 0) return 1.0;
+  const double mean = sum / static_cast<double>(n);
+  return mean > 0 ? max_value / mean : 1.0;
+}
+
+}  // namespace
+
+SiteLoad& SiteLoad::operator+=(const SiteLoad& other) {
+  cpu_sec += other.cpu_sec;
+  bytes_in += other.bytes_in;
+  bytes_out += other.bytes_out;
+  groups_in += other.groups_in;
+  groups_out += other.groups_out;
+  attempts += other.attempts;
+  retries += other.retries;
+  timeouts += other.timeouts;
+  drops += other.drops;
+  failovers += other.failovers;
+  return *this;
+}
+
+StragglerReport BuildStragglerReport(const ExecutionMetrics& metrics) {
+  std::map<int, SiteLoad> by_site;
+  for (const RoundMetrics& r : metrics.rounds) {
+    for (const SiteLoad& load : r.site_loads) {
+      SiteLoad& sum = by_site[load.site];
+      sum.site = load.site;
+      sum += load;
+    }
+  }
+  StragglerReport report;
+  double cpu_sum = 0, cpu_max = 0;
+  double bytes_sum = 0, bytes_max = 0;
+  for (const auto& entry : by_site) {
+    const SiteLoad& site = entry.second;
+    report.sites.push_back(site);
+    cpu_sum += site.cpu_sec;
+    const double site_bytes =
+        static_cast<double>(site.bytes_in + site.bytes_out);
+    bytes_sum += site_bytes;
+    if (site.cpu_sec > cpu_max) {
+      cpu_max = site.cpu_sec;
+      report.slowest_site = site.site;
+    }
+    bytes_max = std::max(bytes_max, site_bytes);
+  }
+  report.cpu_skew = SkewFactor(cpu_max, cpu_sum, report.sites.size());
+  report.bytes_skew = SkewFactor(bytes_max, bytes_sum, report.sites.size());
+  return report;
+}
+
+std::string StragglerReport::ToString() const {
+  std::string out;
+  char line[256];
+  out +=
+      "  site   cpu(s)    bytes in/out       groups in/out   att  rty  tmo  "
+      "drp  fov\n";
+  for (const SiteLoad& site : sites) {
+    std::snprintf(line, sizeof(line),
+                  "  %4d %8.4f %9zu/%-9zu %8lld/%-8lld %4d %4d %4d %4d %4d\n",
+                  site.site, site.cpu_sec, site.bytes_in, site.bytes_out,
+                  static_cast<long long>(site.groups_in),
+                  static_cast<long long>(site.groups_out), site.attempts,
+                  site.retries, site.timeouts, site.drops, site.failovers);
+    out += line;
+  }
+  std::snprintf(line, sizeof(line),
+                "  cpu skew (max/mean) %.2fx   bytes skew %.2fx", cpu_skew,
+                bytes_skew);
+  out += line;
+  if (slowest_site >= 0) {
+    std::snprintf(line, sizeof(line), "   slowest site %d", slowest_site);
+    out += line;
+  }
+  out += "\n";
+  return out;
 }
 
 }  // namespace skalla

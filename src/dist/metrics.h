@@ -8,6 +8,25 @@
 
 namespace skalla {
 
+/// One slot's load: a row of RoundMetrics::site_loads (one round), or of
+/// StragglerReport::sites (summed over a query's rounds).
+struct SiteLoad {
+  int site = -1;           ///< slot id (a rebalance helper has its own)
+  double cpu_sec = 0;      ///< site seconds of every evaluated attempt
+  size_t bytes_in = 0;     ///< bytes shipped to the slot
+  size_t bytes_out = 0;    ///< bytes shipped back from the slot
+  int64_t groups_in = 0;   ///< groups (rows) received
+  int64_t groups_out = 0;  ///< groups (rows) produced
+  int attempts = 0;        ///< exchanges started, retries included
+  int retries = 0;
+  int timeouts = 0;
+  int drops = 0;  ///< messages lost in flight (either direction)
+  int failovers = 0;
+
+  /// Adds `other`'s seconds and counts; keeps this row's site id.
+  SiteLoad& operator+=(const SiteLoad& other);
+};
+
 /// Cost breakdown of one synchronization round.
 struct RoundMetrics {
   std::string label;
@@ -55,8 +74,8 @@ struct RoundMetrics {
   size_t bytes_baseline_skl1 = 0;
 
   // ---- Detail-scan accounting (docs/vectorized-execution.md). ----
-  // Snapshot-diffed from gmdj/local_eval.h's process-wide ScanCounters
-  // around the round's site evaluations.
+  // The ScanCounters of every site evaluation this round drove (all
+  // slots, all attempts), as each evaluation reported them.
   int64_t detail_rows_scanned = 0;  ///< Σ (hi − lo) over morsels and blocks
   int64_t detail_rows_matched = 0;  ///< (base, detail) pairs folded
   int64_t morsels_vectorized = 0;   ///< morsels on the vectorized path
@@ -76,6 +95,10 @@ struct RoundMetrics {
   /// (slot order; 0 for slots that did not participate) — the skew
   /// detector's per-round feedback signal.
   std::vector<double> site_seconds;
+  /// One row per slot of the round's leaf exchanges, in slot order, filled
+  /// where the round totals above are. Aggregator hops of a tree are in
+  /// the totals only, so the rows sum to the totals for flat plans.
+  std::vector<SiteLoad> site_loads;
 
   double ResponseSeconds() const {
     return site_cpu_max_sec + (streaming
@@ -127,6 +150,24 @@ struct ExecutionMetrics {
 
   std::string ToString() const;
 };
+
+/// Straggler/skew summary across sites: how unevenly CPU and bytes are
+/// distributed, and which site is the bottleneck (cf. Beame/Koutris/Suciu,
+/// "Skew in Parallel Query Processing": per-worker imbalance, not totals,
+/// bounds parallel cost).
+struct StragglerReport {
+  std::vector<SiteLoad> sites;  ///< sorted by site id
+  double cpu_skew = 1.0;        ///< max site CPU / mean site CPU
+  double bytes_skew = 1.0;      ///< max site bytes / mean site bytes
+  int slowest_site = -1;        ///< site with the most CPU (-1: none)
+
+  /// Multi-line human-readable rendering (skalla/report).
+  std::string ToString() const;
+};
+
+/// Sums each slot's SiteLoad over the query's rounds and computes the skew
+/// factors — one query's own per-site load, exact under concurrency.
+StragglerReport BuildStragglerReport(const ExecutionMetrics& metrics);
 
 }  // namespace skalla
 

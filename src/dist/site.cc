@@ -73,7 +73,7 @@ Result<void*> FoldOpResults(const GmdjOp& op, const Schema& detail_schema,
 }  // namespace
 
 Result<Table> Site::EvalRound(const SiteRoundInput& input,
-                              double* cpu_sec) const {
+                              SiteEvalReport* report) const {
   Stopwatch sw;
   SKALLA_CHECK(input.ops != nullptr && !input.ops->empty());
   SKALLA_CHECK(input.key_attrs != nullptr);
@@ -106,9 +106,9 @@ Result<Table> Site::EvalRound(const SiteRoundInput& input,
     options.num_threads = input.num_threads;
     options.scan_lo = input.detail_lo;
     options.scan_hi = input.detail_hi;
-    SKALLA_ASSIGN_OR_RETURN(Table h,
-                            EvalGmdjOp(visible, *detail, ops[0], options));
-    if (cpu_sec != nullptr) *cpu_sec = sw.ElapsedSeconds() / compute_scale_;
+    SKALLA_ASSIGN_OR_RETURN(
+        Table h, EvalGmdjOp(visible, *detail, ops[0], options, &report->scan));
+    report->cpu_sec = sw.ElapsedSeconds() / compute_scale_;
     return h;
   }
 
@@ -123,14 +123,15 @@ Result<Table> Site::EvalRound(const SiteRoundInput& input,
     options.mode = AggMode::kSub;
     options.touched_only = false;  // alignment required for chaining
     options.num_threads = input.num_threads;
-    SKALLA_ASSIGN_OR_RETURN(Table with_sub,
-                            EvalGmdjOp(visible, *detail, op, options));
+    SKALLA_ASSIGN_OR_RETURN(
+        Table with_sub,
+        EvalGmdjOp(visible, *detail, op, options, &report->scan));
     SKALLA_ASSIGN_OR_RETURN(
         void* unused,
         FoldOpResults(op, detail->schema(), with_sub, &visible, &subs));
     (void)unused;
   }
-  if (cpu_sec != nullptr) *cpu_sec = sw.ElapsedSeconds() / compute_scale_;
+  report->cpu_sec = sw.ElapsedSeconds() / compute_scale_;
   return subs;
 }
 

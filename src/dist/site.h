@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "dist/plan.h"
+#include "gmdj/local_eval.h"
 #include "storage/catalog.h"
 #include "storage/partition_info.h"
 
@@ -39,6 +40,14 @@ struct SiteRoundInput {
   /// intermediate structures locally and cannot be range-split.
   int64_t detail_lo = 0;
   int64_t detail_hi = -1;
+};
+
+/// What one evaluation at a site reports alongside its result.
+struct SiteEvalReport {
+  /// Local compute seconds, divided by the site's compute_scale.
+  double cpu_sec = 0;
+  /// Detail-scan counts of the evaluation's GMDJ operators.
+  ScanCounters scan;
 };
 
 /// \brief A local data warehouse adjacent to one collection point.
@@ -74,8 +83,10 @@ class Site {
 
   /// Evaluates one round: chains the round's operators over the local
   /// partitions and returns H_i = key attributes + sub-aggregate columns
-  /// for every operator in the round (Theorem 1 / Theorem 5).
-  Result<Table> EvalRound(const SiteRoundInput& input, double* cpu_sec) const;
+  /// for every operator in the round (Theorem 1 / Theorem 5). Fills
+  /// `report` with the evaluation's compute time and scan counts.
+  Result<Table> EvalRound(const SiteRoundInput& input,
+                          SiteEvalReport* report) const;
 
  private:
   int id_;

@@ -1,7 +1,6 @@
 #include "gmdj/local_eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -22,14 +21,6 @@
 namespace skalla {
 
 namespace {
-
-// Process-wide scan counters (ScanCounters in the header). Relaxed is
-// enough: they are statistics, never synchronization.
-std::atomic<int64_t> g_rows_scanned{0};
-std::atomic<int64_t> g_rows_matched{0};
-std::atomic<int64_t> g_morsels_vectorized{0};
-std::atomic<int64_t> g_morsels_scalar{0};
-std::atomic<int64_t> g_batch_fallback_chunks{0};
 
 /// How one aggregate consumes matched detail rows on the vectorized path.
 /// Chosen per (block, aggregate) from the columnar view: typed kernels need
@@ -63,8 +54,8 @@ struct ScanTarget {
 };
 
 /// What one scan_range invocation (one morsel, or the whole relation on
-/// the sequential path) did — flushed into the process-wide counters and,
-/// when the lane span is armed, into its detail string.
+/// the sequential path) did — summed into the call's ScanCounters and,
+/// when the lane span is armed, written into its detail string.
 struct MorselStats {
   int64_t rows = 0;     ///< detail positions visited (hi − lo)
   int64_t matched = 0;  ///< (base, detail) pairs folded
@@ -234,19 +225,9 @@ bool VectorizeEnabledFromEnv() {
   return lowered != "0" && lowered != "off" && lowered != "false";
 }
 
-ScanCounters ScanCountersSnapshot() {
-  ScanCounters s;
-  s.rows_scanned = g_rows_scanned.load(std::memory_order_relaxed);
-  s.rows_matched = g_rows_matched.load(std::memory_order_relaxed);
-  s.morsels_vectorized = g_morsels_vectorized.load(std::memory_order_relaxed);
-  s.morsels_scalar = g_morsels_scalar.load(std::memory_order_relaxed);
-  s.batch_fallback_chunks =
-      g_batch_fallback_chunks.load(std::memory_order_relaxed);
-  return s;
-}
-
 Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
-                         const GmdjOp& op, const LocalGmdjOptions& options) {
+                         const GmdjOp& op, const LocalGmdjOptions& options,
+                         ScanCounters* scan) {
   obs::ScopedSpan eval_span("gmdj.local_eval");
   if (eval_span.armed()) {
     eval_span.set_detail("base " + std::to_string(base.num_rows()) +
@@ -414,6 +395,10 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
     }
     return it->second;
   };
+
+  // Scan counts are added to the caller's counters, if it asked for them.
+  ScanCounters unreported;
+  ScanCounters& counts = scan != nullptr ? *scan : unreported;
 
   // One detail scan per block, morsel-parallel when lanes > 1.
   for (size_t blk = 0; blk < op.blocks.size(); ++blk) {
@@ -889,8 +874,6 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
         }
       }
       if (scratch.fallback_chunks > 0) {
-        g_batch_fallback_chunks.fetch_add(scratch.fallback_chunks,
-                                          std::memory_order_relaxed);
         static obs::Counter& fallback_chunks =
             obs::GetCounter("skalla_gmdj_batch_fallback_chunks_total");
         fallback_chunks.Add(static_cast<uint64_t>(scratch.fallback_chunks));
@@ -925,13 +908,13 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
       num_morsels = (scan_rows + morsel - 1) / morsel;
     }
 
-    // Flushes one scan's statistics into the process-wide counters (and
-    // their registry mirrors; per-morsel, so well off the per-row path).
-    auto flush_stats = [](const MorselStats& s) {
-      g_rows_scanned.fetch_add(s.rows, std::memory_order_relaxed);
-      g_rows_matched.fetch_add(s.matched, std::memory_order_relaxed);
-      (s.vectorized ? g_morsels_vectorized : g_morsels_scalar)
-          .fetch_add(1, std::memory_order_relaxed);
+    // Adds one scan's statistics to the call's counts and their registry
+    // mirrors (per morsel, on the calling thread, so well off the per-row
+    // path).
+    auto flush_stats = [&counts](const MorselStats& s) {
+      counts.rows_scanned += s.rows;
+      counts.rows_matched += s.matched;
+      ++(s.vectorized ? counts.morsels_vectorized : counts.morsels_scalar);
       if (obs::MetricsEnabled()) {
         static obs::Counter& rows_scanned =
             obs::GetCounter("skalla_gmdj_rows_scanned_total");
@@ -963,6 +946,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
     struct Partial {
       std::vector<AggState> states;
       std::vector<char> touched;
+      MorselStats stats;
     };
     std::vector<Partial> partials(static_cast<size_t>(num_morsels));
     const auto& aggs = op.blocks[blk].aggs;
@@ -985,10 +969,10 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
           }
           partial.touched.assign(num_base, 0);
           ScanTarget target{partial.states.data(), partial.touched.data()};
-          const MorselStats s = scan_range(
+          partial.stats = scan_range(
               scan_lo + m * morsel,
               scan_lo + std::min(scan_rows, (m + 1) * morsel), target);
-          flush_stats(s);
+          const MorselStats& s = partial.stats;
           if (morsel_span.armed()) {
             // Straggler diagnostics: selectivity and throughput of this
             // lane's slice, next to its wall time on the timeline.
@@ -1014,6 +998,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
           }
         },
         lanes);
+    for (const Partial& partial : partials) flush_stats(partial.stats);
     // Fold the partials into the shared arrays. Every base row folds its
     // morsels in ascending order no matter how chunks land on lanes, and
     // distinct chunks write disjoint state ranges, so the fold itself can

@@ -80,10 +80,9 @@ struct LocalGmdjOptions {
 /// it. Read per call (not cached) so tests can flip it between evaluations.
 bool VectorizeEnabledFromEnv();
 
-/// \brief Process-wide counters of the GMDJ detail scan, accumulated across
-/// every EvalGmdjOp call (relaxed atomics inside; snapshot-diff around a
-/// region to attribute work to it, as dist/fault_tolerance.cc does per
-/// round).
+/// \brief Counts of one GMDJ detail scan, reported to EvalGmdjOp's caller
+/// (added into its ScanCounters, so a caller chaining several operators
+/// sums them).
 struct ScanCounters {
   /// Detail positions visited by scan_range (Σ (hi − lo) over morsels,
   /// summed across blocks, so a two-block operator counts the relation
@@ -96,12 +95,7 @@ struct ScanCounters {
   /// path vs the scalar row-at-a-time path.
   int64_t morsels_vectorized = 0;
   int64_t morsels_scalar = 0;
-  /// Chunks the batch evaluator redid through scalar EvalBool after meeting
-  /// a runtime value shape its kernels do not mirror (expr/evaluator.h).
-  int64_t batch_fallback_chunks = 0;
 };
-
-ScanCounters ScanCountersSnapshot();
 
 /// Default morsel granularity: small enough to load-balance skewed
 /// equi-key runs across workers, large enough that the per-morsel partial
@@ -127,9 +121,11 @@ inline constexpr int64_t kDefaultMorselRows = 65536;
 /// into fixed-size morsels evaluated concurrently on the shared pool, each
 /// into private accumulators, merged back in morsel order — the in-memory
 /// analogue of the Theorem 1 sub/super-aggregate split, with the same
-/// determinism guarantee (docs/parallelism.md).
+/// determinism guarantee (docs/parallelism.md). When `scan` is non-null
+/// the evaluation's scan counts are added to it.
 Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
-                         const GmdjOp& op, const LocalGmdjOptions& options);
+                         const GmdjOp& op, const LocalGmdjOptions& options,
+                         ScanCounters* scan = nullptr);
 
 }  // namespace skalla
 

@@ -31,13 +31,12 @@ struct RetryPolicy {
   /// merely exceeds the base deadline still completes eventually.
   double timeout_escalation = 2.0;
 
-  /// Simulated idle wait before retry k (k >= 1): backoff_base_sec·2^(k-1).
-  double backoff_base_sec = 0.01;
-
-  /// Backoff charged before attempt `attempt` (0 for the first attempt).
+  /// Simulated idle wait charged before attempt `attempt`: 0 for the
+  /// first attempt, 0.01 s·2^(k-1) before retry k (k >= 1).
   double BackoffSeconds(int attempt) const {
+    constexpr double kBackoffBaseSec = 0.01;
     if (attempt <= 0) return 0.0;
-    double backoff = backoff_base_sec;
+    double backoff = kBackoffBaseSec;
     for (int i = 1; i < attempt; ++i) backoff *= 2.0;
     return backoff;
   }

@@ -83,8 +83,8 @@ struct Command {
   // QUERY / PROFILE
   std::string query_text;  ///< the OLAP dialect text (sql/olap_parser.h)
   QueryPriority priority = QueryPriority::kNormal;
-  double deadline_sec = -1.0;  ///< per-attempt deadline; < 0 = server default
-  int threads = -1;            ///< morsel-lane quota; < 0 = server default
+  double deadline_sec = -1.0;  ///< per-attempt deadline; < 0 = warehouse's
+  int threads = -1;            ///< morsel-lane quota; < 0 = warehouse's
   bool no_cache = false;       ///< bypass (and do not populate) the caches
 
   // LOAD

@@ -134,12 +134,8 @@ Result<std::string> Server::HandleQuery(const Command& cmd) {
 }
 
 Result<std::string> Server::HandleProfile(const Command& cmd) {
-  // Per-query metrics scope: snapshot the registry around the execution
-  // and render the diff. Concurrent queries would bleed into the scope's
-  // per-site section, which is why the skew section is labelled as a
-  // process-level window; the round/total numbers come from the query's
-  // own ExecutionMetrics and are exact regardless of concurrency.
-  std::vector<obs::MetricValue> before = obs::SnapshotMetrics();
+  // Every number rendered — rounds, totals, per-site load — comes from the
+  // query's own ExecutionMetrics, so concurrent queries never bleed in.
   ProfileCapture capture;
   Result<std::string> payload = ExecuteQueryCommand(cmd, &capture);
   if (!payload.ok()) return payload.status();
@@ -147,7 +143,6 @@ Result<std::string> Server::HandleProfile(const Command& cmd) {
   QueryProfileInfo info;
   info.result_cache_hit = capture.result_cache_hit;
   info.resumed_rounds = capture.resumed_rounds;
-  info.registry_delta = obs::DiffMetrics(before, obs::SnapshotMetrics());
   const QueryResult* result =
       capture.result.has_value() ? &*capture.result : nullptr;
   return FormatQueryProfile(result, info);
@@ -294,12 +289,8 @@ Result<std::string> Server::ExecuteQueryCommand(const Command& cmd,
     }
 
     ExecHooks hooks;
-    hooks.local_threads =
-        cmd.threads >= 0 ? cmd.threads : options_.default_local_threads;
-    hooks.deadline_sec = cmd.deadline_sec >= 0 ? cmd.deadline_sec
-                         : options_.default_deadline_sec > 0
-                             ? options_.default_deadline_sec
-                             : -1.0;
+    hooks.local_threads = cmd.threads;
+    hooks.deadline_sec = cmd.deadline_sec;
     hooks.cancel = &active->cancel;
     if (resume.has_value()) {
       hooks.resume_x = &resume->x;

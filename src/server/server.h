@@ -34,14 +34,6 @@ struct ServerOptions {
   /// Optimizer settings for served queries (fixed per server so a query's
   /// plan — and therefore its result bytes — is reproducible).
   bool optimize = true;
-
-  /// Default per-query morsel-lane quota (ExecHooks::local_threads) when a
-  /// QUERY carries no THREADS option; 0 = the SKALLA_THREADS default.
-  int default_local_threads = 0;
-
-  /// Default per-attempt execution deadline in simulated seconds when a
-  /// QUERY carries no DEADLINE option; 0 = no deadline.
-  double default_deadline_sec = 0.0;
 };
 
 /// Monotonic serving counters (see Server::stats and the STATS command).

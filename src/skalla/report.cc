@@ -3,9 +3,6 @@
 #include <sstream>
 
 #include "common/string_util.h"
-#include "obs/diagnostics.h"
-#include "obs/journal.h"
-#include "obs/trace.h"
 
 namespace skalla {
 
@@ -45,12 +42,8 @@ std::string FormatExecutionReport(const QueryResult& result) {
             .c_str(),
         result.metrics.CompressionRatio());
   }
-  // With tracing on, the event journal carries per-site load — surface the
-  // straggler/skew diagnostic computed from it.
-  if (obs::TraceEnabled() && obs::JournalSize() > 0) {
-    os << "=== straggler diagnostic ===\n";
-    os << obs::ComputeStragglerReport(obs::JournalSnapshot()).ToString();
-  }
+  os << "=== straggler diagnostic ===\n"
+     << BuildStragglerReport(result.metrics).ToString();
   return os.str();
 }
 
@@ -127,14 +120,9 @@ std::string FormatQueryProfile(const QueryResult* result,
      << StrFormat("coord_cpu_seconds %.6f\n", m.CoordCpuSeconds())
      << StrFormat("comm_seconds %.6f\n", m.CommSeconds());
 
-  // Per-site load from the per-query metrics scope (registry diff), not a
-  // post-hoc journal scan — works with tracing off.
-  if (!info.registry_delta.empty()) {
-    obs::StragglerReport skew =
-        obs::ComputeStragglerReportFromMetrics(info.registry_delta);
-    if (!skew.sites.empty()) {
-      os << "=== per-site load (metrics registry) ===\n" << skew.ToString();
-    }
+  const StragglerReport load = BuildStragglerReport(m);
+  if (!load.sites.empty()) {
+    os << "=== per-site load ===\n" << load.ToString();
   }
   return os.str();
 }

@@ -6,12 +6,18 @@
 // the serving layer (src/server/), where N randomized clients race mixed
 // query templates against one Server and every response must be
 // byte-identical to the serial single-client execution, with caching on
-// or off (DESIGN.md invariant 10).
+// or off (DESIGN.md invariant 10). A query's own metrics — scan counts and
+// per-site load — must be exactly those of a solo run, however many
+// queries run beside it.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,6 +75,80 @@ TEST(ConcurrentQueriesTest, ParallelClientsGetCorrectResults) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ExpectSameRows(result->table, expected[q]);
     }
+  }
+}
+
+/// Every count a query reports about itself: its scan counts and its
+/// per-site load rows (CPU seconds excluded — they are timings).
+void ExpectSameAccounting(const ExecutionMetrics& actual,
+                          const ExecutionMetrics& solo) {
+  EXPECT_EQ(actual.DetailRowsScanned(), solo.DetailRowsScanned());
+  EXPECT_EQ(actual.DetailRowsMatched(), solo.DetailRowsMatched());
+  EXPECT_EQ(actual.MorselsVectorized(), solo.MorselsVectorized());
+  EXPECT_EQ(actual.MorselsScalar(), solo.MorselsScalar());
+  const StragglerReport got = BuildStragglerReport(actual);
+  const StragglerReport want = BuildStragglerReport(solo);
+  ASSERT_EQ(got.sites.size(), want.sites.size());
+  for (size_t i = 0; i < got.sites.size(); ++i) {
+    const SiteLoad& g = got.sites[i];
+    const SiteLoad& w = want.sites[i];
+    SCOPED_TRACE("site " + std::to_string(w.site));
+    EXPECT_EQ(g.site, w.site);
+    EXPECT_EQ(g.bytes_in, w.bytes_in);
+    EXPECT_EQ(g.bytes_out, w.bytes_out);
+    EXPECT_EQ(g.groups_in, w.groups_in);
+    EXPECT_EQ(g.groups_out, w.groups_out);
+    EXPECT_EQ(g.attempts, w.attempts);
+    EXPECT_EQ(g.retries, w.retries);
+    EXPECT_EQ(g.timeouts, w.timeouts);
+    EXPECT_EQ(g.drops, w.drops);
+    EXPECT_EQ(g.failovers, w.failovers);
+  }
+}
+
+TEST(ConcurrentQueriesTest, ConcurrentMetricsEqualSoloRuns) {
+  // No replicas, so the skew detector never splits a round and every run
+  // of a query drives the same exchanges.
+  Warehouse wh(4);
+  TpcConfig config;
+  config.num_rows = 6000;
+  config.num_customers = 400;
+  ASSERT_OK(wh.LoadByRange("TPCR", GenerateTpcr(config), "NationKey", 0, 24,
+                           {"CustKey"}));
+  const std::vector<GmdjExpr> queries = {
+      queries::GroupReductionQuery("CustKey"),
+      queries::CoalescingQuery("ClerkKey"),
+      queries::SyncReductionQuery("CustKey"),
+      queries::CombinedQuery("CustKey"),
+      queries::MultiFeatureQuery("NationKey"),
+  };
+  auto options_of = [](size_t q) {
+    return q % 2 == 0 ? OptimizerOptions::All() : OptimizerOptions::None();
+  };
+
+  std::vector<ExecutionMetrics> solo;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_OK_AND_ASSIGN(QueryResult result,
+                         wh.Execute(queries[q], options_of(q)));
+    EXPECT_GT(result.metrics.DetailRowsScanned(), 0);
+    solo.push_back(std::move(result.metrics));
+  }
+
+  constexpr int kReps = 3;
+  std::vector<std::future<Result<QueryResult>>> futures;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      futures.push_back(std::async(std::launch::async, [&, q]() {
+        return wh.Execute(queries[q], options_of(q));
+      }));
+    }
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const size_t q = i % queries.size();
+    SCOPED_TRACE("query " + std::to_string(q));
+    auto result = futures[i].get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSameAccounting(result->metrics, solo[q]);
   }
 }
 
@@ -208,6 +288,83 @@ TEST(ServerStressTest, RandomizedClientsMatchSerialOracleCacheOff) {
 
 TEST(ServerStressTest, RandomizedClientsMatchSerialOracleCacheOn) {
   StressServer(/*caches_on=*/true);
+}
+
+/// The integer after `\n<key> ` in a PROFILE payload's totals section.
+uint64_t ProfileTotal(const std::string& profile, const std::string& key) {
+  const std::string needle = "\n" + key + " ";
+  const size_t pos = profile.find(needle);
+  EXPECT_NE(pos, std::string::npos) << key << " missing in:\n" << profile;
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(profile.c_str() + pos + needle.size(), nullptr, 10);
+}
+
+TEST(ServerStressTest, ProfileSiteLoadIsTheQuerysOwn) {
+  const std::string chain =
+      "SELECT CustKey, COUNT(*) AS cnt FROM TPCR GROUP BY CustKey "
+      "EXTEND SUM(Quantity) AS sq WHERE Quantity >= cnt";
+  auto srv = MakeLoadedServer(server::ServerOptions());
+
+  // A second client loops the same uncached query for the whole test.
+  std::atomic<bool> stop{false};
+  std::atomic<bool> background_failed{false};
+  std::atomic<int> background_runs{0};
+  std::string background_error;  // read after join
+  std::thread background([&]() {
+    server::Client client(srv.get());
+    while (!stop.load()) {
+      auto payload = client.Call("QUERY NOCACHE " + chain);
+      if (!payload.ok()) {
+        background_error = payload.status().ToString();
+        background_failed.store(true);
+        return;
+      }
+      background_runs.fetch_add(1);
+    }
+  });
+  while (background_runs.load() == 0 && !background_failed.load()) {
+    std::this_thread::yield();
+  }
+
+  server::Client client(srv.get());
+  for (int i = 0; i < 8; ++i) {
+    auto profile = client.Call("PROFILE NOCACHE " + chain);
+    ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+    const uint64_t rounds = ProfileTotal(*profile, "rounds");
+    const size_t section = profile->find("=== per-site load");
+    ASSERT_NE(section, std::string::npos) << *profile;
+    std::istringstream lines(profile->substr(section));
+    std::string line;
+    std::getline(lines, line);  // section title
+    std::getline(lines, line);  // column header
+    uint64_t bytes_in = 0, bytes_out = 0;
+    int rows = 0;
+    while (std::getline(lines, line) &&
+           line.find("skew") == std::string::npos) {
+      int site = 0, attempts = 0, retries = 0, timeouts = 0, drops = 0,
+          failovers = 0;
+      double cpu = 0;
+      unsigned long long in = 0, out = 0;
+      long long groups_in = 0, groups_out = 0;
+      ASSERT_EQ(std::sscanf(line.c_str(),
+                            "%d %lf %llu/%llu %lld/%lld %d %d %d %d %d",
+                            &site, &cpu, &in, &out, &groups_in, &groups_out,
+                            &attempts, &retries, &timeouts, &drops,
+                            &failovers),
+                11)
+          << line;
+      bytes_in += in;
+      bytes_out += out;
+      ++rows;
+      EXPECT_EQ(static_cast<uint64_t>(attempts), rounds) << line;
+    }
+    EXPECT_EQ(rows, 4);
+    EXPECT_EQ(bytes_in, ProfileTotal(*profile, "bytes_to_sites"));
+    EXPECT_EQ(bytes_out, ProfileTotal(*profile, "bytes_to_coord"));
+  }
+  stop.store(true);
+  background.join();
+  EXPECT_TRUE(background_error.empty()) << background_error;
 }
 
 }  // namespace

@@ -84,6 +84,7 @@ TEST_F(FaultInjectionTest, DroppedSubResultIsRetriedTransparently) {
 
     ASSERT_OK_AND_ASSIGN(QueryResult faulty_flat, wh.ExecutePlan(plan));
     EXPECT_EQ(TableBytes(faulty_flat.table), TableBytes(clean_flat.table));
+    ExpectSiteLoadsSumToTotals(faulty_flat.metrics);
 
     ASSERT_OK_AND_ASSIGN(QueryResult faulty_tree, wh.ExecutePlanTree(plan, 2));
     EXPECT_EQ(TableBytes(faulty_tree.table), TableBytes(clean_tree.table));
@@ -125,6 +126,12 @@ TEST_F(FaultInjectionTest, SiteOutageOverRoundRangeRecovers) {
   EXPECT_EQ(faulty_flat.metrics.Drops(), 4);
   EXPECT_EQ(faulty_flat.metrics.Timeouts(), 0);
   EXPECT_EQ(faulty_flat.metrics.Failovers(), 0);
+  ExpectSiteLoadsSumToTotals(faulty_flat.metrics);
+  // Site 1 alone took the outage: two retries in each of its rounds.
+  for (const SiteLoad& site :
+       BuildStragglerReport(faulty_flat.metrics).sites) {
+    EXPECT_EQ(site.retries, site.site == 1 ? 4 : 0) << "site " << site.site;
+  }
 
   ASSERT_OK_AND_ASSIGN(QueryResult faulty_tree, wh.ExecutePlanTree(plan, 2));
   EXPECT_EQ(TableBytes(faulty_tree.table), TableBytes(clean_tree.table));
@@ -162,6 +169,7 @@ TEST_F(FaultInjectionTest, StragglerRecoversUnderEscalatedDeadline) {
   EXPECT_EQ(faulty.metrics.Retries(), 3);
   EXPECT_EQ(faulty.metrics.Drops(), 0);
   EXPECT_GT(faulty.metrics.CommSeconds(), clean.metrics.CommSeconds());
+  ExpectSiteLoadsSumToTotals(faulty.metrics);
 
   bool saw_straggler = false;
   for (const FaultEvent& event : injector.events()) {
@@ -331,6 +339,12 @@ TEST_F(FaultInjectionTest, FailoverToCoveringReplicaServesTheQuery) {
   EXPECT_EQ(faulty_flat.metrics.Failovers(), 1);
   EXPECT_EQ(faulty_flat.metrics.Drops(), 3);
   EXPECT_EQ(faulty_flat.metrics.Retries(), 3);
+  ExpectSiteLoadsSumToTotals(faulty_flat.metrics);
+  // The failover is charged to the slot it served: slot 1's row.
+  const StragglerReport load = BuildStragglerReport(faulty_flat.metrics);
+  ASSERT_EQ(load.sites.size(), 4u);
+  EXPECT_EQ(load.sites[1].site, 1);
+  EXPECT_EQ(load.sites[1].failovers, 1);
 
   ASSERT_OK_AND_ASSIGN(QueryResult faulty_tree, wh.ExecutePlanTree(plan, 2));
   EXPECT_EQ(TableBytes(faulty_tree.table), TableBytes(clean_tree.table));
@@ -416,6 +430,7 @@ TEST_F(FaultInjectionTest, MetricsEqualNetworkTotalsUnderRetriesFlat) {
   EXPECT_GT(table.num_rows(), 0);
   EXPECT_GT(metrics.Retries(), 0);
   ExpectMetricsMatchNetwork(metrics, coordinator.network());
+  ExpectSiteLoadsSumToTotals(metrics);
 }
 
 TEST_F(FaultInjectionTest, MetricsEqualNetworkTotalsUnderRetriesTree) {

@@ -328,8 +328,7 @@ TEST(MetricsServingTest, ProfileMatchesExecutionMetricsExactly) {
             ProfileTotal(profile, "bytes_to_sites") +
                 ProfileTotal(profile, "bytes_to_coord"));
   EXPECT_NE(profile.find("=== rounds ==="), std::string::npos);
-  EXPECT_NE(profile.find("=== per-site load (metrics registry) ==="),
-            std::string::npos);
+  EXPECT_NE(profile.find("=== per-site load ==="), std::string::npos);
 }
 
 TEST(MetricsServingTest, ProfileReportsCacheHitProvenance) {

@@ -438,6 +438,7 @@ TEST(RebalanceIdentityTest, MatrixOfTopologiesThreadsAndWireFormats) {
   const std::string oracle_bytes = TableBytes(oracle.table);
 
   int total_splits = 0;
+  int flat_splits = 0;
   for (const bool tree : {false, true}) {
     for (const int threads : {1, 4}) {
       for (const WireFormat wire : {WireFormat::kSkl1, WireFormat::kSkl2}) {
@@ -456,6 +457,21 @@ TEST(RebalanceIdentityTest, MatrixOfTopologiesThreadsAndWireFormats) {
           ASSERT_OK(result.status());
           EXPECT_EQ(TableBytes(result->table), oracle_bytes);
           total_splits += result->metrics.RebalanceSplits();
+          if (!tree) {
+            // The helper slot (id 4, after the four primaries) is a row of
+            // its own, and the rows still sum to the flat plan's totals.
+            ExpectSiteLoadsSumToTotals(result->metrics);
+            const StragglerReport load =
+                BuildStragglerReport(result->metrics);
+            const bool split = result->metrics.RebalanceSplits() > 0;
+            ASSERT_EQ(load.sites.size(), split ? 5u : 4u);
+            if (split) {
+              EXPECT_EQ(load.sites.back().site, 4);
+              EXPECT_GT(load.sites.back().bytes_in, 0u);
+              EXPECT_GT(load.sites.back().groups_out, 0);
+              flat_splits += result->metrics.RebalanceSplits();
+            }
+          }
         }
       }
     }
@@ -463,6 +479,7 @@ TEST(RebalanceIdentityTest, MatrixOfTopologiesThreadsAndWireFormats) {
   // The hot site holds the Zipf head: the detector must actually have
   // split rounds somewhere in the matrix, or this test proved nothing.
   EXPECT_GT(total_splits, 0);
+  EXPECT_GT(flat_splits, 0);
 }
 
 TEST(RebalanceIdentityTest, FuzzPinnedSeedsFlipRebalanceBit) {
@@ -533,6 +550,7 @@ TEST(RebalanceFaultTest, FlakyStragglerStaysByteIdentical) {
                        wh->Execute(query, OptimizerOptions::All()));
   EXPECT_EQ(TableBytes(flaky.table), TableBytes(expected.table));
   EXPECT_GT(flaky.metrics.Retries(), 0);
+  ExpectSiteLoadsSumToTotals(flaky.metrics);
 }
 
 TEST(RebalanceFaultTest, DeadHelperFailsOverToTheStragglerPrimary) {
@@ -557,6 +575,7 @@ TEST(RebalanceFaultTest, DeadHelperFailsOverToTheStragglerPrimary) {
   if (result.metrics.RebalanceSplits() > 0) {
     EXPECT_GT(result.metrics.Failovers(), 0);
   }
+  ExpectSiteLoadsSumToTotals(result.metrics);
 }
 
 // ---------------------------------------------------------------------------

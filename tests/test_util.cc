@@ -2,6 +2,21 @@
 
 namespace skalla {
 
+void ExpectSiteLoadsSumToTotals(const ExecutionMetrics& metrics) {
+  SiteLoad sum;
+  for (const SiteLoad& site : BuildStragglerReport(metrics).sites) {
+    sum += site;
+  }
+  EXPECT_EQ(sum.bytes_in, metrics.BytesToSites());
+  EXPECT_EQ(sum.bytes_out, metrics.BytesToCoord());
+  EXPECT_EQ(sum.groups_in, metrics.GroupsToSites());
+  EXPECT_EQ(sum.groups_out, metrics.GroupsToCoord());
+  EXPECT_EQ(sum.retries, metrics.Retries());
+  EXPECT_EQ(sum.timeouts, metrics.Timeouts());
+  EXPECT_EQ(sum.drops, metrics.Drops());
+  EXPECT_EQ(sum.failovers, metrics.Failovers());
+}
+
 Table MakeTinyTable() {
   Table t(MakeSchema({{"g", ValueType::kInt64},
                       {"h", ValueType::kInt64},

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "dist/metrics.h"
 #include "gmdj/gmdj.h"
 #include "storage/table.h"
 
@@ -41,6 +42,11 @@ inline void ExpectSameRows(const Table& actual, const Table& expected) {
       << actual.ToString(50) << "expected:\n"
       << expected.ToString(50);
 }
+
+/// Per-site load conservation of a flat plan: the query's per-site rows
+/// (BuildStragglerReport) sum to its bytes and groups in each direction
+/// and to its retry, timeout, drop, and failover counts.
+void ExpectSiteLoadsSumToTotals(const ExecutionMetrics& metrics);
 
 /// A tiny deterministic detail relation used across unit tests:
 /// T(g:int, h:int, v:int, w:double, s:string), 12 rows, groups g∈{1,2,3}.

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "obs/diagnostics.h"
 #include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
@@ -630,34 +629,25 @@ TEST_F(TraceTest, WriteConfiguredTraceOutputsWritesFiles) {
 // ---------------------------------------------------------------------------
 
 TEST_F(TraceTest, StragglerReportMath) {
-  std::vector<obs::JournalRecord> journal;
-  auto finish = [&](int site, double sec) {
-    obs::JournalRecord r;
-    r.event = obs::JournalEvent::kAttemptFinish;
-    r.site = site;
-    r.seconds = sec;
-    r.label = "ok";
-    journal.push_back(r);
+  // Two rounds; each slot's rows are summed across them.
+  ExecutionMetrics metrics;
+  metrics.rounds.resize(2);
+  auto load = [&](size_t round, int site, double sec, size_t bytes_in,
+                  int64_t groups_in) -> SiteLoad& {
+    SiteLoad row;
+    row.site = site;
+    row.cpu_sec = sec;
+    row.bytes_in = bytes_in;
+    row.groups_in = groups_in;
+    row.attempts = 1;
+    return metrics.rounds[round].site_loads.emplace_back(row);
   };
-  auto message = [&](int from, int to, size_t bytes, int64_t rows) {
-    obs::JournalRecord r;
-    r.event = obs::JournalEvent::kMessage;
-    r.from = from;
-    r.to = to;
-    r.bytes = bytes;
-    r.rows = rows;
-    journal.push_back(r);
-  };
-  finish(0, 1.0);
-  finish(1, 3.0);
-  message(/*from=*/-1, /*to=*/0, 100, 10);
-  message(/*from=*/-1, /*to=*/1, 300, 30);
-  obs::JournalRecord retry;
-  retry.event = obs::JournalEvent::kRetry;
-  retry.site = 1;
-  journal.push_back(retry);
+  load(0, 1, 2.0, 200, 20);
+  load(0, 0, 0.5, 50, 5);
+  load(1, 0, 0.5, 50, 5);
+  load(1, 1, 1.0, 100, 10).retries = 1;
 
-  const obs::StragglerReport report = obs::ComputeStragglerReport(journal);
+  const StragglerReport report = BuildStragglerReport(metrics);
   ASSERT_EQ(report.sites.size(), 2u);
   EXPECT_EQ(report.slowest_site, 1);
   // max 3.0 over mean 2.0.
@@ -674,7 +664,7 @@ TEST_F(TraceTest, StragglerReportMath) {
 }
 
 TEST_F(TraceTest, StragglerReportEmptyJournal) {
-  const obs::StragglerReport report = obs::ComputeStragglerReport({});
+  const StragglerReport report = BuildStragglerReport(ExecutionMetrics());
   EXPECT_TRUE(report.sites.empty());
   EXPECT_DOUBLE_EQ(report.cpu_skew, 1.0);
   EXPECT_DOUBLE_EQ(report.bytes_skew, 1.0);
@@ -695,10 +685,11 @@ TEST_F(TraceTest, ExecutionReportSurfacesStragglerDiagnostic) {
   EXPECT_NE(report.find("straggler diagnostic"), std::string::npos);
   EXPECT_NE(report.find("cpu skew"), std::string::npos);
 
-  // With tracing off the section disappears.
+  // The section comes from the query's own metrics: tracing off keeps it.
   obs::ConfigureTracing(obs::TraceConfig{});
   const std::string quiet = FormatExecutionReport(result);
-  EXPECT_EQ(quiet.find("straggler diagnostic"), std::string::npos);
+  EXPECT_NE(quiet.find("straggler diagnostic"), std::string::npos);
+  EXPECT_NE(quiet.find("cpu skew"), std::string::npos);
 }
 
 }  // namespace

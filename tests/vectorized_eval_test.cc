@@ -592,18 +592,20 @@ TEST(VectorizedGmdjTest, ScanCountersAdvance) {
   LocalGmdjOptions options;
   options.num_threads = 1;
 
-  const ScanCounters before = ScanCountersSnapshot();
+  // Each call adds its own scan's counts to the caller's counters.
+  ScanCounters counts;
+  const ScanCounters before = counts;
   options.vectorize = 1;
-  ASSERT_OK(EvalGmdjOp(base, detail, EquiKeyOp(), options).status());
-  const ScanCounters mid = ScanCountersSnapshot();
+  ASSERT_OK(EvalGmdjOp(base, detail, EquiKeyOp(), options, &counts).status());
+  const ScanCounters mid = counts;
   EXPECT_EQ(mid.rows_scanned - before.rows_scanned, detail.num_rows());
   EXPECT_GT(mid.rows_matched, before.rows_matched);
   EXPECT_EQ(mid.morsels_vectorized - before.morsels_vectorized, 1);
   EXPECT_EQ(mid.morsels_scalar, before.morsels_scalar);
 
   options.vectorize = 0;
-  ASSERT_OK(EvalGmdjOp(base, detail, EquiKeyOp(), options).status());
-  const ScanCounters after = ScanCountersSnapshot();
+  ASSERT_OK(EvalGmdjOp(base, detail, EquiKeyOp(), options, &counts).status());
+  const ScanCounters after = counts;
   EXPECT_EQ(after.morsels_scalar - mid.morsels_scalar, 1);
   EXPECT_EQ(after.morsels_vectorized, mid.morsels_vectorized);
   EXPECT_EQ(after.rows_matched - mid.rows_matched,
