@@ -175,29 +175,46 @@ void InitSubValues(AggFunc func, Value* out) {
   }
 }
 
-void MergeSubValues(AggFunc func, const Value* sub, Value* acc) {
+CarrierOp CarrierOpOf(AggFunc func) {
   switch (func) {
-    case AggFunc::kCount:
-    case AggFunc::kSum:
-      acc[0] = AddValues(acc[0], sub[0]);
-      return;
     case AggFunc::kMin:
-      acc[0] = MinValue(acc[0], sub[0]);
-      return;
+      return CarrierOp::kMin;
     case AggFunc::kMax:
-      acc[0] = MaxValue(acc[0], sub[0]);
+      return CarrierOp::kMax;
+    default:
+      return CarrierOp::kAdd;
+  }
+}
+
+void MergeCarrier(CarrierOp op, const Value& sub, Value* acc) {
+  switch (op) {
+    case CarrierOp::kAdd:
+      *acc = AddValues(*acc, sub);
       return;
-    case AggFunc::kAvg:
-      acc[0] = AddValues(acc[0], sub[0]);
-      acc[1] = AddValues(acc[1], sub[1]);
+    case CarrierOp::kMin:
+      // MinValue(*acc, sub), written as "replace when sub wins".
+      if (!sub.is_null() && (acc->is_null() || acc->Compare(sub) > 0)) {
+        *acc = sub;
+      }
       return;
-    case AggFunc::kVar:
-    case AggFunc::kStdDev:
-      acc[0] = AddValues(acc[0], sub[0]);
-      acc[1] = AddValues(acc[1], sub[1]);
-      acc[2] = AddValues(acc[2], sub[2]);
+    case CarrierOp::kMax:
+      if (!sub.is_null() && (acc->is_null() || acc->Compare(sub) < 0)) {
+        *acc = sub;
+      }
       return;
   }
+}
+
+void MergeCarrierColumn(CarrierOp op, const Value* sub, size_t n,
+                        const int64_t* ids, size_t stride, Value* acc) {
+  for (size_t r = 0; r < n; ++r) {
+    MergeCarrier(op, sub[r], acc + static_cast<size_t>(ids[r]) * stride);
+  }
+}
+
+void MergeSubValues(AggFunc func, const Value* sub, Value* acc) {
+  const CarrierOp op = CarrierOpOf(func);
+  for (int i = 0; i < SubArity(func); ++i) MergeCarrier(op, sub[i], &acc[i]);
 }
 
 Value FinalizeSubValues(AggFunc func, const Value* acc) {

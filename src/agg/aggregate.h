@@ -101,8 +101,30 @@ Result<std::vector<Field>> SubFieldsFor(const AggSpec& spec,
 /// COUNT → 0, SUM/MIN/MAX → NULL, AVG → (NULL, 0). Writes SubArity values.
 void InitSubValues(AggFunc func, Value* out);
 
+/// How a super-aggregate folds one sub-aggregate column (a *carrier*):
+/// COUNT, SUM, and every carrier of AVG, VAR and STDDEV add; MIN and MAX
+/// keep the extreme.
+enum class CarrierOp : uint8_t { kAdd, kMin, kMax };
+
+/// The op of each of `func`'s SubArity(func) carriers.
+CarrierOp CarrierOpOf(AggFunc func);
+
+/// Theorem 1's super-aggregate step for one carrier: folds `sub` into
+/// `*acc`. Add is NULL-aware (NULL adopts the other side), wraps int64,
+/// promotes a mixed int64/double pair to double and resolves NaNs
+/// accumulator first; both sides must be numeric or NULL. Min and Max
+/// order by Value::Compare with the accumulator first, keep it on ties,
+/// and never pick a NULL over a value.
+void MergeCarrier(CarrierOp op, const Value& sub, Value* acc);
+
+/// MergeCarrier down one carrier column: for r in [0, n), in order, folds
+/// sub[r] into acc[ids[r] * stride].
+void MergeCarrierColumn(CarrierOp op, const Value* sub, size_t n,
+                        const int64_t* ids, size_t stride, Value* acc);
+
 /// Super-aggregate step: folds one site's sub-values into the accumulator
-/// (element-wise; both arrays have SubArity(func) entries).
+/// (element-wise; both arrays have SubArity(func) entries), one
+/// MergeCarrier per carrier.
 void MergeSubValues(AggFunc func, const Value* sub, Value* acc);
 
 /// Finalization of merged sub-values into the visible output value

@@ -15,7 +15,6 @@
 #include "expr/evaluator.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
-#include "storage/hash_index.h"
 #include "storage/serializer.h"
 #include "storage/wire_format.h"
 
@@ -240,14 +239,15 @@ void ShipToAggregators(SimNetwork* net, const TreeTopology& tree,
 }
 
 /// Combines replies bottom-up: every active aggregator folds its inbox with
-/// CombineSubResults (with no `slots`, a distinct union of the keys) and
-/// forwards one relation to its parent. A level costs the max over parents
-/// of their inbound volume plus the slowest merge. Returns the root's inbox.
+/// a SubResultFold of its own (with no `slots`, a distinct union of the
+/// keys) and forwards the combined relation to its parent. A level costs
+/// the max over parents of their inbound volume plus the slowest merge.
+/// Returns the root's inbox.
 Result<std::vector<Inbound>> CombineUp(
     SimNetwork* net, const TreeTopology& tree, const std::vector<bool>& active,
     std::vector<std::vector<Inbound>> inbox, const std::string& label,
     WireFormat wire_format, int num_key, const std::vector<SubSlot>& slots,
-    RoundMetrics* rm) {
+    int sub_width, RoundMetrics* rm) {
   std::optional<obs::ScopedSpan> up_span;
   if (tree.num_levels > 2) {
     up_span.emplace("round.propagate_up", obs::kTrackCoordinator);
@@ -259,18 +259,22 @@ Result<std::vector<Inbound>> CombineUp(
     for (int v : tree.NodesAtLevel(level)) {
       if (!active[static_cast<size_t>(v)]) continue;
       Stopwatch merge_sw;
-      std::vector<Table> received;
-      int64_t merged_rows = 0;
-      for (const Inbound& in : inbox[static_cast<size_t>(v)]) {
-        SKALLA_ASSIGN_OR_RETURN(Table t,
-                                Serializer::DeserializeTable(in.payload));
-        merged_rows += t.num_rows();
-        received.push_back(std::move(t));
+      const std::vector<Inbound>& received = inbox[static_cast<size_t>(v)];
+      if (received.empty()) {
+        return Status::InvalidArgument("no sub-results to combine");
       }
-      std::vector<const Table*> inputs;
-      for (const Table& t : received) inputs.push_back(&t);
-      SKALLA_ASSIGN_OR_RETURN(Table combined,
-                              CombineSubResults(inputs, num_key, slots));
+      GroupMap groups(num_key);
+      SubResultFold fold(&groups, slots, sub_width, /*add_groups=*/true);
+      SchemaPtr schema;
+      int64_t merged_rows = 0;
+      for (const Inbound& in : received) {
+        SKALLA_ASSIGN_OR_RETURN(DecodedColumns h,
+                                Serializer::DecodeColumns(in.payload));
+        SKALLA_RETURN_NOT_OK(fold.Fold(h, in.from));
+        merged_rows += h.num_rows;
+        if (schema == nullptr) schema = std::move(h.schema);
+      }
+      const Table combined = fold.Emit(std::move(schema));
       const double merge_sec = merge_sw.ElapsedSeconds();
       level_merge_cpu = std::max(level_merge_cpu, merge_sec);
       if (obs::JournalEnabled()) {
@@ -454,8 +458,6 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
   SKALLA_RETURN_NOT_OK(ValidateGmdjExpr(expr, schemas));
 
   const int num_key = static_cast<int>(plan.key_attrs.size());
-  std::vector<int> key_cols(static_cast<size_t>(num_key));
-  std::iota(key_cols.begin(), key_cols.end(), 0);
 
   // Resuming from a cached prefix: the first `resume_rounds_` plan rounds
   // (and the base round) are skipped and X is seeded from the cached
@@ -479,13 +481,26 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     }
   }
 
-  // The base-result structure X (visible/finalized form) plus its key index.
+  // The base-result structure X (visible/finalized form) and the map from
+  // its group keys to its row positions, built once: every round's fold
+  // keeps it in step with X's rows. A resumed X is keyed here too, on the
+  // first executed round's coordinator CPU.
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr x_schema,
                           BaseResultSchema(expr, schemas, ops_done));
+  SKALLA_ASSIGN_OR_RETURN(SchemaPtr final_schema,
+                          BaseResultSchema(expr, schemas, expr.ops.size()));
+  // Rows are reserved at X's final width, so each round widens them in
+  // place.
+  const size_t final_width = static_cast<size_t>(final_schema->num_fields());
   Table x(x_schema);
-  if (resuming) x = *resume_x_;
-  HashIndex x_index;
-  x_index.Build(x, key_cols);
+  GroupMap x_groups(num_key);
+  double pending_coord_cpu = 0;
+  if (resuming) {
+    Stopwatch key_sw;
+    x = *resume_x_;
+    SKALLA_ASSIGN_OR_RETURN(x_groups, GroupMapOfRows(x, num_key));
+    pending_coord_cpu = key_sw.ElapsedSeconds();
+  }
 
   // ---- Rounds. Step 0 is the base-values query — a round without
   //      operators, whose merge is the distinct union of the B_i — unless
@@ -528,17 +543,6 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     SKALLA_ASSIGN_OR_RETURN(std::vector<SubSlot> slots,
                             BuildSubSlots(round.ops, schemas, &sub_width));
 
-    // Per-X-row sub-aggregate accumulators, initialized to the identities.
-    std::vector<std::vector<Value>> acc(static_cast<size_t>(x.num_rows()));
-    auto init_acc_row = [&slots, sub_width]() {
-      std::vector<Value> row(static_cast<size_t>(sub_width));
-      for (const SubSlot& slot : slots) {
-        InitSubValues(slot.func, &row[static_cast<size_t>(slot.offset)]);
-      }
-      return row;
-    };
-    for (auto& row : acc) row = init_acc_row();
-
     // Per-site ship predicates, when aware group reduction is on.
     const std::vector<ExprPtr> no_predicates;
     const std::vector<ExprPtr>& predicates =
@@ -546,7 +550,8 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
             ? plan.ship_predicates[r]
             : no_predicates;
 
-    double coord_cpu = 0;
+    double coord_cpu = pending_coord_cpu;
+    pending_coord_cpu = 0;
 
     // ---- Phase A (coordinator): reduce, prune, and serialize each node's
     //      view of X. Shipping — and any re-shipping under faults — is the
@@ -691,7 +696,7 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     SKALLA_ASSIGN_OR_RETURN(
         std::vector<Inbound> inbound,
         CombineUp(&network_, topology_, active, std::move(inbox), reply_label,
-                  wire_format, num_key, slots, &rm));
+                  wire_format, num_key, slots, sub_width, &rm));
 
     // Feed the measured per-slot wall times back to the detector (primary
     // slots only — a helper's timing belongs to the replica's hardware,
@@ -706,39 +711,19 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     }
 
     // ---- Phase C (coordinator): synchronize (Theorem 1) in
-    //      deterministic child order; the base query and a round fused
-    //      with it add the groups they find. ----
+    //      deterministic child order — decode each reply into columns and
+    //      fold it into per-group accumulators; the base query and a round
+    //      fused with it add the groups they find. ----
     std::optional<obs::ScopedSpan> sync_span;
     sync_span.emplace("round.sync", obs::kTrackCoordinator);
+    Stopwatch fold_sw;
+    SubResultFold fold(&x_groups, slots, sub_width, /*add_groups=*/plan_only);
+    coord_cpu += fold_sw.ElapsedSeconds();
     for (const Inbound& in : inbound) {
       Stopwatch merge_sw;
-      SKALLA_ASSIGN_OR_RETURN(Table h,
-                              Serializer::DeserializeTable(in.payload));
-      for (const Row& h_row : h.rows()) {
-        const std::vector<int64_t>* match = x_index.Lookup(h_row, key_cols);
-        int64_t row_id;
-        if (match == nullptr) {
-          if (!plan_only) {
-            return Status::Internal(
-                "site " + std::to_string(in.from) +
-                " returned a group missing from the base-result structure");
-          }
-          Row key_row(h_row.begin(), h_row.begin() + num_key);
-          x.AddRow(std::move(key_row));
-          row_id = x.num_rows() - 1;
-          x_index.Insert(x, row_id);
-          acc.push_back(init_acc_row());
-        } else {
-          row_id = match->front();
-        }
-        std::vector<Value>& acc_row = acc[static_cast<size_t>(row_id)];
-        for (const SubSlot& slot : slots) {
-          MergeSubValues(
-              slot.func,
-              &h_row[static_cast<size_t>(num_key + slot.offset)],
-              &acc_row[static_cast<size_t>(slot.offset)]);
-        }
-      }
+      SKALLA_ASSIGN_OR_RETURN(DecodedColumns h,
+                              Serializer::DecodeColumns(in.payload));
+      SKALLA_RETURN_NOT_OK(fold.Fold(h, in.from));
       const double merge_sec = merge_sw.ElapsedSeconds();
       coord_cpu += merge_sec;
       if (obs::JournalEnabled()) {
@@ -746,33 +731,23 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
         jr.event = obs::JournalEvent::kSyncMerge;
         jr.round = network_.current_round();
         jr.site = in.from;
-        jr.rows = h.num_rows();
+        jr.rows = h.num_rows;
         jr.seconds = merge_sec;
         obs::JournalAppend(std::move(jr));
       }
     }
     sync_span.reset();
 
-    // ---- Finalize this round's aggregates into new X columns (the base
-    //      query has none). ----
-    if (!base) {
-      obs::ScopedSpan finalize_span("round.finalize", obs::kTrackCoordinator);
-      Stopwatch finalize_sw;
-      std::vector<Field> new_fields = x.schema().fields();
-      for (const SubSlot& slot : slots) new_fields.push_back(slot.final_field);
-      Table new_x(MakeSchema(std::move(new_fields)));
-      new_x.Reserve(x.num_rows());
-      for (int64_t i = 0; i < x.num_rows(); ++i) {
-        Row row = x.row(i);
-        const std::vector<Value>& acc_row = acc[static_cast<size_t>(i)];
-        for (const SubSlot& slot : slots) {
-          row.push_back(FinalizeSubValues(
-              slot.func, &acc_row[static_cast<size_t>(slot.offset)]));
-        }
-        new_x.AddRow(std::move(row));
+    // ---- Finalize: X's rows gain this round's aggregates in place, and
+    //      the groups a plan-only round found become rows at full width
+    //      (the base query's rows are keys only). ----
+    {
+      std::optional<obs::ScopedSpan> finalize_span;
+      if (!base) {
+        finalize_span.emplace("round.finalize", obs::kTrackCoordinator);
       }
-      x = std::move(new_x);
-      x_index.Build(x, key_cols);
+      Stopwatch finalize_sw;
+      fold.FinalizeInto(&x, final_width);
       coord_cpu += finalize_sw.ElapsedSeconds();
     }
 

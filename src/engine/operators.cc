@@ -6,6 +6,7 @@
 
 #include "expr/evaluator.h"
 #include "storage/columnar.h"
+#include "storage/group_map.h"
 #include "storage/hash_index.h"
 
 namespace skalla {
@@ -89,21 +90,21 @@ Result<Table> DistinctProject(const Table& input,
                               const std::vector<std::string>& cols) {
   SKALLA_ASSIGN_OR_RETURN(std::vector<int> indices,
                           ResolveColumns(input.schema(), cols));
-  RowHasher hasher{&indices};
-  RowEq eq{&indices};
-  std::unordered_set<const Row*, RowHasher, RowEq> seen(16, hasher, eq);
-  Table out(ProjectSchema(input.schema(), indices));
+  const int width = static_cast<int>(indices.size());
+  GroupMap groups(width);
   for (const Row& row : input.rows()) {
-    if (seen.insert(&row).second) {
-      Row projected;
-      projected.reserve(indices.size());
-      for (int idx : indices) {
-        projected.push_back(row[static_cast<size_t>(idx)]);
-      }
-      out.AddRow(std::move(projected));
-    }
+    auto key_at = [&row, &indices](int c) -> const Value& {
+      return row[static_cast<size_t>(indices[static_cast<size_t>(c)])];
+    };
+    bool inserted = false;
+    groups.FindOrInsert(GroupMap::Hash(width, key_at), key_at, &inserted);
   }
-  return out;
+  // The map holds each distinct key once, in first-appearance order.
+  std::vector<Row> rows(static_cast<size_t>(groups.size()));
+  for (int64_t g = 0; g < groups.size(); ++g) {
+    rows[static_cast<size_t>(g)].assign(groups.key(g), groups.key(g) + width);
+  }
+  return Table(ProjectSchema(input.schema(), indices), std::move(rows));
 }
 
 Result<Table> UnionAll(const std::vector<const Table*>& inputs) {

@@ -12,10 +12,10 @@ namespace skalla {
 
 /// \brief A hash index from a composite column key to row positions.
 ///
-/// Used in two hot paths: (1) the local GMDJ evaluator probes the
-/// base-values relation with each detail tuple's equi-join key, and (2) the
-/// coordinator's synchronizer locates the base-result row for each incoming
-/// sub-aggregate row (Theorem 1 makes this an O(|H|) merge).
+/// The local GMDJ evaluator's hot path: it probes the base-values relation
+/// with each detail tuple's equi-join key. (The coordinator's Theorem-1
+/// synchronization keys groups with the flat GroupMap instead, see
+/// storage/group_map.h.)
 ///
 /// The index stores row ids bucketed by hash; lookups verify equality to
 /// handle collisions. Duplicate keys are supported (all matching row ids

@@ -12,10 +12,13 @@ namespace skalla {
 /// A tuple: one Value per schema column, in schema order.
 using Row = std::vector<Value>;
 
+/// The start value of RowKeyHash's combine chain ("ROWK").
+inline constexpr uint64_t kRowKeyHashSeed = 0x524f574bULL;
+
 /// Hash of the projection of `row` onto the given column indices;
 /// consistent with RowKeyEquals.
 inline uint64_t RowKeyHash(const Row& row, const std::vector<int>& cols) {
-  uint64_t h = 0x524f574bULL;  // "ROWK"
+  uint64_t h = kRowKeyHashSeed;
   for (int c : cols) {
     h = HashCombine(h, row[static_cast<size_t>(c)].Hash());
   }

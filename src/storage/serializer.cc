@@ -664,29 +664,29 @@ Status CheckRowCount(uint64_t nrows, size_t nfields, size_t remaining,
   return Status::OK();
 }
 
-Result<Table> DecodeSkl1Body(Reader* reader) {
+Result<DecodedColumns> DecodeSkl1Body(Reader* reader) {
   SKALLA_ASSIGN_OR_RETURN(std::vector<Field> fields, ReadSchema(reader));
   const size_t nfields = fields.size();
   uint64_t nrows = 0;
   if (!reader->ReadFixed(&nrows)) return Status::IoError("truncated row count");
   SKALLA_RETURN_NOT_OK(
       CheckRowCount(nrows, nfields, reader->remaining(), /*columnar=*/false));
-  Table table(MakeSchema(std::move(fields)));
-  table.Reserve(static_cast<int64_t>(nrows));
+  std::vector<std::vector<Value>> columns(nfields);
+  for (std::vector<Value>& column : columns) {
+    column.reserve(static_cast<size_t>(nrows));
+  }
   for (uint64_t r = 0; r < nrows; ++r) {
-    Row row;
-    row.reserve(nfields);
     for (size_t c = 0; c < nfields; ++c) {
       SKALLA_ASSIGN_OR_RETURN(Value v, ReadValue(reader));
-      row.push_back(std::move(v));
+      columns[c].push_back(std::move(v));
     }
-    table.AddRow(std::move(row));
   }
   if (!reader->AtEnd()) return Status::IoError("trailing bytes after table");
-  return table;
+  return DecodedColumns{MakeSchema(std::move(fields)),
+                        static_cast<int64_t>(nrows), std::move(columns)};
 }
 
-Result<Table> DecodeSkl2Body(Reader* reader) {
+Result<DecodedColumns> DecodeSkl2Body(Reader* reader) {
   SKALLA_ASSIGN_OR_RETURN(std::vector<Field> fields, ReadSchema(reader));
   const size_t nfields = fields.size();
   uint64_t nrows = 0;
@@ -698,13 +698,45 @@ Result<Table> DecodeSkl2Body(Reader* reader) {
       reader, std::vector<int64_t>(nfields, static_cast<int64_t>(nrows)),
       &columns));
   if (!reader->AtEnd()) return Status::IoError("trailing bytes after table");
-  Table table(MakeSchema(std::move(fields)));
-  table.Reserve(static_cast<int64_t>(std::min(nrows, kReserveClamp)));
-  for (uint64_t r = 0; r < nrows; ++r) {
+  return DecodedColumns{MakeSchema(std::move(fields)),
+                        static_cast<int64_t>(nrows), std::move(columns)};
+}
+
+/// Decodes a full-table payload (SKL1 or SKL2, by magic) into columns:
+/// the one decoder of each format, which DeserializeTable and
+/// DecodeShipment transpose into rows.
+Result<DecodedColumns> DecodeFullTable(uint32_t magic, Reader* reader) {
+  switch (magic) {
+    case kMagicSkl1:
+      return DecodeSkl1Body(reader);
+    case kMagicSkl2:
+      return DecodeSkl2Body(reader);
+    case kMagicSkld:
+      return Status::IoError(
+          "delta payload requires a cached base (use DecodeShipment)");
+    default:
+      return Status::IoError("bad table magic");
+  }
+}
+
+Result<DecodedColumns> DecodeFullTable(std::string_view bytes) {
+  Reader reader(bytes);
+  uint32_t magic = 0;
+  if (!reader.ReadFixed(&magic)) return Status::IoError("bad table magic");
+  return DecodeFullTable(magic, &reader);
+}
+
+/// The rows of a decoded payload: one Row per row index, cells moved out
+/// of the columns.
+Table RowsOf(DecodedColumns decoded) {
+  const size_t nfields = decoded.columns.size();
+  Table table(std::move(decoded.schema));
+  table.Reserve(decoded.num_rows);
+  for (int64_t r = 0; r < decoded.num_rows; ++r) {
     Row row;
     row.reserve(nfields);
     for (size_t c = 0; c < nfields; ++c) {
-      row.push_back(std::move(columns[c][static_cast<size_t>(r)]));
+      row.push_back(std::move(decoded.columns[c][static_cast<size_t>(r)]));
     }
     table.AddRow(std::move(row));
   }
@@ -867,20 +899,16 @@ Result<Table> Serializer::DeserializeTable(std::string_view bytes) {
   if (span.armed()) {
     span.set_detail(std::to_string(bytes.size()) + "B");
   }
-  Reader reader(bytes);
-  uint32_t magic = 0;
-  if (!reader.ReadFixed(&magic)) return Status::IoError("bad table magic");
-  switch (magic) {
-    case kMagicSkl1:
-      return DecodeSkl1Body(&reader);
-    case kMagicSkl2:
-      return DecodeSkl2Body(&reader);
-    case kMagicSkld:
-      return Status::IoError(
-          "delta payload requires a cached base (use DecodeShipment)");
-    default:
-      return Status::IoError("bad table magic");
+  SKALLA_ASSIGN_OR_RETURN(DecodedColumns decoded, DecodeFullTable(bytes));
+  return RowsOf(std::move(decoded));
+}
+
+Result<DecodedColumns> Serializer::DecodeColumns(std::string_view bytes) {
+  obs::ScopedSpan span("deserialize");
+  if (span.armed()) {
+    span.set_detail(std::to_string(bytes.size()) + "B");
   }
+  return DecodeFullTable(bytes);
 }
 
 size_t Serializer::WireSize(const Table& table, Format format) {
@@ -979,16 +1007,10 @@ Result<Table> Serializer::DecodeShipment(const Table* cached,
   Reader reader(bytes);
   uint32_t magic = 0;
   if (!reader.ReadFixed(&magic)) return Status::IoError("bad table magic");
-  switch (magic) {
-    case kMagicSkl1:
-      return DecodeSkl1Body(&reader);
-    case kMagicSkl2:
-      return DecodeSkl2Body(&reader);
-    case kMagicSkld:
-      return DecodeDeltaBody(cached, &reader);
-    default:
-      return Status::IoError("bad table magic");
-  }
+  if (magic == kMagicSkld) return DecodeDeltaBody(cached, &reader);
+  SKALLA_ASSIGN_OR_RETURN(DecodedColumns decoded,
+                          DecodeFullTable(magic, &reader));
+  return RowsOf(std::move(decoded));
 }
 
 uint64_t Serializer::ContentHash(const Table& table) {

@@ -3,12 +3,21 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/table.h"
 #include "storage/wire_format.h"
 
 namespace skalla {
+
+/// A full-table payload decoded column by column (Serializer::DecodeColumns).
+struct DecodedColumns {
+  SchemaPtr schema;
+  int64_t num_rows = 0;
+  /// One vector per schema field, num_rows values each.
+  std::vector<std::vector<Value>> columns;
+};
 
 /// \brief Byte-exact binary relation formats (see docs/wire-format.md).
 ///
@@ -67,6 +76,12 @@ class Serializer {
   /// IoError on malformed input. SKLD payloads are rejected here — they
   /// need a base table, use DecodeShipment().
   static Result<Table> DeserializeTable(std::string_view bytes);
+
+  /// The same decode without building rows: the schema, the row count and
+  /// one vector of values per column. Each format has one decoder —
+  /// DeserializeTable is this plus a transpose — so both entry points
+  /// accept and reject exactly the same payloads with the same status.
+  static Result<DecodedColumns> DecodeColumns(std::string_view bytes);
 
   /// Exact wire size: WireSize(t, f) == SerializeTable(t, f).size() for
   /// every t and f. For SKL2 this is the length of the encoding itself

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -39,6 +40,14 @@ class Table {
     return rows_[static_cast<size_t>(i)];
   }
   const std::vector<Row>& rows() const { return rows_; }
+
+  /// Hands the rows out, leaving the table empty. With
+  /// `Table(schema, rows)` this lets a caller widen every row in place
+  /// under a new schema instead of copying the relation.
+  std::vector<Row> ReleaseRows() {
+    columnar_cache_.reset();
+    return std::move(rows_);
+  }
 
   const Value& Get(int64_t row, int col) const {
     return rows_[static_cast<size_t>(row)][static_cast<size_t>(col)];

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
 #include "test_util.h"
 
@@ -220,6 +223,42 @@ TEST(SubAggregateTest, InitValuesAreIdentities) {
     EXPECT_EQ(FinalizeSubValues(func, acc.data()), state.Final())
         << AggFuncToString(func);
   }
+}
+
+// The super-aggregate step per carrier: MIN and MAX keep the accumulator
+// on a tie (int64 5 vs double 5.0, -0.0 vs 0, NaN vs anything), NULL never
+// wins; Add adopts across NULL, wraps int64, promotes a mixed pair to
+// double and keeps the accumulator's NaN.
+TEST(SubAggregateTest, MergeCarrierTiesAndAddRules) {
+  auto merge = [](CarrierOp op, Value acc, const Value& sub) {
+    MergeCarrier(op, sub, &acc);
+    return acc;
+  };
+  for (CarrierOp op : {CarrierOp::kMin, CarrierOp::kMax}) {
+    EXPECT_TRUE(merge(op, Value(int64_t{5}), Value(5.0)).is_int64());
+    EXPECT_TRUE(merge(op, Value(5.0), Value(int64_t{5})).is_double());
+    EXPECT_TRUE(std::signbit(merge(op, Value(-0.0), Value(0.0)).AsDouble()));
+    EXPECT_TRUE(std::isnan(merge(op, Value(std::nan("")), Value(1.0))
+                               .AsDouble()));
+    EXPECT_EQ(merge(op, Value(int64_t{3}), Value::Null()), Value(int64_t{3}));
+    EXPECT_EQ(merge(op, Value::Null(), Value("x")), Value("x"));
+  }
+  EXPECT_EQ(merge(CarrierOp::kMin, Value(int64_t{3}), Value("a")),
+            Value(int64_t{3}));  // numerics order before strings
+  EXPECT_EQ(merge(CarrierOp::kMax, Value(int64_t{3}), Value("a")), Value("a"));
+
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(merge(CarrierOp::kAdd, Value(max), Value(int64_t{1})),
+            Value(std::numeric_limits<int64_t>::min()));
+  EXPECT_TRUE(merge(CarrierOp::kAdd, Value(int64_t{2}), Value(0.5))
+                  .is_double());
+  EXPECT_TRUE(std::signbit(
+      merge(CarrierOp::kAdd, Value::Null(), Value(-0.0)).AsDouble()));
+  const double acc_nan = -std::nan("");
+  const Value sum = merge(CarrierOp::kAdd, Value(acc_nan), Value(std::nan("")));
+  EXPECT_TRUE(std::signbit(sum.AsDouble()));  // the accumulator's NaN
+  EXPECT_EQ(merge(CarrierOp::kAdd, Value(int64_t{4}), Value::Null()),
+            Value(int64_t{4}));
 }
 
 }  // namespace

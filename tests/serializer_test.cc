@@ -135,6 +135,25 @@ TEST(SerializerTest, BothFormatsRoundTripExplicitly) {
 /// field(1 + 4 + 1) + nrows(8) = 22 bytes, then the column codec tag.
 constexpr size_t kSkl2OneColHeader = 22;
 
+/// Decodes a full-table payload through both entry points — rows
+/// (DeserializeTable) and columns (DecodeColumns) share one decoder per
+/// format, so they must accept and reject alike, with the same status —
+/// and returns the rows.
+Result<Table> DecodeBoth(std::string_view bytes) {
+  Result<Table> rows = Serializer::DeserializeTable(bytes);
+  const Result<DecodedColumns> columns = Serializer::DecodeColumns(bytes);
+  EXPECT_EQ(rows.ok(), columns.ok());
+  if (!rows.ok() && !columns.ok()) {
+    EXPECT_EQ(rows.status().code(), columns.status().code());
+    EXPECT_EQ(rows.status().message(), columns.status().message());
+  }
+  if (rows.ok() && columns.ok()) {
+    EXPECT_EQ(rows->num_rows(), columns->num_rows);
+    EXPECT_TRUE(rows->schema().Equals(*columns->schema));
+  }
+  return rows;
+}
+
 void ExpectIoError(const Result<Table>& result, const char* substring) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
@@ -146,7 +165,7 @@ TEST(SerializerMalformedTest, BadMagicBothFormats) {
   for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
     std::string bytes = Serializer::SerializeTable(MakeTinyTable(), format);
     bytes[0] = 'X';
-    ExpectIoError(Serializer::DeserializeTable(bytes), "magic");
+    ExpectIoError(DecodeBoth(bytes), "magic");
   }
 }
 
@@ -164,7 +183,7 @@ TEST(SerializerMalformedTest, TruncatedNullBitmap) {
   // Cut inside the 2-byte bitmap that follows the column tag.
   const std::string_view cut =
       std::string_view(bytes).substr(0, kSkl2OneColHeader + 2);
-  ExpectIoError(Serializer::DeserializeTable(cut), "bitmap");
+  ExpectIoError(DecodeBoth(cut), "bitmap");
 }
 
 TEST(SerializerMalformedTest, OverflowingVarint) {
@@ -175,7 +194,7 @@ TEST(SerializerMalformedTest, OverflowingVarint) {
   // more than 64 bits of payload must be rejected, not wrapped.
   bytes.resize(kSkl2OneColHeader + 1);  // keep the null-free tag
   bytes.append(10, '\xff');
-  ExpectIoError(Serializer::DeserializeTable(bytes), "varint");
+  ExpectIoError(DecodeBoth(bytes), "varint");
 }
 
 TEST(SerializerMalformedTest, TruncatedVarint) {
@@ -184,7 +203,7 @@ TEST(SerializerMalformedTest, TruncatedVarint) {
   std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
   bytes.resize(kSkl2OneColHeader + 1);  // keep the null-free tag
   bytes.push_back('\x80');  // continuation bit set, then EOF
-  ExpectIoError(Serializer::DeserializeTable(bytes), "varint");
+  ExpectIoError(DecodeBoth(bytes), "varint");
 }
 
 TEST(SerializerMalformedTest, OutOfRangeDictionaryCode) {
@@ -194,7 +213,7 @@ TEST(SerializerMalformedTest, OutOfRangeDictionaryCode) {
   std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
   // The last byte is row 2's dictionary code; the dictionary has 2 entries.
   bytes.back() = '\x07';
-  ExpectIoError(Serializer::DeserializeTable(bytes), "dictionary");
+  ExpectIoError(DecodeBoth(bytes), "dictionary");
 }
 
 TEST(SerializerMalformedTest, UnknownColumnCodec) {
@@ -202,7 +221,7 @@ TEST(SerializerMalformedTest, UnknownColumnCodec) {
   t.AddRow({Value(int64_t{5})});
   std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
   bytes[kSkl2OneColHeader] = '\x63';
-  ExpectIoError(Serializer::DeserializeTable(bytes), "codec");
+  ExpectIoError(DecodeBoth(bytes), "codec");
 }
 
 /// A hand-built SKL2 payload: the header of `schema` claiming `nrows` rows,
@@ -218,7 +237,7 @@ std::string Skl2Payload(SchemaPtr schema, uint64_t nrows,
 /// Decodes `sections` as the payload of a 2-row table of int64 columns a,
 /// b and c.
 Result<Table> DecodeThreeInts(const std::string& sections) {
-  return Serializer::DeserializeTable(
+  return DecodeBoth(
       Skl2Payload(MakeSchema({{"a", ValueType::kInt64},
                               {"b", ValueType::kInt64},
                               {"c", ValueType::kInt64}}),
@@ -280,9 +299,9 @@ TEST(SerializerMalformedTest, IntegralSectionVarintsChecked) {
   std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
   ASSERT_EQ(bytes.substr(kSkl2OneColHeader), std::string("\x85\x0a", 2));
   bytes.resize(kSkl2OneColHeader + 1);
-  ExpectIoError(Serializer::DeserializeTable(bytes), "varint");
-  ExpectIoError(Serializer::DeserializeTable(bytes + '\x80'), "varint");
-  ExpectIoError(Serializer::DeserializeTable(bytes + std::string(10, '\xff')),
+  ExpectIoError(DecodeBoth(bytes), "varint");
+  ExpectIoError(DecodeBoth(bytes + '\x80'), "varint");
+  ExpectIoError(DecodeBoth(bytes + std::string(10, '\xff')),
                 "varint");
 }
 
@@ -296,7 +315,7 @@ TEST(SerializerMalformedTest, NullFreeFlagOnlyOnBitmapCodecs) {
     std::string bytes = Serializer::SerializeTable(*t, WireFormat::kSkl2);
     ASSERT_LE(static_cast<uint8_t>(bytes[kSkl2OneColHeader]), 0x04);
     bytes[kSkl2OneColHeader] |= '\x80';
-    ExpectIoError(Serializer::DeserializeTable(bytes), "null-free");
+    ExpectIoError(DecodeBoth(bytes), "null-free");
   }
   ExpectIoError(DecodeThreeInts(OneTwo() + std::string("\x86\x00", 2)),
                 "null-free");
@@ -310,7 +329,7 @@ TEST(SerializerMalformedTest, UnknownCodecFlagBitsAndCodecsRejected) {
   for (const char tag : {'\x91', '\xa1', '\xc1', '\x11', '\x07', '\x0f'}) {
     std::string bad = bytes;
     bad[kSkl2OneColHeader] = tag;
-    ExpectIoError(Serializer::DeserializeTable(bad), "codec");
+    ExpectIoError(DecodeBoth(bad), "codec");
   }
 }
 
@@ -318,7 +337,7 @@ TEST(SerializerMalformedTest, CellCapBoundsRepeatSections) {
   // Two one-byte sections (all NULL, then its repeat) claiming 2^31 + 1
   // rows each: over the 2^32-cell cap, rejected before any allocation.
   ExpectIoError(
-      Serializer::DeserializeTable(Skl2Payload(
+      DecodeBoth(Skl2Payload(
           MakeSchema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}),
           (uint64_t{1} << 31) + 1, std::string("\x00\x06\x00", 3))),
       "row count");
@@ -336,7 +355,7 @@ TEST(SerializerMalformedTest, AbsurdRowCountRejectedBeforeAllocating) {
     for (size_t i = kSkl2OneColHeader - 8; i < kSkl2OneColHeader; ++i) {
       bytes[i] = '\xff';
     }
-    auto result = Serializer::DeserializeTable(bytes);
+    auto result = DecodeBoth(bytes);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   }
@@ -356,7 +375,7 @@ TEST(SerializerMalformedTest, EveryTruncationRejectedCleanlyBothFormats) {
     const std::string bytes = Serializer::SerializeTable(zoo, format);
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
       auto result =
-          Serializer::DeserializeTable(std::string_view(bytes).substr(0, cut));
+          DecodeBoth(std::string_view(bytes).substr(0, cut));
       ASSERT_FALSE(result.ok())
           << WireFormatName(format) << " cut at " << cut;
       EXPECT_EQ(result.status().code(), StatusCode::kIoError);

@@ -1,12 +1,18 @@
-// Unit tests for the Theorem-1 synchronization helpers (dist/sync.h) —
-// including the associativity property that makes multi-tier merging
-// correct: combining sub-results in any grouping yields the same relation.
+// Unit tests for the Theorem-1 synchronization (dist/sync.h): the slot
+// layout, the SubResultFold as an aggregator runs it — including the
+// associativity property that makes multi-tier merging correct: combining
+// sub-results in any grouping yields the same relation — the fold's reply
+// checks, and the GroupMap (storage/group_map.h) that keys it.
 
 #include "dist/sync.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/random.h"
+#include "storage/group_map.h"
+#include "sync_oracle.h"
 #include "test_util.h"
 
 namespace skalla {
@@ -65,40 +71,48 @@ Table MakeH(std::vector<std::array<int64_t, 5>> rows) {
   return t;
 }
 
-TEST(CombineSubResultsTest, MergesByKey) {
+/// Combines through the fold, as an aggregator does (sync_oracle.h).
+Result<Table> Combine(const std::vector<const Table*>& inputs,
+                      const std::vector<SubSlot>& slots, int width) {
+  return CombineWithFold(inputs, 1, slots, width);
+}
+
+TEST(SubResultFoldTest, MergesByKey) {
   int width = 0;
   ASSERT_OK_AND_ASSIGN(std::vector<SubSlot> slots,
                        BuildSubSlots(OneOp(), TinySchemas(), &width));
   const Table h1 = MakeH({{1, 2, 10, 2, 4}, {2, 1, 5, 1, 5}});
   const Table h2 = MakeH({{1, 3, 12, 3, 2}, {3, 1, 7, 1, 7}});
-  ASSERT_OK_AND_ASSIGN(Table combined,
-                       CombineSubResults({&h1, &h2}, 1, slots));
+  ASSERT_OK_AND_ASSIGN(Table combined, Combine({&h1, &h2}, slots, width));
   const Table expected =
       MakeH({{1, 5, 22, 5, 2}, {2, 1, 5, 1, 5}, {3, 1, 7, 1, 7}});
   ExpectSameRows(combined, expected);
 }
 
-TEST(CombineSubResultsTest, EmptyAndSingleInputs) {
+TEST(SubResultFoldTest, EmptyAndSingleInputs) {
   int width = 0;
   ASSERT_OK_AND_ASSIGN(std::vector<SubSlot> slots,
                        BuildSubSlots(OneOp(), TinySchemas(), &width));
-  EXPECT_FALSE(CombineSubResults({}, 1, slots).ok());
+  // A fold that saw no reply holds no group.
+  GroupMap groups(1);
+  SubResultFold fold(&groups, slots, width, /*add_groups=*/true);
+  EXPECT_EQ(fold.Emit(HSchema()).num_rows(), 0);
   const Table h = MakeH({{1, 2, 10, 2, 4}});
-  ASSERT_OK_AND_ASSIGN(Table combined, CombineSubResults({&h}, 1, slots));
+  ASSERT_OK_AND_ASSIGN(Table combined, Combine({&h}, slots, width));
   ExpectSameRows(combined, h);
 }
 
-TEST(CombineSubResultsTest, SchemaMismatchRejected) {
+TEST(SubResultFoldTest, SchemaMismatchRejected) {
   int width = 0;
   ASSERT_OK_AND_ASSIGN(std::vector<SubSlot> slots,
                        BuildSubSlots(OneOp(), TinySchemas(), &width));
   const Table h = MakeH({{1, 2, 10, 2, 4}});
   Table wrong(MakeSchema({{"g", ValueType::kInt64}}));
   wrong.AddRow({Value(1)});
-  EXPECT_FALSE(CombineSubResults({&h, &wrong}, 1, slots).ok());
+  EXPECT_FALSE(Combine({&h, &wrong}, slots, width).ok());
 }
 
-TEST(CombineSubResultsTest, AssociativityProperty) {
+TEST(SubResultFoldTest, AssociativityProperty) {
   // Theorem 1 composes: combine(combine(a,b),c) == combine(a,b,c) ==
   // combine(a,combine(b,c)) as multisets, for random inputs.
   int width = 0;
@@ -120,11 +134,11 @@ TEST(CombineSubResultsTest, AssociativityProperty) {
     const Table b = random_h();
     const Table c = random_h();
 
-    ASSERT_OK_AND_ASSIGN(Table all, CombineSubResults({&a, &b, &c}, 1, slots));
-    ASSERT_OK_AND_ASSIGN(Table ab, CombineSubResults({&a, &b}, 1, slots));
-    ASSERT_OK_AND_ASSIGN(Table ab_c, CombineSubResults({&ab, &c}, 1, slots));
-    ASSERT_OK_AND_ASSIGN(Table bc, CombineSubResults({&b, &c}, 1, slots));
-    ASSERT_OK_AND_ASSIGN(Table a_bc, CombineSubResults({&a, &bc}, 1, slots));
+    ASSERT_OK_AND_ASSIGN(Table all, Combine({&a, &b, &c}, slots, width));
+    ASSERT_OK_AND_ASSIGN(Table ab, Combine({&a, &b}, slots, width));
+    ASSERT_OK_AND_ASSIGN(Table ab_c, Combine({&ab, &c}, slots, width));
+    ASSERT_OK_AND_ASSIGN(Table bc, Combine({&b, &c}, slots, width));
+    ASSERT_OK_AND_ASSIGN(Table a_bc, Combine({&a, &bc}, slots, width));
     ExpectSameRows(ab_c, all);
     ExpectSameRows(a_bc, all);
   }
@@ -132,15 +146,148 @@ TEST(CombineSubResultsTest, AssociativityProperty) {
 
 // The base round merges B_i relations through the same fold with no
 // sub-aggregates: a duplicate-eliminating union of the keys.
-TEST(CombineSubResultsTest, NoSlotsIsADistinctUnion) {
+TEST(SubResultFoldTest, NoSlotsIsADistinctUnion) {
   Table a(MakeSchema({{"g", ValueType::kInt64}}));
   a.AddRow({Value(1)});
   a.AddRow({Value(2)});
   Table b(MakeSchema({{"g", ValueType::kInt64}}));
   b.AddRow({Value(2)});
   b.AddRow({Value(3)});
-  ASSERT_OK_AND_ASSIGN(Table merged, CombineSubResults({&a, &b}, 1, {}));
+  ASSERT_OK_AND_ASSIGN(Table merged, Combine({&a, &b}, {}, 0));
   EXPECT_EQ(merged.num_rows(), 3);
+}
+
+/// Folds `reply` into a fresh map, returning the fold's status.
+Status FoldOne(const Table& reply, const std::vector<SubSlot>& slots,
+               int width) {
+  GroupMap groups(1);
+  SubResultFold fold(&groups, slots, width, /*add_groups=*/true);
+  Result<DecodedColumns> h =
+      Serializer::DecodeColumns(Serializer::SerializeTable(reply));
+  if (!h.ok()) return h.status();
+  return fold.Fold(*h, 0);
+}
+
+// A reply must carry exactly the keys and the round's carriers: a short
+// one used to be read past its rows' ends, a long one merged misaligned.
+TEST(SubResultFoldTest, ShortAndLongRepliesRejected) {
+  int width = 0;
+  ASSERT_OK_AND_ASSIGN(std::vector<SubSlot> slots,
+                       BuildSubSlots(OneOp(), TinySchemas(), &width));
+  Table short_reply(MakeSchema({{"g", ValueType::kInt64},
+                                {"c", ValueType::kInt64},
+                                {"a__sum", ValueType::kInt64},
+                                {"a__cnt", ValueType::kInt64}}));
+  short_reply.AddRow({Value(1), Value(2), Value(10), Value(2)});
+  Table long_reply(MakeSchema({{"g", ValueType::kInt64},
+                               {"c", ValueType::kInt64},
+                               {"a__sum", ValueType::kInt64},
+                               {"a__cnt", ValueType::kInt64},
+                               {"lo", ValueType::kInt64},
+                               {"extra", ValueType::kInt64}}));
+  long_reply.AddRow({Value(1), Value(2), Value(10), Value(2), Value(4),
+                     Value(9)});
+  for (const Table* reply : {&short_reply, &long_reply}) {
+    const Status st = FoldOne(*reply, slots, width);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+  EXPECT_OK(FoldOne(MakeH({{1, 2, 10, 2, 4}}), slots, width));
+}
+
+// A string in an adding carrier used to reach Value::AsDouble and end
+// the process with std::bad_variant_access; a count carrier must be an
+// int64, which finalization reads it as. MIN/MAX carriers take anything.
+TEST(SubResultFoldTest, CarrierTypesChecked) {
+  int width = 0;
+  ASSERT_OK_AND_ASSIGN(std::vector<SubSlot> slots,
+                       BuildSubSlots(OneOp(), TinySchemas(), &width));
+  auto reply = [](Value c, Value sum, Value cnt, Value lo) {
+    Table t(HSchema());
+    t.AddRow({Value(1), Value(2), Value(10), Value(2), Value(4)});
+    t.AddRow({Value(1), std::move(c), std::move(sum), std::move(cnt),
+              std::move(lo)});
+    return t;
+  };
+  for (const Table& bad :
+       {reply(Value(1), Value("x"), Value(1), Value(3)),
+        reply(Value("x"), Value(1), Value(1), Value(3)),
+        reply(Value(1), Value(1), Value("x"), Value(3)),
+        reply(Value(1.0), Value(1), Value(1), Value(3)),
+        reply(Value(1), Value(1), Value(1.0), Value(3))}) {
+    const Status st = FoldOne(bad, slots, width);
+    EXPECT_EQ(st.code(), StatusCode::kTypeError) << st.ToString();
+  }
+  EXPECT_OK(FoldOne(reply(Value(1), Value(1.5), Value::Null(), Value("x")),
+                    slots, width));
+}
+
+TEST(GroupMapTest, IdsInFirstAppearanceOrderAcrossGrowth) {
+  // Two-column keys, enough of them to regrow the slot array many times;
+  // every key probed again after all inserts still finds its first id.
+  GroupMap groups(2);
+  std::vector<Row> keys;
+  for (int64_t i = 0; i < 5000; ++i) {
+    keys.push_back({Value(i % 71), Value("k" + std::to_string(i / 71))});
+  }
+  auto hash_of = [](const Row& key) {
+    return GroupMap::Hash(2, [&key](int c) -> const Value& {
+      return key[static_cast<size_t>(c)];
+    });
+  };
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Row& key = keys[i];
+    auto key_at = [&key](int c) -> const Value& {
+      return key[static_cast<size_t>(c)];
+    };
+    bool inserted = false;
+    EXPECT_EQ(groups.FindOrInsert(hash_of(key), key_at, &inserted),
+              static_cast<int64_t>(i));
+    EXPECT_TRUE(inserted);
+  }
+  ASSERT_EQ(groups.size(), 5000);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Row& key = keys[i];
+    auto key_at = [&key](int c) -> const Value& {
+      return key[static_cast<size_t>(c)];
+    };
+    EXPECT_EQ(groups.Find(hash_of(key), key_at), static_cast<int64_t>(i));
+    EXPECT_EQ(groups.key(static_cast<int64_t>(i))[1], key[1]);
+  }
+  const Row absent{Value(int64_t{0}), Value("nowhere")};
+  EXPECT_EQ(groups.Find(hash_of(absent),
+                        [&absent](int c) -> const Value& {
+                          return absent[static_cast<size_t>(c)];
+                        }),
+            -1);
+}
+
+TEST(GroupMapTest, GroupsAsValueEquality) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  GroupMap groups(1);
+  auto insert = [&groups](const Value& v) {
+    auto key_at = [&v](int) -> const Value& { return v; };
+    bool inserted = false;
+    return groups.FindOrInsert(GroupMap::Hash(1, key_at), key_at, &inserted);
+  };
+  EXPECT_EQ(insert(Value(int64_t{5})), 0);
+  EXPECT_EQ(insert(Value(5.0)), 0);  // one group, the int64 kept
+  EXPECT_TRUE(groups.key(0)->is_int64());
+  EXPECT_EQ(insert(Value::Null()), 1);
+  EXPECT_EQ(insert(Value::Null()), 1);  // NULL groups with NULL
+  EXPECT_EQ(insert(Value(nan)), 2);
+  EXPECT_EQ(insert(Value(nan)), 3);  // NaN never matches
+  EXPECT_EQ(insert(Value(-0.0)), 4);
+  EXPECT_EQ(insert(Value(int64_t{0})), 4);  // -0.0 == 0
+  EXPECT_EQ(insert(Value("5")), 5);  // strings never equal numbers
+  EXPECT_EQ(groups.size(), 6);
+  // The empty key is one group.
+  GroupMap none(0);
+  static const Value kUnused;
+  auto no_key = [](int) -> const Value& { return kUnused; };
+  bool inserted = false;
+  EXPECT_EQ(none.FindOrInsert(GroupMap::Hash(0, no_key), no_key, &inserted), 0);
+  EXPECT_EQ(none.FindOrInsert(GroupMap::Hash(0, no_key), no_key, &inserted), 0);
+  EXPECT_FALSE(inserted);
 }
 
 }  // namespace
