@@ -11,7 +11,7 @@
 #include "engine/operators.h"
 #include "expr/parser.h"
 #include "gmdj/local_eval.h"
-#include "storage/hash_index.h"
+#include "storage/group_map.h"
 #include "storage/serializer.h"
 #include "tpc/dbgen.h"
 
@@ -79,25 +79,6 @@ void BM_GmdjHashPathWithResidual(benchmark::State& state) {
 }
 BENCHMARK(BM_GmdjHashPathWithResidual)->Arg(10000)->Arg(50000);
 
-void BM_GmdjSortMergePath(benchmark::State& state) {
-  const Table& detail = TpcrTable(state.range(0));
-  const Table base = BaseFor(detail, "CustKey");
-  GmdjOp op;
-  op.detail_table = "TPCR";
-  op.blocks.push_back(GmdjBlock{
-      {AggSpec::Count("cnt"), AggSpec::Avg("Quantity", "avg")},
-      MustParse("B.CustKey = R.CustKey")});
-  LocalGmdjOptions options;
-  options.join = JoinStrategy::kSortMerge;
-  for (auto _ : state) {
-    auto result = EvalGmdjOp(base, detail, op, options);
-    if (!result.ok()) std::abort();
-    benchmark::DoNotOptimize(result->num_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * detail.num_rows());
-}
-BENCHMARK(BM_GmdjSortMergePath)->Arg(10000)->Arg(50000)->Arg(200000);
-
 void BM_GmdjNestedLoop(benchmark::State& state) {
   const Table& detail = TpcrTable(state.range(0));
   // 32 overlapping quantity thresholds — inexpressible as GROUP BY.
@@ -155,18 +136,17 @@ void BM_DeserializeTable(benchmark::State& state) {
 }
 BENCHMARK(BM_DeserializeTable)->Arg(10000)->Arg(50000);
 
-void BM_HashIndexBuild(benchmark::State& state) {
+void BM_RowGroupsBuild(benchmark::State& state) {
   const Table& table = TpcrTable(state.range(0));
   const std::vector<int> key = {
       *table.schema().IndexOf("CustKey")};
   for (auto _ : state) {
-    HashIndex index;
-    index.Build(table, key);
-    benchmark::DoNotOptimize(index.num_entries());
+    const RowGroups groups = RowGroups::Of(table, key);
+    benchmark::DoNotOptimize(groups.num_groups());
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
-BENCHMARK(BM_HashIndexBuild)->Arg(10000)->Arg(50000);
+BENCHMARK(BM_RowGroupsBuild)->Arg(10000)->Arg(50000);
 
 // Mirrors every measured configuration into BENCH_gmdj_local.json via the
 // shared JsonReport, on top of the normal console table.

@@ -50,11 +50,6 @@ Table MustEval(const Table& base, const Table& detail, const GmdjOp& op,
   return std::move(result).ValueUnsafe();
 }
 
-struct Config {
-  const char* name;
-  JoinStrategy join;
-};
-
 }  // namespace
 
 int main() {
@@ -82,47 +77,41 @@ int main() {
       MustParse("B.CustKey = R.CustKey")});
 
   const std::vector<int> lane_counts = {1, 2, 4, 8};
-  const std::vector<Config> configs = {{"hash", JoinStrategy::kHash},
-                                       {"sort_merge", JoinStrategy::kSortMerge}};
-
   skalla::bench::JsonReport report("parallel_local");
   bool all_identical = true;
-  for (const Config& cfg : configs) {
-    skalla::bench::PrintSeriesHeader(
-        (std::string("morsel-driven GMDJ, ") + cfg.name + " path, |R| = " +
-         std::to_string(kDetailRows))
-            .c_str(),
-        "threads   wall_ms   speedup   identical");
-    std::string reference_bytes;
-    double sequential_ms = 0;
-    for (int threads : lane_counts) {
-      LocalGmdjOptions options;
-      options.join = cfg.join;
-      options.num_threads = threads;
-      double best_ms = 0;
-      Table out;
-      for (int rep = 0; rep < kRepetitions; ++rep) {
-        Stopwatch watch;
-        out = MustEval(base, detail, op, options);
-        const double ms = watch.ElapsedSeconds() * 1e3;
-        if (rep == 0 || ms < best_ms) best_ms = ms;
-      }
-      const std::string bytes = Serializer::SerializeTable(out);
-      if (threads == 1) {
-        reference_bytes = bytes;
-        sequential_ms = best_ms;
-      }
-      const bool identical = bytes == reference_bytes;
-      all_identical = all_identical && identical;
-      std::printf("%7d %9.1f %8.2fx   %s\n", threads, best_ms,
-                  sequential_ms / best_ms, identical ? "yes" : "NO");
-      report.Add(std::string(cfg.name) + "/t" + std::to_string(threads),
-                 {{"threads", static_cast<double>(threads)},
-                  {"rows", static_cast<double>(kDetailRows)},
-                  {"groups", static_cast<double>(base.num_rows())},
-                  {"cores", static_cast<double>(cores)}},
-                 best_ms);
+  skalla::bench::PrintSeriesHeader(
+      (std::string("morsel-driven GMDJ, hash path, |R| = ") +
+       std::to_string(kDetailRows))
+          .c_str(),
+      "threads   wall_ms   speedup   identical");
+  std::string reference_bytes;
+  double sequential_ms = 0;
+  for (int threads : lane_counts) {
+    LocalGmdjOptions options;
+    options.num_threads = threads;
+    double best_ms = 0;
+    Table out;
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      Stopwatch watch;
+      out = MustEval(base, detail, op, options);
+      const double ms = watch.ElapsedSeconds() * 1e3;
+      if (rep == 0 || ms < best_ms) best_ms = ms;
     }
+    const std::string bytes = Serializer::SerializeTable(out);
+    if (threads == 1) {
+      reference_bytes = bytes;
+      sequential_ms = best_ms;
+    }
+    const bool identical = bytes == reference_bytes;
+    all_identical = all_identical && identical;
+    std::printf("%7d %9.1f %8.2fx   %s\n", threads, best_ms,
+                sequential_ms / best_ms, identical ? "yes" : "NO");
+    report.Add("hash/t" + std::to_string(threads),
+               {{"threads", static_cast<double>(threads)},
+                {"rows", static_cast<double>(kDetailRows)},
+                {"groups", static_cast<double>(base.num_rows())},
+                {"cores", static_cast<double>(cores)}},
+               best_ms);
   }
   report.Write();
   if (!all_identical) {

@@ -76,7 +76,6 @@ Table MakeDetail(int64_t rows) {
 
 struct Config {
   const char* name;
-  JoinStrategy join;
   const char* theta;
   bool key_base;   ///< base = distinct k values; else 16 threshold rows
   bool wide_aggs;  ///< 5 aggregates incl. VAR; else COUNT/SUM/MIN
@@ -176,17 +175,13 @@ int main(int argc, char** argv) {
   // Two acceptance gates: "nested_int64" (a batch-evaluated int64
   // predicate over every (base, detail) pair, where the scalar path pays
   // the full per-row Value boxing cost) and "hash_probe" (a pure equi-key
-  // θ, where the vectorized side probes the typed key column through the
-  // index's int64 fast path and folds per-base selection vectors through
-  // the typed agg kernels).
+  // θ, where the vectorized side probes B's GroupMap with hashes and
+  // equality taken straight off the typed key column and folds per-base
+  // selection vectors through the typed agg kernels).
   const std::vector<Config> configs = {
-      {"nested_int64", JoinStrategy::kHash,
-       "R.v >= B.threshold && R.w < 2500", false, false},
-      {"hash_probe", JoinStrategy::kHash, "B.k = R.k", true, true},
-      {"hash_residual", JoinStrategy::kHash,
-       "B.k = R.k && R.v >= 2500", true, false},
-      {"sort_merge_residual", JoinStrategy::kSortMerge,
-       "B.k = R.k && R.v >= 2500", true, false},
+      {"nested_int64", "R.v >= B.threshold && R.w < 2500", false, false},
+      {"hash_probe", "B.k = R.k", true, true},
+      {"hash_residual", "B.k = R.k && R.v >= 2500", true, false},
   };
 
   skalla::bench::JsonReport report("vectorized_scan");
@@ -212,9 +207,8 @@ int main(int argc, char** argv) {
     std::string bytes[2];
     for (int vectorize = 0; vectorize <= 1; ++vectorize) {
       LocalGmdjOptions options;
-      options.join = cfg.join;
       options.num_threads = 1;  // isolate the batching win from parallelism
-      options.vectorize = vectorize;
+      options.vectorize = vectorize == 1;
       Table out;
       double best_ms = 0;
       ScanCounters counts;

@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace skalla {
 
@@ -24,6 +26,17 @@ std::vector<std::string> Split(std::string_view text, char sep) {
     }
   }
   return out;
+}
+
+std::optional<int64_t> ParseInt64(std::string_view text) {
+  const std::string s(text);  // strtoll reads a terminated string
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(v);
 }
 
 std::string_view StripWhitespace(std::string_view text) {

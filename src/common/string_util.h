@@ -1,6 +1,8 @@
 #ifndef SKALLA_COMMON_STRING_UTIL_H_
 #define SKALLA_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +20,12 @@ std::string_view StripWhitespace(std::string_view text);
 
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Parses all of `text` as a base-10 int64 (strtoll's syntax: optional
+/// leading whitespace, then an optional sign and digits). nullopt when the
+/// text is empty, holds anything else, or is outside the int64 range —
+/// never a clamped value.
+std::optional<int64_t> ParseInt64(std::string_view text);
 
 /// Lower-cases ASCII letters.
 std::string ToLower(std::string_view text);

@@ -1,11 +1,10 @@
 #include "cube/cube.h"
 
 #include <set>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "engine/operators.h"
-#include "storage/row.h"
+#include "storage/group_map.h"
 
 namespace skalla {
 
@@ -78,22 +77,8 @@ Table RollupToMask(const Table& finest, size_t num_dims,
     if (mask & (1u << d)) group_cols.push_back(static_cast<int>(d));
   }
 
-  struct GroupHasher {
-    const std::vector<int>* cols;
-    size_t operator()(const Row* row) const {
-      return static_cast<size_t>(RowKeyHash(*row, *cols));
-    }
-  };
-  struct GroupEq {
-    const std::vector<int>* cols;
-    bool operator()(const Row* a, const Row* b) const {
-      return RowKeyEquals(*a, *cols, *b, *cols);
-    }
-  };
-  GroupHasher hasher{&group_cols};
-  GroupEq eq{&group_cols};
-  std::unordered_map<const Row*, size_t, GroupHasher, GroupEq> index(
-      16, hasher, eq);
+  const int width = static_cast<int>(group_cols.size());
+  GroupMap index(width);
 
   struct Group {
     Row dims;                 // full width, NULLs where rolled up
@@ -102,7 +87,12 @@ Table RollupToMask(const Table& finest, size_t num_dims,
   std::vector<Group> groups;
 
   for (const Row& row : finest.rows()) {
-    auto [it, inserted] = index.emplace(&row, groups.size());
+    auto key_at = [&row, &group_cols](int c) -> const Value& {
+      return row[static_cast<size_t>(group_cols[static_cast<size_t>(c)])];
+    };
+    bool inserted = false;
+    const int64_t id =
+        index.FindOrInsert(GroupMap::Hash(width, key_at), key_at, &inserted);
     if (inserted) {
       Group g;
       g.dims.resize(num_dims);  // NULL-initialized
@@ -121,7 +111,7 @@ Table RollupToMask(const Table& finest, size_t num_dims,
       }
       groups.push_back(std::move(g));
     }
-    Group& g = groups[it->second];
+    Group& g = groups[static_cast<size_t>(id)];
     size_t col = num_dims;
     size_t acc_idx = 0;
     for (const Carrier& carrier : carriers) {

@@ -114,7 +114,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     SiteRoster* roster, const std::vector<int>& participants,
     const std::vector<DownMessage>& down, const std::string& reply_label,
     const SiteEvalFn& eval, bool parallel,
-    WireFormat reply_format = DefaultWireFormat());
+    WireFormat reply_format = WireFormat::kSkl2);
 
 }  // namespace skalla
 

@@ -1,13 +1,11 @@
 #include "engine/operators.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 
 #include "expr/evaluator.h"
 #include "storage/columnar.h"
 #include "storage/group_map.h"
-#include "storage/hash_index.h"
 
 namespace skalla {
 
@@ -30,20 +28,6 @@ SchemaPtr ProjectSchema(const Schema& schema, const std::vector<int>& indices) {
   for (int idx : indices) fields.push_back(schema.field(idx));
   return MakeSchema(std::move(fields));
 }
-
-struct RowHasher {
-  const std::vector<int>* cols;
-  size_t operator()(const Row* row) const {
-    return static_cast<size_t>(RowKeyHash(*row, *cols));
-  }
-};
-
-struct RowEq {
-  const std::vector<int>* cols;
-  bool operator()(const Row* a, const Row* b) const {
-    return RowKeyEquals(*a, *cols, *b, *cols);
-  }
-};
 
 }  // namespace
 
@@ -69,19 +53,6 @@ Result<Table> Filter(const Table& input, const ExprPtr& pred) {
   Table out(input.schema_ptr());
   for (const Row& row : input.rows()) {
     if (compiled.EvalBool(nullptr, &row)) out.AddRow(row);
-  }
-  return out;
-}
-
-Table Distinct(const Table& input) {
-  std::vector<int> all_cols(static_cast<size_t>(input.schema().num_fields()));
-  for (size_t i = 0; i < all_cols.size(); ++i) all_cols[i] = static_cast<int>(i);
-  RowHasher hasher{&all_cols};
-  RowEq eq{&all_cols};
-  std::unordered_set<const Row*, RowHasher, RowEq> seen(16, hasher, eq);
-  Table out(input.schema_ptr());
-  for (const Row& row : input.rows()) {
-    if (seen.insert(&row).second) out.AddRow(row);
   }
   return out;
 }
@@ -176,75 +147,59 @@ Result<Table> HashGroupBy(const Table& input,
     }
   }
 
-  struct Group {
-    Row key;
-    std::vector<AggState> states;
-    // Ascending row ids of the group's members — the selection vector fed
-    // to the typed batch aggregate kernels in the second pass.
-    std::vector<int64_t> sel;
-  };
-  RowHasher hasher{&group_indices};
-  RowEq eq{&group_indices};
-  std::unordered_map<const Row*, size_t, RowHasher, RowEq> index(16, hasher,
-                                                                 eq);
-  std::vector<Group> groups;
-
-  // Pass 1: group discovery in first-appearance order, collecting each
-  // group's member rows. Pass 2 folds aggregate inputs group-at-a-time
+  // Group discovery in first-appearance order, each group listing its
+  // rows in ascending order. Aggregate inputs then fold group-at-a-time
   // through the columnar snapshot's typed arrays (UpdateBatchInt64/Double
   // fold values[sel[k]] in ascending k — the same per-group update order
-  // as the row-at-a-time loop, so the output is byte-identical). Unusable
+  // as a row-at-a-time loop, so the output is byte-identical). Unusable
   // columns and string/declared-NULL inputs keep boxed updates.
-  for (int64_t r = 0; r < input.num_rows(); ++r) {
-    const Row& row = input.row(r);
-    auto [it, inserted] = index.emplace(&row, groups.size());
-    if (inserted) {
-      Group g;
-      g.key.reserve(group_indices.size());
-      for (int idx : group_indices) g.key.push_back(row[static_cast<size_t>(idx)]);
-      g.states.reserve(aggs.size());
-      for (const AggSpec& spec : aggs) g.states.emplace_back(spec.func);
-      groups.push_back(std::move(g));
-    }
-    groups[it->second].sel.push_back(r);
+  const RowGroups groups = RowGroups::Of(input, group_indices);
+  const size_t num_groups = static_cast<size_t>(groups.num_groups());
+  const size_t num_aggs = aggs.size();
+  std::vector<AggState> states;  // group-major, num_aggs per group
+  states.reserve(num_groups * num_aggs);
+  for (size_t g = 0; g < num_groups; ++g) {
+    for (const AggSpec& spec : aggs) states.emplace_back(spec.func);
   }
 
   const std::shared_ptr<const ColumnarTable> view =
       input.num_rows() > 0 ? input.columnar() : nullptr;
-  for (size_t a = 0; a < aggs.size(); ++a) {
+  for (size_t a = 0; a < num_aggs; ++a) {
     const int in = agg_inputs[a];
-    if (in < 0) {
-      // COUNT(*): n times Update(kOne).
-      for (Group& g : groups) g.states[a].UpdateBatchCountStar(g.sel.size());
-      continue;
-    }
     const ColumnarTable::Column* col =
-        view != nullptr ? &view->column(in) : nullptr;
-    if (col != nullptr && col->usable && col->type == ValueType::kInt64) {
-      for (Group& g : groups) {
-        g.states[a].UpdateBatchInt64(col->ints.data(), col->valid_words(),
-                                     g.sel.data(), g.sel.size());
-      }
-    } else if (col != nullptr && col->usable &&
-               col->type == ValueType::kDouble) {
-      for (Group& g : groups) {
-        g.states[a].UpdateBatchDouble(col->doubles.data(), col->valid_words(),
-                                      g.sel.data(), g.sel.size());
-      }
-    } else {
-      for (Group& g : groups) {
-        for (const int64_t r : g.sel) {
-          g.states[a].Update(input.row(r)[static_cast<size_t>(in)]);
+        view != nullptr && in >= 0 ? &view->column(in) : nullptr;
+    for (size_t g = 0; g < num_groups; ++g) {
+      const std::span<const int64_t> sel =
+          groups.rows(static_cast<int64_t>(g));
+      AggState& state = states[g * num_aggs + a];
+      if (in < 0) {
+        state.UpdateBatchCountStar(sel.size());  // n times Update(kOne)
+      } else if (col != nullptr && col->usable &&
+                 col->type == ValueType::kInt64) {
+        state.UpdateBatchInt64(col->ints.data(), col->valid_words(),
+                               sel.data(), sel.size());
+      } else if (col != nullptr && col->usable &&
+                 col->type == ValueType::kDouble) {
+        state.UpdateBatchDouble(col->doubles.data(), col->valid_words(),
+                                sel.data(), sel.size());
+      } else {
+        for (const int64_t r : sel) {
+          state.Update(input.row(r)[static_cast<size_t>(in)]);
         }
       }
     }
   }
 
+  const int width = groups.map().width();
   Table out(MakeSchema(std::move(out_fields)));
-  out.Reserve(static_cast<int64_t>(groups.size()));
-  for (const Group& g : groups) {
-    Row row = g.key;
-    for (const AggState& state : g.states) row.push_back(state.Final());
+  out.Reserve(static_cast<int64_t>(num_groups));
+  for (size_t g = 0; g < num_groups; ++g) {
+    const Value* key = groups.map().key(static_cast<int64_t>(g));
+    Row row(key, key + width);
+    row.reserve(static_cast<size_t>(width) + num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      row.push_back(states[g * num_aggs + a].Final());
+    }
     out.AddRow(std::move(row));
   }
   return out;
@@ -294,29 +249,21 @@ Result<Table> HashJoin(const Table& left, const Table& right,
     }
   }
 
-  HashIndex index;
-  index.Build(right, right_key_idx);
+  const RowGroups right_groups = RowGroups::Of(right, right_key_idx);
 
   Table out(MakeSchema(std::move(fields)));
   for (const Row& left_row : left.rows()) {
-    // SQL: NULL keys never join.
+    // SQL: NULL keys never join. A NULL equals only NULL, so a left key
+    // without NULLs finds only right rows without NULL keys.
     bool has_null_key = false;
     for (int idx : left_key_idx) {
       if (left_row[static_cast<size_t>(idx)].is_null()) has_null_key = true;
     }
     if (has_null_key) continue;
-    const std::vector<int64_t>* matches =
-        index.Lookup(left_row, left_key_idx);
-    if (matches == nullptr) continue;
-    for (int64_t right_id : *matches) {
+    const int64_t g = right_groups.Find(left_row, left_key_idx);
+    if (g < 0) continue;
+    for (int64_t right_id : right_groups.rows(g)) {
       const Row& right_row = right.row(right_id);
-      bool right_null_key = false;
-      for (int idx : right_key_idx) {
-        if (right_row[static_cast<size_t>(idx)].is_null()) {
-          right_null_key = true;
-        }
-      }
-      if (right_null_key) continue;
       Row joined = left_row;
       joined.insert(joined.end(), right_row.begin(), right_row.end());
       out.AddRow(std::move(joined));

@@ -19,9 +19,6 @@ Result<Table> Project(const Table& input, const std::vector<std::string>& cols);
 /// references fail to compile.
 Result<Table> Filter(const Table& input, const ExprPtr& pred);
 
-/// δ: removes duplicate rows (multiset → set).
-Table Distinct(const Table& input);
-
 /// δπ: the paper's typical base-values query `B₀ = π_attrs(R)` with
 /// duplicate elimination, computed in one hashing pass.
 Result<Table> DistinctProject(const Table& input,

@@ -86,9 +86,10 @@ class CompiledExpr {
                      const ColumnarTable& view, int64_t lo, int64_t hi,
                      BatchScratch* scratch, std::vector<int64_t>* sel) const;
 
-  /// Batch EvalBool over an explicit candidate list (the sort-merge path's
-  /// equal-key runs): selected candidates[k] are appended in ascending k —
-  /// candidate order, which is the scalar path's visit order.
+  /// Batch EvalBool over an explicit candidate list (the hash path's
+  /// probed detail rows of one base row): selected candidates[k] are
+  /// appended in ascending k — candidate order, which is the scalar path's
+  /// visit order.
   void EvalBoolBatch(const Row* base_row, const Table& detail,
                      const ColumnarTable& view, const int64_t* candidates,
                      size_t n, BatchScratch* scratch,

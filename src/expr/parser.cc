@@ -104,11 +104,12 @@ class Lexer {
       }
       t.number = Value(d);
     } else {
-      const long long v = std::strtoll(lexeme.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        return Status::InvalidArgument("bad integer literal '" + lexeme + "'");
+      const std::optional<int64_t> v = ParseInt64(lexeme);
+      if (!v.has_value()) {
+        return Status::InvalidArgument("integer literal '" + lexeme +
+                                       "' is outside the int64 range");
       }
-      t.number = Value(static_cast<int64_t>(v));
+      t.number = Value(*v);
     }
     return t;
   }

@@ -1,22 +1,18 @@
 #include "gmdj/local_eval.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
-#include <numeric>
+#include <span>
 #include <utility>
 
-#include "common/hash_util.h"
 #include "common/thread_pool.h"
 #include "expr/analyzer.h"
 #include "expr/evaluator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/columnar.h"
-#include "storage/hash_index.h"
+#include "storage/group_map.h"
 
 namespace skalla {
 
@@ -89,141 +85,7 @@ constexpr int64_t kMaxGroupedFlushBases = 65536;
 /// docs/vectorized-execution.md).
 constexpr int64_t kProbeHashChunk = 1024;
 
-/// Typed replication of Value::Hash for one cell of a usable columnar
-/// key column, combined into hashes[0..n) for detail positions
-/// [lo, lo + n). Bit-for-bit the boxed RowKeyHash contribution: NULL
-/// hashes to the "null" constant, int64 goes through its double
-/// representation when exact, -0.0 normalizes to +0.0, and strings hash
-/// once per dictionary code (code_hashes).
-void CombineProbeHashes(const ColumnarTable::Column& col,
-                        const std::vector<uint64_t>& code_hashes, int64_t lo,
-                        size_t n, uint64_t* hashes) {
-  constexpr uint64_t kNullHash = 0x6e756c6cULL;  // Value::Hash of NULL
-  switch (col.type) {
-    case ValueType::kInt64:
-      for (size_t k = 0; k < n; ++k) {
-        const int64_t i = lo + static_cast<int64_t>(k);
-        uint64_t vh = kNullHash;
-        if (col.IsValid(i)) {
-          const int64_t v = col.ints[static_cast<size_t>(i)];
-          const double d = static_cast<double>(v);
-          uint64_t bits = static_cast<uint64_t>(v);
-          if (static_cast<int64_t>(d) == v) {
-            std::memcpy(&bits, &d, sizeof(bits));
-          }
-          vh = HashInt64(bits);
-        }
-        hashes[k] = HashCombine(hashes[k], vh);
-      }
-      return;
-    case ValueType::kDouble:
-      for (size_t k = 0; k < n; ++k) {
-        const int64_t i = lo + static_cast<int64_t>(k);
-        uint64_t vh = kNullHash;
-        if (col.IsValid(i)) {
-          double d = col.doubles[static_cast<size_t>(i)];
-          if (d == 0.0) d = 0.0;  // normalize -0.0, as Value::Hash does
-          uint64_t bits;
-          std::memcpy(&bits, &d, sizeof(bits));
-          vh = HashInt64(bits);
-        }
-        hashes[k] = HashCombine(hashes[k], vh);
-      }
-      return;
-    case ValueType::kString:
-      for (size_t k = 0; k < n; ++k) {
-        const int64_t i = lo + static_cast<int64_t>(k);
-        const int32_t code = col.codes[static_cast<size_t>(i)];
-        const uint64_t vh =
-            code < 0 ? kNullHash : code_hashes[static_cast<size_t>(code)];
-        hashes[k] = HashCombine(hashes[k], vh);
-      }
-      return;
-    case ValueType::kNull:
-      // A usable declared-NULL column is all NULL.
-      for (size_t k = 0; k < n; ++k) {
-        hashes[k] = HashCombine(hashes[k], kNullHash);
-      }
-      return;
-  }
-}
-
-/// Typed replication of Value::operator== for one cell of a usable
-/// columnar key column against a boxed (base-side) key value: NULL only
-/// equals NULL, int64-vs-int64 compares exactly, mixed numerics compare
-/// through the same double promotion, strings compare bytes, and
-/// cross-kind comparisons are false.
-bool CellEqualsValue(const ColumnarTable::Column& col, int64_t d,
-                     const Value& v) {
-  if (!col.IsValid(d)) return v.is_null();
-  if (v.is_null()) return false;
-  switch (col.type) {
-    case ValueType::kInt64: {
-      if (!v.is_numeric()) return false;
-      const int64_t c = col.ints[static_cast<size_t>(d)];
-      if (v.is_int64()) return c == v.AsInt64();
-      return static_cast<double>(c) == v.ToDouble();
-    }
-    case ValueType::kDouble:
-      return v.is_numeric() &&
-             col.doubles[static_cast<size_t>(d)] == v.ToDouble();
-    case ValueType::kString:
-      return v.is_string() &&
-             col.dict[static_cast<size_t>(col.codes[static_cast<size_t>(d)])] ==
-                 v.AsString();
-    case ValueType::kNull:
-      return false;  // IsValid above already handled the all-NULL column
-  }
-  return false;
-}
-
-/// Value::Compare of two cells of one usable columnar column, without
-/// boxing: NULL sorts first, int64 compares exactly, doubles use the
-/// <;> pair (a NaN on either side yields 0, Value::Compare's
-/// incomparable-NaN behavior), and strings compare by dictionary order
-/// rank. A usable column holds a single runtime type, so the mixed-type
-/// branches of Value::Compare cannot be reached.
-int CompareTypedCells(const ColumnarTable::Column& col, int64_t a, int64_t b) {
-  const bool va = col.IsValid(a);
-  const bool vb = col.IsValid(b);
-  if (!va || !vb) return va == vb ? 0 : (va ? 1 : -1);
-  switch (col.type) {
-    case ValueType::kInt64: {
-      const int64_t x = col.ints[static_cast<size_t>(a)];
-      const int64_t y = col.ints[static_cast<size_t>(b)];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case ValueType::kDouble: {
-      const double x = col.doubles[static_cast<size_t>(a)];
-      const double y = col.doubles[static_cast<size_t>(b)];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case ValueType::kString: {
-      const int32_t x = col.order_rank[static_cast<size_t>(
-          col.codes[static_cast<size_t>(a)])];
-      const int32_t y = col.order_rank[static_cast<size_t>(
-          col.codes[static_cast<size_t>(b)])];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case ValueType::kNull:
-      return 0;  // all cells NULL
-  }
-  return 0;
-}
-
 }  // namespace
-
-bool VectorizeEnabledFromEnv() {
-  // Read per call (unlike e.g. DefaultWireFormat's static cache) so tests
-  // can flip SKALLA_VECTORIZE between evaluations within one process.
-  const char* value = std::getenv("SKALLA_VECTORIZE");
-  if (value == nullptr || *value == '\0') return true;
-  std::string lowered(value);
-  for (char& c : lowered) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return lowered != "0" && lowered != "off" && lowered != "false";
-}
 
 Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
                          const GmdjOp& op, const LocalGmdjOptions& options,
@@ -317,84 +179,22 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
 
   static const Value kOne(int64_t{1});
 
-  // Compares the projections of two rows onto (possibly different) key
-  // column lists; used by the sort-merge path.
-  auto compare_keys = [](const Row& a, const std::vector<int>& a_cols,
-                         const Row& b, const std::vector<int>& b_cols) {
-    for (size_t i = 0; i < a_cols.size(); ++i) {
-      const int c = a[static_cast<size_t>(a_cols[i])].Compare(
-          b[static_cast<size_t>(b_cols[i])]);
-      if (c != 0) return c;
-    }
-    return 0;
-  };
-
   // The lane count: 1 runs the exact sequential pre-pool scan; more lanes
   // split the detail scan into morsels evaluated on the shared pool.
   int lanes = options.num_threads > 0 ? options.num_threads
                                       : ThreadPool::DefaultThreadCount();
 
-  // Vectorized-scan resolution: explicit option wins, else the
-  // SKALLA_VECTORIZE knob. The columnar view is built lazily once per Table
-  // and cached (storage/columnar.h), so repeated rounds over a persistent
-  // detail partition fetch it for free.
-  const bool vectorize_on = options.vectorize >= 0
-                                ? options.vectorize != 0
-                                : VectorizeEnabledFromEnv();
+  // The columnar view is built lazily once per Table and cached
+  // (storage/columnar.h), so repeated rounds over a persistent detail
+  // partition fetch it for free.
+  const bool vectorize_on = options.vectorize;
   std::shared_ptr<const ColumnarTable> columnar;
   if (vectorize_on) columnar = detail.columnar();
 
   // Blocks typically share the same equi-key over B (key equality appears
-  // in every θ), so per-key-column-set artifacts — the hash index and the
-  // sort-merge orderings of both sides — are built once and reused across
-  // blocks. With vectorization on and every key column usable, the sort
-  // runs on a typed comparator (CompareTypedCells: string ordering is an
-  // integer compare on dictionary order ranks). The comparator implements
-  // exactly Value::Compare's relation, and std::sort's output permutation
-  // is a function of the comparison outcomes alone, so the ordering — and
-  // with it every downstream byte — is identical to the boxed sort.
-  std::map<std::vector<int>, HashIndex> index_cache;
-  std::map<std::vector<int>, std::vector<int64_t>> base_order_cache;
-  std::map<std::vector<int>, std::vector<int64_t>> detail_order_cache;
-  auto sorted_ids = [&compare_keys, vectorize_on](
-                        std::map<std::vector<int>, std::vector<int64_t>>* cache,
-                        const Table& table, const std::vector<int>& cols)
-      -> const std::vector<int64_t>& {
-    auto [it, inserted] = cache->try_emplace(cols);
-    if (inserted) {
-      it->second.resize(static_cast<size_t>(table.num_rows()));
-      std::iota(it->second.begin(), it->second.end(), 0);
-      std::shared_ptr<const ColumnarTable> view;
-      bool typed = vectorize_on;
-      if (typed) {
-        view = table.columnar();
-        for (int c : cols) {
-          if (!view->column(c).usable) {
-            typed = false;
-            break;
-          }
-        }
-      }
-      if (typed) {
-        std::sort(it->second.begin(), it->second.end(),
-                  [&view, &cols](int64_t a, int64_t b) {
-                    for (int c : cols) {
-                      const int cmp =
-                          CompareTypedCells(view->column(c), a, b);
-                      if (cmp != 0) return cmp < 0;
-                    }
-                    return false;
-                  });
-      } else {
-        std::sort(it->second.begin(), it->second.end(),
-                  [&](int64_t a, int64_t b) {
-                    return compare_keys(table.row(a), cols, table.row(b),
-                                        cols) < 0;
-                  });
-      }
-    }
-    return it->second;
-  };
+  // in every θ), so B's rows are grouped once per key-column set and the
+  // groups are reused across blocks.
+  std::map<std::vector<int>, RowGroups> groups_cache;
 
   // Scan counts are added to the caller's counters, if it asked for them.
   ScanCounters unreported;
@@ -434,73 +234,52 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
     }
 
     // Path-specific shared read-only structures, built once per block.
-    const bool sort_merge_path = !plan.base_key_cols.empty() &&
-                                 options.join == JoinStrategy::kSortMerge;
-    const bool hash_path =
-        !plan.base_key_cols.empty() && !sort_merge_path;
-    const std::vector<int64_t>* base_ids = nullptr;
-    const std::vector<int64_t>* detail_ids = nullptr;
-    const HashIndex* index = nullptr;
-    HashIndex* index_mut = nullptr;
-    if (sort_merge_path) {
-      base_ids = &sorted_ids(&base_order_cache, base, plan.base_key_cols);
-      detail_ids =
-          &sorted_ids(&detail_order_cache, detail, plan.detail_key_cols);
-    } else if (hash_path) {
-      auto [it, inserted] = index_cache.try_emplace(plan.base_key_cols);
-      if (inserted) it->second.Build(base, plan.base_key_cols);
-      index_mut = &it->second;
-      index = index_mut;
+    const bool hash_path = !plan.base_key_cols.empty();
+    const RowGroups* groups = nullptr;
+    if (hash_path) {
+      auto [it, inserted] = groups_cache.try_emplace(plan.base_key_cols);
+      if (inserted) it->second = RowGroups::Of(base, plan.base_key_cols);
+      groups = &it->second;
     }
 
     // Per-path vectorization: the nested loop needs a batch-evaluable
-    // predicate (it is nothing but the predicate); sort-merge batches the
-    // equal-key runs when the residual is batch-evaluable or absent; the
-    // hash path keeps its scalar probe and residual but batches the
-    // aggregate folds, so it vectorizes whenever the scan does.
+    // predicate (it is nothing but the predicate); the hash path batches
+    // the aggregate folds, so it vectorizes whenever the scan does.
     const bool vec_nested =
         vectorize_on && plan.base_key_cols.empty() && predicate_batch;
-    const bool vec_sort_merge =
-        vectorize_on && sort_merge_path &&
-        (!plan.predicate.has_value() || predicate_batch);
     const bool vec_hash = vectorize_on && hash_path;
 
-    // Batched-probe plan: when every detail key column is usable, probe
-    // hashes come chunk-at-a-time from the typed arrays
-    // (CombineProbeHashes replicates RowKeyHash bit-for-bit) and feed
-    // HashIndex::LookupHashed; equality verification against the bucket
-    // representative stays boxed, so collisions resolve exactly as the
-    // scalar probe does. Any unusable key column keeps the scalar probe.
-    bool vec_probe = vec_hash;
+    // Typed-probe plan: when every detail key column is usable, probe
+    // hashes come chunk-at-a-time from the typed arrays (CombineProbeHashes
+    // hashes each cell as its Value would) and equality is checked cell
+    // against stored key (CellEqualsValue), so no boxed detail row is
+    // touched. Any unusable key column keeps the boxed probe.
+    std::vector<const ColumnarTable::Column*> probe_cols;
     std::vector<std::vector<uint64_t>> probe_code_hashes;
     if (vec_hash) {
       for (int c : plan.detail_key_cols) {
-        if (!columnar->column(c).usable) {
-          vec_probe = false;
+        const ColumnarTable::Column& col = columnar->column(c);
+        if (!col.usable) {
+          probe_cols.clear();
           break;
         }
+        probe_cols.push_back(&col);
       }
-      if (vec_probe) {
-        probe_code_hashes.resize(plan.detail_key_cols.size());
-        for (size_t i = 0; i < plan.detail_key_cols.size(); ++i) {
-          const ColumnarTable::Column& col =
-              columnar->column(plan.detail_key_cols[i]);
-          if (col.type == ValueType::kString) {
-            std::vector<uint64_t>& hs = probe_code_hashes[i];
-            hs.reserve(col.dict.size());
-            for (const std::string& s : col.dict) hs.push_back(HashBytes(s));
-          }
+      probe_code_hashes.resize(probe_cols.size());
+      for (size_t i = 0; i < probe_cols.size(); ++i) {
+        if (probe_cols[i]->type != ValueType::kString) continue;
+        std::vector<uint64_t>& hs = probe_code_hashes[i];
+        hs.reserve(probe_cols[i]->dict.size());
+        for (const std::string& str : probe_cols[i]->dict) {
+          hs.push_back(Value::HashOf(std::string_view(str)));
         }
-        // Same answers, flat layout: probes become one predictable slot
-        // access each, and the chunk loop prefetches slots ahead.
-        index_mut->BuildFlatProbe();
       }
     }
+    const bool vec_probe = !probe_cols.empty();
 
-    // Scans detail positions [lo, hi) into `target`. Positions index the
-    // raw detail rows (hash / nested-loop paths) or the sorted detail
-    // ordering (sort-merge path). Match sets are position-independent, so
-    // any disjoint cover of [0, |R|) visits each match exactly once.
+    // Scans detail rows [lo, hi) into `target`. Match sets are
+    // row-independent, so any disjoint cover of [0, |R|) visits each match
+    // exactly once.
     //
     // Both modes produce byte-identical accumulators: every path feeds any
     // given (base row, aggregate) state its matching detail rows in the
@@ -510,7 +289,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
                           const ScanTarget& target) -> MorselStats {
       MorselStats stats;
       stats.rows = hi - lo;
-      stats.vectorized = vec_nested || vec_sort_merge || vec_hash;
+      stats.vectorized = vec_nested || vec_hash;
 
       // Folds one matching (base row, detail row) pair into `target`
       // (scalar mode).
@@ -569,80 +348,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
       BatchScratch scratch;
       std::vector<int64_t> sel;
 
-      if (sort_merge_path) {
-        // Merge the (fully sorted) base ordering against the detail run
-        // [lo, hi). Starting mid-run is fine: the two-pointer advances the
-        // base cursor by key comparisons only.
-        size_t b_pos = 0;
-        size_t d_pos = static_cast<size_t>(lo);
-        const size_t d_limit = static_cast<size_t>(hi);
-        while (b_pos < base_ids->size() && d_pos < d_limit) {
-          const int cmp = compare_keys(
-              base.row((*base_ids)[b_pos]), plan.base_key_cols,
-              detail.row((*detail_ids)[d_pos]), plan.detail_key_cols);
-          if (cmp < 0) {
-            ++b_pos;
-            continue;
-          }
-          if (cmp > 0) {
-            ++d_pos;
-            continue;
-          }
-          // Runs of equal keys on both sides (the detail run is clipped to
-          // the morsel; the rest of it belongs to the next morsel).
-          size_t b_end = b_pos + 1;
-          while (b_end < base_ids->size() &&
-                 compare_keys(base.row((*base_ids)[b_end]),
-                              plan.base_key_cols,
-                              base.row((*base_ids)[b_pos]),
-                              plan.base_key_cols) == 0) {
-            ++b_end;
-          }
-          size_t d_end = d_pos + 1;
-          while (d_end < d_limit &&
-                 compare_keys(detail.row((*detail_ids)[d_end]),
-                              plan.detail_key_cols,
-                              detail.row((*detail_ids)[d_pos]),
-                              plan.detail_key_cols) == 0) {
-            ++d_end;
-          }
-          if (vec_sort_merge) {
-            // The run's detail positions, in the sorted (scalar-visit)
-            // order: a contiguous slice of the detail ordering. Each base
-            // row of the run filters/fold them as one batch; per-state
-            // update order is the run order either way.
-            const int64_t* run = detail_ids->data() + d_pos;
-            const size_t run_len = d_end - d_pos;
-            for (size_t b = b_pos; b < b_end; ++b) {
-              const int64_t base_row_id = (*base_ids)[b];
-              if (!plan.predicate.has_value()) {
-                update_selected(base_row_id, run, run_len);
-              } else {
-                sel.clear();
-                plan.predicate->EvalBoolBatch(&base.row(base_row_id), detail,
-                                              *columnar, run, run_len,
-                                              &scratch, &sel);
-                update_selected(base_row_id, sel.data(), sel.size());
-              }
-            }
-          } else {
-            for (size_t d = d_pos; d < d_end; ++d) {
-              const Row& detail_row = detail.row((*detail_ids)[d]);
-              for (size_t b = b_pos; b < b_end; ++b) {
-                const int64_t base_row_id = (*base_ids)[b];
-                if (plan.predicate.has_value() &&
-                    !plan.predicate->EvalBool(&base.row(base_row_id),
-                                              &detail_row)) {
-                  continue;
-                }
-                update_match(base_row_id, detail_row);
-              }
-            }
-          }
-          b_pos = b_end;
-          d_pos = d_end;
-        }
-      } else if (hash_path) {
+      if (hash_path) {
         if (vec_hash) {
           // The residual stays scalar (matches arrive one detail row at a
           // time), but the aggregate folds batch up. Preferred shape: one
@@ -655,9 +361,9 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
           // through the typed point kernels.
           const bool grouped = base.num_rows() <= kMaxGroupedFlushBases;
           // A batch-evaluable residual is applied at flush time over each
-          // base row's candidate list (EvalBoolBatch's list mode, exactly
-          // the sort-merge discipline), so the probe loop touches no boxed
-          // detail row; non-batchable residuals filter per pair instead.
+          // base row's candidate list (EvalBoolBatch's list mode), so the
+          // probe loop touches no boxed detail row; non-batchable
+          // residuals filter per pair instead.
           const bool residual_at_flush =
               grouped && plan.predicate.has_value() && predicate_batch;
           std::vector<std::vector<int64_t>> base_sel;
@@ -729,10 +435,9 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
           // into the flush buffer — shared by both probe modes. The boxed
           // detail row is only touched when a residual needs it, so the
           // pure equi-key probe streams the typed arrays alone.
-          auto fold_matches = [&](int64_t d,
-                                  const std::vector<int64_t>* matches) {
+          auto fold_matches = [&](int64_t d, std::span<const int64_t> matches) {
             const Row* detail_row = nullptr;
-            for (int64_t base_row_id : *matches) {
+            for (int64_t base_row_id : matches) {
               if (plan.predicate.has_value() && !residual_at_flush) {
                 if (detail_row == nullptr) detail_row = &detail.row(d);
                 if (!plan.predicate->EvalBool(&base.row(base_row_id),
@@ -754,76 +459,40 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
               }
             }
           };
-          const ColumnarTable::Column* int64_probe_col = nullptr;
-          if (vec_probe && index->has_int64_probe() &&
-              plan.detail_key_cols.size() == 1) {
-            const ColumnarTable::Column& kcol =
-                columnar->column(plan.detail_key_cols.front());
-            if (kcol.usable && kcol.type == ValueType::kInt64) {
-              int64_probe_col = &kcol;
-            }
-          }
-          if (int64_probe_col != nullptr) {
-            // Single-int64-key fast probe: one typed map lookup per detail
-            // row — no hash replication, no chain walk, no boxed rows.
-            const ColumnarTable::Column& kcol = *int64_probe_col;
-            for (int64_t d = lo; d < hi; ++d) {
-              const std::vector<int64_t>* matches =
-                  kcol.IsValid(d)
-                      ? index->LookupInt64(kcol.ints[static_cast<size_t>(d)])
-                      : index->LookupNullKey();
-              if (matches != nullptr) fold_matches(d, matches);
-            }
-          } else if (vec_probe) {
+          if (vec_probe) {
+            const GroupMap& map = groups->map();
             uint64_t hashes[kProbeHashChunk];
             for (int64_t chunk = lo; chunk < hi; chunk += kProbeHashChunk) {
               const size_t n = static_cast<size_t>(
                   std::min(hi, chunk + kProbeHashChunk) - chunk);
-              // RowKeyHash's seed, then one typed pass per key column.
-              std::fill_n(hashes, n, uint64_t{0x524f574bULL});
-              for (size_t i = 0; i < plan.detail_key_cols.size(); ++i) {
-                CombineProbeHashes(
-                    columnar->column(plan.detail_key_cols[i]),
-                    probe_code_hashes[i], chunk, n, hashes);
+              std::fill_n(hashes, n, GroupMap::Seed());
+              for (size_t i = 0; i < probe_cols.size(); ++i) {
+                CombineProbeHashes(*probe_cols[i], probe_code_hashes[i], chunk,
+                                   n, hashes);
               }
               constexpr size_t kProbeLookahead = 8;
               for (size_t k = 0; k < n; ++k) {
                 if (k + kProbeLookahead < n) {
-                  index->Prefetch(hashes[k + kProbeLookahead]);
+                  map.Prefetch(hashes[k + kProbeLookahead]);
                 }
                 const int64_t d = chunk + static_cast<int64_t>(k);
-                const std::vector<HashIndex::Bucket>* chains =
-                    index->ChainsForHash(hashes[k]);
-                if (chains == nullptr) continue;
-                // Collision chains resolve exactly as the scalar probe:
-                // equality against each bucket's representative, but in
-                // typed columnar form — no boxed detail row access.
-                const std::vector<int64_t>* matches = nullptr;
-                for (const HashIndex::Bucket& bucket : *chains) {
-                  const Row& rep = base.row(bucket.row_ids.front());
-                  bool eq = true;
-                  for (size_t i = 0; i < plan.detail_key_cols.size(); ++i) {
-                    if (!CellEqualsValue(
-                            columnar->column(plan.detail_key_cols[i]), d,
-                            rep[static_cast<size_t>(plan.base_key_cols[i])])) {
-                      eq = false;
-                      break;
-                    }
-                  }
-                  if (eq) {
-                    matches = &bucket.row_ids;
-                    break;
-                  }
-                }
-                if (matches != nullptr) fold_matches(d, matches);
+                const int64_t g =
+                    map.FindIf(hashes[k], [&probe_cols, d](const Value* key) {
+                      for (size_t i = 0; i < probe_cols.size(); ++i) {
+                        if (!CellEqualsValue(*probe_cols[i], d, key[i])) {
+                          return false;
+                        }
+                      }
+                      return true;
+                    });
+                if (g >= 0) fold_matches(d, groups->rows(g));
               }
             }
           } else {
             for (int64_t d = lo; d < hi; ++d) {
-              const Row& detail_row = detail.row(d);
-              const std::vector<int64_t>* matches =
-                  index->Lookup(detail_row, plan.detail_key_cols);
-              if (matches != nullptr) fold_matches(d, matches);
+              const int64_t g =
+                  groups->Find(detail.row(d), plan.detail_key_cols);
+              if (g >= 0) fold_matches(d, groups->rows(g));
             }
           }
           if (grouped) {
@@ -834,10 +503,9 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
         } else {
           for (int64_t d = lo; d < hi; ++d) {
             const Row& detail_row = detail.row(d);
-            const std::vector<int64_t>* matches =
-                index->Lookup(detail_row, plan.detail_key_cols);
-            if (matches == nullptr) continue;
-            for (int64_t base_row_id : *matches) {
+            const int64_t g = groups->Find(detail_row, plan.detail_key_cols);
+            if (g < 0) continue;
+            for (int64_t base_row_id : groups->rows(g)) {
               if (plan.predicate.has_value() &&
                   !plan.predicate->EvalBool(&base.row(base_row_id),
                                             &detail_row)) {

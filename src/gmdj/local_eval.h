@@ -15,21 +15,9 @@ namespace skalla {
 /// merged by the coordinator's super-aggregates — Theorem 1).
 enum class AggMode { kFinal, kSub };
 
-/// How equi-key blocks match detail tuples to base tuples.
-enum class JoinStrategy {
-  /// Hash index over B probed once per detail tuple (default; O(|B|+|R|)).
-  kHash,
-  /// Sort both sides on the equi-key and merge runs. Same complexity up to
-  /// the O(n log n) sorts; better locality on large runs. Provided as a
-  /// design-choice ablation (bench_gmdj_local compares the two).
-  kSortMerge,
-};
-
 /// Options of one local GMDJ evaluation.
 struct LocalGmdjOptions {
   AggMode mode = AggMode::kFinal;
-
-  JoinStrategy join = JoinStrategy::kHash;
 
   /// Distribution-independent group reduction (Proposition 1): emit only
   /// base tuples b with |RNG(b, R_i, θ₁ ∨ … ∨ θ_m)| > 0. Equivalent to the
@@ -57,28 +45,21 @@ struct LocalGmdjOptions {
   int64_t morsel_rows = 0;
 
   /// Vectorized detail scan (docs/vectorized-execution.md): batch predicate
-  /// evaluation over the cached columnar view plus typed aggregate kernels.
-  /// -1 = inherit the SKALLA_VECTORIZE environment knob (default on);
-  /// 0 / 1 force it off / on for this evaluation. Either way the result is
-  /// byte-identical to the scalar row-at-a-time path.
-  int vectorize = -1;
+  /// evaluation over the cached columnar view, a typed equi-key probe, and
+  /// typed aggregate kernels. false runs the scalar row-at-a-time path;
+  /// either way the result is byte-identical.
+  bool vectorize = true;
 
-  /// Restricts the detail scan to positions [scan_lo, scan_hi) of the
-  /// block's scan ordering (raw row order on the hash/nested paths, the
-  /// equi-key sorted ordering on sort-merge). scan_hi = -1 means "to the
-  /// end". Used by skew rebalancing (docs/skew.md) to split one site's
-  /// detail relation into disjoint fragments evaluated on different
-  /// executors: because sub-aggregates merge associatively (Theorem 1),
+  /// Restricts the detail scan to detail rows [scan_lo, scan_hi);
+  /// scan_hi = -1 means "to the end". Used by skew rebalancing
+  /// (docs/skew.md) to split one site's detail relation into disjoint
+  /// fragments evaluated on different executors: because sub-aggregates
+  /// merge associatively (Theorem 1),
   /// any disjoint cover of [0, |R|) produces sub-results whose merge is
   /// byte-identical to the unsplit scan.
   int64_t scan_lo = 0;
   int64_t scan_hi = -1;
 };
-
-/// The SKALLA_VECTORIZE knob: "0" / "off" / "false" (case-insensitive)
-/// disable the vectorized scan; anything else — including unset — enables
-/// it. Read per call (not cached) so tests can flip it between evaluations.
-bool VectorizeEnabledFromEnv();
 
 /// \brief Counts of one GMDJ detail scan, reported to EvalGmdjOp's caller
 /// (added into its ScanCounters, so a caller chaining several operators
@@ -107,9 +88,9 @@ inline constexpr int64_t kDefaultMorselRows = 65536;
 ///
 /// Implementation: per block, θ is decomposed (expr/analyzer.h) into
 /// `B.x = R.y` equi-conjuncts plus a residual. With equi-conjuncts present,
-/// a hash index over the base relation keyed on the x-columns is probed
-/// once per detail tuple — O(|B| + |R|·matches) — with the residual
-/// evaluated per candidate match. Without equi-conjuncts the evaluator
+/// the base relation's rows grouped on the x-columns (storage/group_map.h)
+/// are probed once per detail tuple — O(|B| + |R|·matches) — with the
+/// residual evaluated per candidate match. Without equi-conjuncts the evaluator
 /// falls back to the nested loop O(|B|·|R|) demanded by GMDJ generality
 /// (RNG sets may overlap arbitrarily).
 ///

@@ -82,8 +82,8 @@ struct NetworkConfig {
   RetryPolicy retry;
 
   /// Wire format for every relation payload (storage/wire_format.h).
-  /// Defaults to env SKALLA_WIRE_FORMAT, else SKL2 (columnar).
-  WireFormat wire_format = DefaultWireFormat();
+  /// Defaults to SKL2 (columnar).
+  WireFormat wire_format = WireFormat::kSkl2;
 
   /// Cross-round delta shipping of the base-result structure X: the
   /// coordinator caches what each site last received and ships only

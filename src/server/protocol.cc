@@ -30,14 +30,13 @@ std::string_view NextToken(std::string_view* rest) {
 }
 
 Result<int64_t> ParseInt(std::string_view token, const char* what) {
-  const std::string s(token);
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
-    return Status::InvalidArgument(std::string(what) + " expects an integer, got '" + s + "'");
+  const std::optional<int64_t> v = ParseInt64(token);
+  if (!v.has_value()) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " expects an integer, got '" +
+                                   std::string(token) + "'");
   }
-  return static_cast<int64_t>(v);
+  return *v;
 }
 
 Result<double> ParseDouble(std::string_view token, const char* what) {

@@ -43,12 +43,11 @@ Result<Value> DecodeValue(const std::string& token) {
     case 'n':
       return Value::Null();
     case 'i': {
-      char* end = nullptr;
-      const long long v = std::strtoll(payload.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
+      const std::optional<int64_t> v = ParseInt64(payload);
+      if (!v.has_value()) {
         return Status::IoError("bad int token '" + token + "'");
       }
-      return Value(static_cast<int64_t>(v));
+      return Value(*v);
     }
     case 'd': {
       char* end = nullptr;

@@ -1,7 +1,6 @@
 #include "sql/olap_parser.h"
 
 #include <cctype>
-#include <cstdlib>
 #include <set>
 
 #include "common/string_util.h"
@@ -254,12 +253,13 @@ class QueryParser {
       if (Peek().kind != TokKind::kNumber) {
         return Status::InvalidArgument("expected row count after LIMIT");
       }
-      char* end = nullptr;
-      const long long n = std::strtoll(Advance().raw.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 0) {
-        return Status::InvalidArgument("bad LIMIT value");
+      const std::string& raw = Advance().raw;
+      const std::optional<int64_t> n = ParseInt64(raw);
+      if (!n.has_value() || *n < 0) {
+        return Status::InvalidArgument("bad LIMIT value '" + raw +
+                                       "': expected a non-negative int64");
       }
-      expr.limit = static_cast<int64_t>(n);
+      expr.limit = *n;
     }
 
     if (Peek().kind != TokKind::kEnd) {

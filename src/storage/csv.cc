@@ -60,12 +60,12 @@ Result<Value> ParseField(const std::string& text, ValueType type) {
   if (text.empty()) return Value::Null();
   switch (type) {
     case ValueType::kInt64: {
-      char* end = nullptr;
-      const long long v = std::strtoll(text.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        return Status::InvalidArgument("bad int64 field '" + text + "'");
+      const std::optional<int64_t> v = ParseInt64(text);
+      if (!v.has_value()) {
+        return Status::InvalidArgument("bad int64 field '" + text +
+                                       "': not an integer in the int64 range");
       }
-      return Value(static_cast<int64_t>(v));
+      return Value(*v);
     }
     case ValueType::kDouble: {
       char* end = nullptr;

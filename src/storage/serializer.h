@@ -62,7 +62,7 @@ class Serializer {
   /// `usable` (Table::columnar) — same bytes, no per-cell boxing; see
   /// docs/wire-format.md.
   static std::string SerializeTable(const Table& table,
-                                    Format format = DefaultWireFormat());
+                                    Format format = WireFormat::kSkl2);
 
   /// Reference encoder that ignores the columnar snapshot and boxes every
   /// cell through Table::Get — the pre-columnar row path, kept callable so
@@ -70,7 +70,7 @@ class Serializer {
   /// measure the columnar feed's win). Produces identical bytes to
   /// SerializeTable for every table and format.
   static std::string SerializeTableRowPath(const Table& table,
-                                           Format format = DefaultWireFormat());
+                                           Format format = WireFormat::kSkl2);
 
   /// Decodes a wire-form table (either format, by magic); fails with
   /// IoError on malformed input. SKLD payloads are rejected here — they
@@ -87,7 +87,7 @@ class Serializer {
   /// every t and f. For SKL2 this is the length of the encoding itself
   /// (without the encode span and metrics); SKL1 sums per-value sizes.
   static size_t WireSize(const Table& table,
-                         Format format = DefaultWireFormat());
+                         Format format = WireFormat::kSkl2);
 
   /// Bytes after the common header (magic + schema + nrows); this is what
   /// Table::SerializedSize(format) reports. Zero for an empty table.

@@ -80,7 +80,7 @@ class Table {
   /// Payload bytes of the table under the given wire format (exact: the
   /// serializer's output minus its fixed magic/schema/nrows header). With
   /// no argument, reports the process-default format. Zero when empty.
-  size_t SerializedSize(WireFormat format = DefaultWireFormat()) const;
+  size_t SerializedSize(WireFormat format = WireFormat::kSkl2) const;
 
   /// Renders the first `max_rows` rows as an aligned ASCII table.
   std::string ToString(int64_t max_rows = 20) const;

@@ -1,9 +1,5 @@
 #include "storage/value.h"
 
-#include <cmath>
-#include <cstring>
-
-#include "common/hash_util.h"
 #include "common/string_util.h"
 
 namespace skalla {
@@ -59,28 +55,13 @@ int Value::Compare(const Value& other) const {
 uint64_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
-      return 0x6e756c6cULL;  // "null"
-    case ValueType::kInt64: {
-      // Hash integral values through their double representation when exact,
-      // so that Value(5) and Value(5.0) hash identically (they compare equal).
-      const int64_t v = AsInt64();
-      const double d = static_cast<double>(v);
-      if (static_cast<int64_t>(d) == v) {
-        uint64_t bits;
-        std::memcpy(&bits, &d, sizeof(bits));
-        return HashInt64(bits);
-      }
-      return HashInt64(static_cast<uint64_t>(v));
-    }
-    case ValueType::kDouble: {
-      double d = AsDouble();
-      if (d == 0.0) d = 0.0;  // normalize -0.0
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      return HashInt64(bits);
-    }
+      return kNullValueHash;
+    case ValueType::kInt64:
+      return HashOf(AsInt64());
+    case ValueType::kDouble:
+      return HashOf(AsDouble());
     case ValueType::kString:
-      return HashBytes(AsString());
+      return HashOf(std::string_view(AsString()));
   }
   return 0;
 }

@@ -2,10 +2,17 @@
 #define SKALLA_STORAGE_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <variant>
 
+#include "common/hash_util.h"
+
 namespace skalla {
+
+/// Value::Hash of NULL ("null").
+inline constexpr uint64_t kNullValueHash = 0x6e756c6cULL;
 
 /// Runtime type of a Value.
 enum class ValueType : uint8_t {
@@ -70,6 +77,24 @@ class Value {
 
   /// Hash consistent with operator==.
   uint64_t Hash() const;
+
+  /// Hash() of a non-NULL value of each type, without boxing it, so typed
+  /// columnar cells hash exactly as their Values do. An int64 hashes
+  /// through its double when that is exact, so 5 and 5.0 hash alike;
+  /// -0.0 hashes as +0.0.
+  static uint64_t HashOf(int64_t v) {
+    // Near INT64_MAX, d rounds to 2^63, outside int64: not exact.
+    const double d = static_cast<double>(v);
+    if (d < 0x1p63 && static_cast<int64_t>(d) == v) return HashOf(d);
+    return HashInt64(static_cast<uint64_t>(v));
+  }
+  static uint64_t HashOf(double d) {
+    if (d == 0.0) d = 0.0;  // normalize -0.0
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return HashInt64(bits);
+  }
+  static uint64_t HashOf(std::string_view s) { return HashBytes(s); }
 
   /// SQL-style rendering; NULL renders as "NULL", strings unquoted.
   std::string ToString() const;

@@ -2,10 +2,6 @@
 #define SKALLA_STORAGE_WIRE_FORMAT_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <optional>
-#include <string>
-#include <string_view>
 
 namespace skalla {
 
@@ -16,8 +12,8 @@ namespace skalla {
 /// null bitmap, zig-zag varint delta encoding for int64 columns, packed raw
 /// doubles, and a per-column string dictionary. Both formats carry the same
 /// self-describing header (magic, schema, row count), so the decoder
-/// dispatches on the magic and either format can be read regardless of the
-/// configured default. Header-only so that net/ can depend on it without a
+/// dispatches on the magic and reads either format whichever the sender
+/// chose. Header-only so that net/ can depend on it without a
 /// storage link dependency.
 enum class WireFormat : uint8_t {
   kSkl1 = 1,
@@ -26,26 +22,6 @@ enum class WireFormat : uint8_t {
 
 inline const char* WireFormatName(WireFormat f) {
   return f == WireFormat::kSkl1 ? "SKL1" : "SKL2";
-}
-
-/// Parses "SKL1"/"skl1"/"1" and "SKL2"/"skl2"/"2"; nullopt otherwise.
-inline std::optional<WireFormat> ParseWireFormat(std::string_view name) {
-  if (name == "SKL1" || name == "skl1" || name == "1") return WireFormat::kSkl1;
-  if (name == "SKL2" || name == "skl2" || name == "2") return WireFormat::kSkl2;
-  return std::nullopt;
-}
-
-/// The process-wide default format: env SKALLA_WIRE_FORMAT if set and
-/// parseable, else SKL2. Read once; NetworkConfig snapshots it.
-inline WireFormat DefaultWireFormat() {
-  static const WireFormat format = [] {
-    const char* env = std::getenv("SKALLA_WIRE_FORMAT");
-    if (env != nullptr) {
-      if (auto parsed = ParseWireFormat(env)) return *parsed;
-    }
-    return WireFormat::kSkl2;
-  }();
-  return format;
 }
 
 }  // namespace skalla

@@ -326,9 +326,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzFaultPropertyTest, ::testing::Range(0, 24));
 // Vectorized-vs-scalar byte identity: for arbitrary single-operator GMDJ
 // evaluations — including extreme doubles (NaN, ±inf, -0.0) and INT64
 // extremes, which the theorem fuzz above deliberately avoids — the
-// vectorized scan (SKALLA_VECTORIZE=1) must reproduce the scalar scan
-// (SKALLA_VECTORIZE=0) bit-for-bit on the SKL1 wire image, for every join
-// strategy, thread count, and morsel size.
+// vectorized scan (options.vectorize) must reproduce the scalar scan
+// bit-for-bit on the SKL1 wire image, for every join path, thread count,
+// and morsel size.
 // ---------------------------------------------------------------------------
 
 Table RandomVectorizeBase(Rng* rng, int64_t rows) {
@@ -420,8 +420,8 @@ GmdjOp RandomVectorizeOp(Rng* rng) {
     }
     std::vector<ExprPtr> conjuncts;
     switch (static_cast<int>(rng->Uniform(0, 3))) {
-      case 0:  // equi-key θ (hash / sort-merge paths); sometimes a string
-               // key, exercising the dictionary-hash batched probe
+      case 0:  // equi-key θ (hash path); sometimes a string key,
+               // exercising the dictionary-hash typed probe
         if (rng->Chance(0.3)) {
           conjuncts.push_back(Eq(BCol("ks"), RCol("ks")));
         } else {
@@ -492,30 +492,24 @@ TEST_P(FuzzVectorizeTest, VectorizedScanIsByteIdenticalToScalar) {
     options.touched_only = rng.Chance(0.5);
     options.carry_cols = {"k"};
 
-    for (const JoinStrategy join :
-         {JoinStrategy::kHash, JoinStrategy::kSortMerge}) {
-      options.join = join;
-      // The byte-identity contract is per configuration: flipping ONLY the
-      // vectorize bit must change nothing, for any join strategy, thread
-      // count, and morsel grid. (Different join strategies — and, with
-      // non-integral doubles, different morsel grids — may legitimately
-      // differ from each other through FP accumulation order; that is the
-      // documented determinism model, not a vectorization property.)
-      for (const int threads : {1, 2, 4}) {
-        options.num_threads = threads;
-        options.morsel_rows = threads == 1 ? 0 : rng.Uniform(16, 128);
-        options.vectorize = 0;
-        ASSERT_OK_AND_ASSIGN(Table scalar,
-                             EvalGmdjOp(base, detail, op, options));
-        options.vectorize = 1;
-        ASSERT_OK_AND_ASSIGN(Table vectorized,
-                             EvalGmdjOp(base, detail, op, options));
-        EXPECT_EQ(Serializer::SerializeTable(vectorized, WireFormat::kSkl1),
-                  Serializer::SerializeTable(scalar, WireFormat::kSkl1))
-            << "join=" << (join == JoinStrategy::kHash ? "hash" : "sortmerge")
-            << " threads=" << threads << " mode="
-            << (mode == AggMode::kFinal ? "final" : "sub");
-      }
+    // The byte-identity contract is per configuration: flipping ONLY the
+    // vectorize bit must change nothing, for any thread count and morsel
+    // grid. (With non-integral doubles, different morsel grids may
+    // legitimately differ from each other through FP accumulation order;
+    // that is the documented determinism model, not a vectorization
+    // property.)
+    for (const int threads : {1, 2, 4}) {
+      options.num_threads = threads;
+      options.morsel_rows = threads == 1 ? 0 : rng.Uniform(16, 128);
+      options.vectorize = false;
+      ASSERT_OK_AND_ASSIGN(Table scalar, EvalGmdjOp(base, detail, op, options));
+      options.vectorize = true;
+      ASSERT_OK_AND_ASSIGN(Table vectorized,
+                           EvalGmdjOp(base, detail, op, options));
+      EXPECT_EQ(Serializer::SerializeTable(vectorized, WireFormat::kSkl1),
+                Serializer::SerializeTable(scalar, WireFormat::kSkl1))
+          << "threads=" << threads
+          << " mode=" << (mode == AggMode::kFinal ? "final" : "sub");
     }
   }
 }

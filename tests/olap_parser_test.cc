@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "engine/operators.h"
 #include "expr/parser.h"
 #include "gmdj/central_eval.h"
@@ -121,6 +123,22 @@ TEST(OlapParserTest, Errors) {
   EXPECT_FALSE(
       ParseOlapQuery("SELECT g, COUNT(*) AS c FROM T WHERE GROUP BY g")
           .ok());
+}
+
+TEST(OlapParserTest, NumbersOutsideInt64AreRejected) {
+  for (const char* text :
+       {"SELECT g, COUNT(*) AS c FROM T GROUP BY g LIMIT 99999999999999999999",
+        "SELECT g, COUNT(*) AS c FROM T WHERE v = 99999999999999999999 "
+        "GROUP BY g"}) {
+    auto result = ParseOlapQuery(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  ASSERT_OK_AND_ASSIGN(
+      GmdjExpr expr,
+      ParseOlapQuery("SELECT g, COUNT(*) AS c FROM T GROUP BY g "
+                     "LIMIT 9223372036854775807"));
+  EXPECT_EQ(expr.limit, std::numeric_limits<int64_t>::max());
 }
 
 TEST(OlapParserTest, ParsedQueryEvaluatesLikeHandBuilt) {

@@ -78,6 +78,23 @@ TEST(ParserTest, NumericLiterals) {
   EXPECT_EQ(e3->ToString(), "1000");
 }
 
+TEST(ParserTest, IntegerLiteralsOutsideInt64AreRejected) {
+  // Clamping these to INT64_MAX would silently answer another query.
+  for (const char* text :
+       {"R.v = 99999999999999999999", "R.v = -9223372036854775809",
+        "R.v = 9223372036854775808"}) {
+    auto result = Parse(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(result.status().message().find("int64 range"), std::string::npos)
+        << result.status().ToString();
+  }
+  ASSERT_OK_AND_ASSIGN(ExprPtr max, Parse("9223372036854775807"));
+  EXPECT_EQ(max->ToString(), "9223372036854775807");
+  // INT64_MIN has no literal; it is written as an expression.
+  EXPECT_OK(Parse("R.v = -9223372036854775807 - 1").status());
+}
+
 TEST(ParserTest, StringLiteralsWithEscapedQuote) {
   ASSERT_OK_AND_ASSIGN(ExprPtr e, Parse("R.s = 'it''s'"));
   EXPECT_EQ(e->ToString(), "(R.s = 'it's')");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "common/random.h"
 #include "storage/csv.h"
@@ -442,6 +443,21 @@ TEST(CsvTest, BadIntegerRejectedWithLineInfo) {
   auto schema = MakeSchema({{"a", ValueType::kInt64}});
   auto result = CsvFromString("a\n1\nnot_a_number\n", schema);
   ASSERT_FALSE(result.ok());
+}
+
+TEST(CsvTest, IntegerOutsideInt64Rejected) {
+  auto schema = MakeSchema({{"a", ValueType::kInt64}});
+  for (const char* field : {"99999999999999999999", "-9223372036854775809",
+                            "9223372036854775808"}) {
+    auto result = CsvFromString(std::string("a\n") + field + "\n", schema);
+    ASSERT_FALSE(result.ok()) << field;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << field;
+  }
+  ASSERT_OK_AND_ASSIGN(
+      Table t, CsvFromString("a\n-9223372036854775808\n9223372036854775807\n",
+                             schema));
+  EXPECT_EQ(t.Get(0, 0), Value(std::numeric_limits<int64_t>::min()));
+  EXPECT_EQ(t.Get(1, 0), Value(std::numeric_limits<int64_t>::max()));
 }
 
 TEST(CsvTest, FileRoundTrip) {

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "storage/csv.h"
 #include "test_util.h"
 
 namespace skalla {
@@ -261,6 +262,41 @@ TEST(ServerHostileInputTest, Int64OverflowIsNotACrash) {
   EXPECT_NE(reply.find("NationKey"), std::string::npos) << reply;
   ASSERT_OK_AND_ASSIGN(std::string stats, client.Call("STATS"));
   EXPECT_NE(stats.find("queries_submitted"), std::string::npos);
+}
+
+TEST(ServerHostileInputTest, OutOfRangeIntegersGetErrResponses) {
+  Server srv(2);
+  Client client(&srv);
+  ASSERT_OK(client.Call("LOAD tpcr 2000").status());
+  // A literal past INT64_MAX must fail, not run as INT64_MAX.
+  auto query = client.Call(
+      "QUERY SELECT NationKey, COUNT(*) AS cnt FROM TPCR "
+      "WHERE Quantity < 99999999999999999999 GROUP BY NationKey");
+  EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument)
+      << query.status().ToString();
+  // So must a MUTATE row whose int64 field overflows: a loaded row with
+  // its first int64 column past INT64_MAX.
+  auto table = srv.warehouse().central_catalog().GetTable("TPCR");
+  ASSERT_TRUE(table.ok());
+  Row row = (*table)->row(0);
+  size_t col = 0;
+  while ((*table)->schema().field(static_cast<int>(col)).type !=
+         ValueType::kInt64) {
+    ++col;
+  }
+  constexpr int64_t kMarker = 731113579246801;
+  row[col] = Value(kMarker);
+  Table one((*table)->schema_ptr());
+  one.AddRow(std::move(row));
+  std::string csv = CsvToString(one);
+  csv = csv.substr(csv.find('\n') + 1);  // drop the header line
+  if (!csv.empty() && csv.back() == '\n') csv.pop_back();
+  csv.replace(csv.find(std::to_string(kMarker)),
+              std::to_string(kMarker).size(), "99999999999999999999");
+  auto mutate = client.Call("MUTATE TPCR APPEND " + csv);
+  EXPECT_EQ(mutate.status().code(), StatusCode::kInvalidArgument)
+      << mutate.status().ToString();
+  EXPECT_EQ(srv.stats().mutations, 0u);
 }
 
 TEST(ServerHostileInputTest, RandomBytesNeverCrashTheServer) {

@@ -3,10 +3,23 @@
 #include <numeric>
 #include <unordered_set>
 
-#include "storage/hash_index.h"
 #include "storage/serializer.h"
 
 namespace skalla {
+
+namespace {
+
+/// The row of `table` whose first `key_cols` equal `row`'s, by a linear
+/// scan with RowKeyEquals (the oracle's inputs are a few rows), or -1.
+int64_t FindRowByKey(const Table& table, const std::vector<int>& key_cols,
+                     const Row& row) {
+  for (int64_t i = 0; i < table.num_rows(); ++i) {
+    if (RowKeyEquals(table.row(i), key_cols, row, key_cols)) return i;
+  }
+  return -1;
+}
+
+}  // namespace
 
 Result<Table> CombineSubResultsRowwise(const std::vector<const Table*>& inputs,
                                        int num_key,
@@ -17,8 +30,6 @@ Result<Table> CombineSubResultsRowwise(const std::vector<const Table*>& inputs,
   Table out(inputs[0]->schema_ptr());
   std::vector<int> key_cols(static_cast<size_t>(num_key));
   std::iota(key_cols.begin(), key_cols.end(), 0);
-  HashIndex index;
-  index.Build(out, key_cols);
 
   for (const Table* input : inputs) {
     if (input->schema().num_fields() != out.schema().num_fields()) {
@@ -26,13 +37,12 @@ Result<Table> CombineSubResultsRowwise(const std::vector<const Table*>& inputs,
           "sub-result schema mismatch in combine");
     }
     for (const Row& row : input->rows()) {
-      const std::vector<int64_t>* match = index.Lookup(row, key_cols);
-      if (match == nullptr) {
+      const int64_t match = FindRowByKey(out, key_cols, row);
+      if (match < 0) {
         out.AddRow(row);
-        index.Insert(out, out.num_rows() - 1);
         continue;
       }
-      Row& acc = out.mutable_row(match->front());
+      Row& acc = out.mutable_row(match);
       for (const SubSlot& slot : slots) {
         MergeSubValues(slot.func,
                        &row[static_cast<size_t>(num_key + slot.offset)],
@@ -51,8 +61,6 @@ Result<Table> SynchronizeRowwise(const Table& x_in,
   Table x = x_in;
   std::vector<int> key_cols(static_cast<size_t>(num_key));
   std::iota(key_cols.begin(), key_cols.end(), 0);
-  HashIndex x_index;
-  x_index.Build(x, key_cols);
 
   std::vector<std::vector<Value>> acc(static_cast<size_t>(x.num_rows()));
   auto init_acc_row = [&slots, sub_width]() {
@@ -66,9 +74,8 @@ Result<Table> SynchronizeRowwise(const Table& x_in,
 
   for (size_t from = 0; from < replies.size(); ++from) {
     for (const Row& h_row : replies[from]->rows()) {
-      const std::vector<int64_t>* match = x_index.Lookup(h_row, key_cols);
-      int64_t row_id;
-      if (match == nullptr) {
+      int64_t row_id = FindRowByKey(x, key_cols, h_row);
+      if (row_id < 0) {
         if (!plan_only) {
           return Status::Internal(
               "site " + std::to_string(from) +
@@ -77,10 +84,7 @@ Result<Table> SynchronizeRowwise(const Table& x_in,
         Row key_row(h_row.begin(), h_row.begin() + num_key);
         x.AddRow(std::move(key_row));
         row_id = x.num_rows() - 1;
-        x_index.Insert(x, row_id);
         acc.push_back(init_acc_row());
-      } else {
-        row_id = match->front();
       }
       std::vector<Value>& acc_row = acc[static_cast<size_t>(row_id)];
       for (const SubSlot& slot : slots) {

@@ -3,8 +3,9 @@
 
 // The row-at-a-time synchronization the coordinator ran before the
 // column-at-a-time SubResultFold (dist/sync.h), kept as the fold's test
-// reference: every sub-result row is looked up through a HashIndex and
-// merged with MergeSubValues, and finalizing copies each X row to append
+// reference: every sub-result row finds its group by a linear scan with
+// RowKeyEquals — no code shared with the GroupMap the fold keys on — and
+// merges with MergeSubValues, and finalizing copies each X row to append
 // the new columns.
 
 #include <string>

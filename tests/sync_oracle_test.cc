@@ -2,7 +2,7 @@
 // GroupMap-keyed DistinctProject to the row-at-a-time code they replaced
 // (sync_oracle.h): over seeded random replies, the fold must produce the
 // same X — same rows in the same order, bit for bit (ContentHash) — as the
-// root's old HashIndex merge and row-copy finalize, and the same H as the
+// root's old row-at-a-time merge and row-copy finalize, and the same H as the
 // aggregators' old CombineSubResults. The replies mix every edge the
 // super-aggregates care about: NULL carriers, NaN / -0.0 / ±inf doubles,
 // int64 carriers at the wrap boundary, int64 and double in one carrier,

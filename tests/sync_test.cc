@@ -2,13 +2,15 @@
 // layout, the SubResultFold as an aggregator runs it — including the
 // associativity property that makes multi-tier merging correct: combining
 // sub-results in any grouping yields the same relation — the fold's reply
-// checks, and the GroupMap (storage/group_map.h) that keys it.
+// checks, and the GroupMap (storage/group_map.h) that keys it, with its
+// typed probe and RowGroups.
 
 #include "dist/sync.h"
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 
 #include "common/random.h"
 #include "storage/group_map.h"
@@ -288,6 +290,147 @@ TEST(GroupMapTest, GroupsAsValueEquality) {
   EXPECT_EQ(none.FindOrInsert(GroupMap::Hash(0, no_key), no_key, &inserted), 0);
   EXPECT_EQ(none.FindOrInsert(GroupMap::Hash(0, no_key), no_key, &inserted), 0);
   EXPECT_FALSE(inserted);
+}
+
+// The typed probe — hashes from CombineProbeHashes over columnar cells,
+// equality from CellEqualsValue through FindIf — must answer every probe
+// exactly as the boxed Find does, NULL, NaN, -0.0 and cross-type numerics
+// included.
+void ExpectTypedProbeAgrees(const GroupMap& groups, const Table& probes) {
+  const std::shared_ptr<const ColumnarTable> view = probes.columnar();
+  const int width = groups.width();
+  ASSERT_EQ(probes.schema().num_fields(), width);
+  std::vector<std::vector<uint64_t>> code_hashes(static_cast<size_t>(width));
+  for (int c = 0; c < width; ++c) {
+    ASSERT_TRUE(view->column(c).usable);
+    for (const std::string& str : view->column(c).dict) {
+      code_hashes[static_cast<size_t>(c)].push_back(
+          Value::HashOf(std::string_view(str)));
+    }
+  }
+  const size_t n = static_cast<size_t>(probes.num_rows());
+  std::vector<uint64_t> hashes(n, GroupMap::Seed());
+  for (int c = 0; c < width; ++c) {
+    CombineProbeHashes(view->column(c), code_hashes[static_cast<size_t>(c)], 0,
+                       n, hashes.data());
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const Row& row = probes.row(static_cast<int64_t>(i));
+    auto key_at = [&row](int c) -> const Value& {
+      return row[static_cast<size_t>(c)];
+    };
+    ASSERT_EQ(hashes[i], GroupMap::Hash(width, key_at)) << "row " << i;
+    const int64_t typed = groups.FindIf(hashes[i], [&](const Value* key) {
+      for (int c = 0; c < width; ++c) {
+        if (!CellEqualsValue(view->column(c), static_cast<int64_t>(i),
+                             key[c])) {
+          return false;
+        }
+      }
+      return true;
+    });
+    EXPECT_EQ(typed, groups.Find(hashes[i], key_at)) << "row " << i;
+  }
+}
+
+GroupMap MapOf(int width, const std::vector<Row>& keys) {
+  GroupMap groups(width);
+  for (const Row& key : keys) {
+    auto key_at = [&key](int c) -> const Value& {
+      return key[static_cast<size_t>(c)];
+    };
+    bool inserted = false;
+    groups.FindOrInsert(GroupMap::Hash(width, key_at), key_at, &inserted);
+  }
+  return groups;
+}
+
+TEST(GroupMapTest, TypedProbeAgreesWithFind) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t big = std::numeric_limits<int64_t>::max();
+  const GroupMap single =
+      MapOf(1, {{Value(int64_t{5})}, {Value(9.0)}, {Value(-0.0)},
+                {Value(nan)}, {Value::Null()}, {Value("a")}, {Value(2.5)},
+                {Value(big)}, {Value("5")}});
+  auto lookup = [&single](const Value& v) {
+    auto key_at = [&v](int) -> const Value& { return v; };
+    return single.Find(GroupMap::Hash(1, key_at), key_at);
+  };
+  // The cases the typed probe must get right, as Find answers them.
+  EXPECT_EQ(lookup(Value(int64_t{9})), 1);  // int64 9 finds double 9.0
+  EXPECT_EQ(lookup(Value(5.0)), 0);         // double 5.0 finds int64 5
+  EXPECT_EQ(lookup(Value(int64_t{0})), 2);  // 0 == -0.0
+  EXPECT_EQ(lookup(Value(nan)), -1);        // NaN never matches
+  EXPECT_EQ(lookup(Value::Null()), 4);      // NULL finds NULL
+
+  Table ints(MakeSchema({{"k", ValueType::kInt64}}));
+  for (const Value& v : {Value(int64_t{5}), Value(int64_t{9}), Value(int64_t{0}),
+                         Value::Null(), Value(int64_t{7}), Value(big),
+                         Value(big - 1), Value(int64_t{2})}) {
+    ints.AddRow({v});
+  }
+  ExpectTypedProbeAgrees(single, ints);
+
+  Table doubles(MakeSchema({{"k", ValueType::kDouble}}));
+  for (const Value& v : {Value(5.0), Value(9.0), Value(-0.0), Value(0.0),
+                         Value(nan), Value::Null(), Value(2.5), Value(2.25),
+                         Value(9.2233720368547758e18)}) {
+    doubles.AddRow({v});
+  }
+  ExpectTypedProbeAgrees(single, doubles);
+
+  Table strings(MakeSchema({{"k", ValueType::kString}}));
+  for (const Value& v : {Value("a"), Value("5"), Value::Null(), Value("b"),
+                         Value("a")}) {
+    strings.AddRow({v});
+  }
+  ExpectTypedProbeAgrees(single, strings);
+
+  const GroupMap composite =
+      MapOf(2, {{Value(int64_t{1}), Value("a")},
+                {Value(2.0), Value("b")},
+                {Value::Null(), Value("a")},
+                {Value(int64_t{1}), Value::Null()},
+                {Value(nan), Value("c")}});
+  Table pairs(MakeSchema({{"k", ValueType::kInt64}, {"s", ValueType::kString}}));
+  for (const Row& row : std::vector<Row>{{Value(int64_t{1}), Value("a")},
+                                         {Value(int64_t{2}), Value("b")},
+                                         {Value::Null(), Value("a")},
+                                         {Value(int64_t{1}), Value::Null()},
+                                         {Value(int64_t{1}), Value("b")},
+                                         {Value(int64_t{3}), Value("c")},
+                                         {Value::Null(), Value::Null()}}) {
+    pairs.AddRow(row);
+  }
+  ExpectTypedProbeAgrees(composite, pairs);
+}
+
+TEST(RowGroupsTest, RepeatedKeyRowsAscendAcrossGrowth) {
+  // 1500 keys, each on four rows 1500 apart: the map regrows several
+  // times while the repeats arrive, and every group must still list its
+  // rows in ascending order, under first-appearance group ids.
+  Table t(MakeSchema({{"k", ValueType::kInt64}, {"s", ValueType::kString}}));
+  for (int64_t r = 0; r < 6000; ++r) {
+    t.AddRow({Value(r % 1500), Value(r < 3000 ? "early" : "late")});
+  }
+  const RowGroups groups = RowGroups::Of(t, {0});
+  ASSERT_EQ(groups.num_groups(), 1500);
+  for (int64_t g = 0; g < groups.num_groups(); ++g) {
+    EXPECT_EQ(groups.map().key(g)[0], Value(g));
+    const std::span<const int64_t> rows = groups.rows(g);
+    EXPECT_EQ(std::vector<int64_t>(rows.begin(), rows.end()),
+              (std::vector<int64_t>{g, g + 1500, g + 3000, g + 4500}));
+  }
+
+  // A composite key over the same rows: 3000 groups of two rows each.
+  const RowGroups pairs = RowGroups::Of(t, {1, 0});
+  ASSERT_EQ(pairs.num_groups(), 3000);
+  for (int64_t g = 0; g < pairs.num_groups(); ++g) {
+    const std::span<const int64_t> rows = pairs.rows(g);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[1] - rows[0], 1500);
+    for (int64_t r : rows) EXPECT_EQ(pairs.Find(t.row(r), {1, 0}), g);
+  }
 }
 
 }  // namespace

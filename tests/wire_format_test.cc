@@ -34,18 +34,6 @@ std::string TableBytes(const Table& t) {
 // ---------------------------------------------------------------------------
 
 TEST(WireFormatTest, ParseAndName) {
-  for (const char* name : {"SKL1", "skl1", "1"}) {
-    auto parsed = ParseWireFormat(name);
-    ASSERT_TRUE(parsed.has_value()) << name;
-    EXPECT_EQ(*parsed, WireFormat::kSkl1);
-  }
-  for (const char* name : {"SKL2", "skl2", "2"}) {
-    auto parsed = ParseWireFormat(name);
-    ASSERT_TRUE(parsed.has_value()) << name;
-    EXPECT_EQ(*parsed, WireFormat::kSkl2);
-  }
-  EXPECT_FALSE(ParseWireFormat("SKL9").has_value());
-  EXPECT_FALSE(ParseWireFormat("").has_value());
   EXPECT_STREQ(WireFormatName(WireFormat::kSkl1), "SKL1");
   EXPECT_STREQ(WireFormatName(WireFormat::kSkl2), "SKL2");
 }
