@@ -5,7 +5,7 @@
 // the metrics registry switched off so the two layers are costed
 // separately):
 //  1. wall time with tracing disabled (the default production mode),
-//  2. wall time with full tracing on (spans + journal, every morsel lane),
+//  2. wall time with full tracing on (every span, every morsel lane),
 //  3. the per-hit cost of a *disarmed* ScopedSpan (one relaxed atomic
 //     load), microbenchmarked in isolation.
 //
@@ -32,7 +32,6 @@
 #include <cstring>
 
 #include "bench_util.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -97,8 +96,7 @@ int main(int argc, char** argv) {
   // Instrumentation hits of a single query at sample=1.
   obs::ResetTracing();
   MustExecute(warehouse, query, options);
-  const size_t hits = obs::SpanSnapshot().size() + obs::DroppedSpanCount() +
-                      obs::JournalSize();
+  const size_t hits = obs::SpanSnapshot().size() + obs::DroppedSpanCount();
   obs::ConfigureTracing(obs::TraceConfig{});
   obs::ResetTracing();
 

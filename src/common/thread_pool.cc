@@ -129,7 +129,7 @@ void ThreadPool::ParallelFor(int64_t num_items,
   auto state = std::make_shared<ForState>();
   state->fn = fn;
   state->total = num_items;
-  if (obs::SpanTracingEnabled()) {
+  if (obs::TraceEnabled()) {
     state->trace_parent = obs::CurrentSpanId();
     state->trace_track = obs::CurrentTrack();
   }

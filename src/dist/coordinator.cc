@@ -13,7 +13,6 @@
 #include "dist/sync.h"
 #include "engine/operators.h"
 #include "expr/evaluator.h"
-#include "obs/journal.h"
 #include "obs/trace.h"
 #include "storage/serializer.h"
 #include "storage/wire_format.h"
@@ -99,7 +98,7 @@ Result<std::vector<DownMessage>> ShipViews(
     const Table& x, const std::vector<std::string>& ship_cols,
     const std::vector<ExprPtr>& predicates, const TreeTopology& tree,
     const std::vector<bool>& active, WireFormat wire_format,
-    bool delta_enabled, int round, DeltaBases* bases,
+    bool delta_enabled, DeltaBases* bases,
     std::vector<const Table*>* view_of, std::deque<Table>* views) {
   const size_t num_nodes = tree.nodes.size();
   std::vector<DownMessage> down_of(num_nodes);
@@ -126,7 +125,6 @@ Result<std::vector<DownMessage>> ShipViews(
       }
       if (everything) filter[v].clear();
     }
-    const int endpoint = leaf ? node.site_index : EncodeAggregatorId(node.id);
     std::optional<Table>& cached = (*bases->tables)[v];
     DownMessage& msg = down_of[v];
     const auto [it, fresh] =
@@ -151,15 +149,6 @@ Result<std::vector<DownMessage>> ShipViews(
           }
         }
         to_ship = &reduced;
-        if (obs::JournalEnabled()) {
-          obs::JournalRecord jr;
-          jr.event = obs::JournalEvent::kReduction;
-          jr.round = round;
-          jr.site = endpoint;
-          jr.rows = reduced.num_rows();
-          jr.rows_before = x.num_rows();
-          obs::JournalAppend(std::move(jr));
-        }
       }
       Table pruned;
       if (!ship_cols.empty() &&
@@ -195,16 +184,6 @@ Result<std::vector<DownMessage>> ShipViews(
     }
     msg.from = ParentEndpoint(tree, static_cast<int>(v));
     cached = *(*view_of)[v];
-    if (obs::JournalEnabled()) {
-      obs::JournalRecord jr;
-      jr.event = obs::JournalEvent::kBaseShipped;
-      jr.round = round;
-      jr.site = endpoint;
-      jr.bytes = msg.bytes;
-      jr.rows = msg.rows;
-      jr.label = msg.fallback_bytes > 0 ? "SKLD" : WireFormatName(wire_format);
-      obs::JournalAppend(std::move(jr));
-    }
   }
   return down_of;
 }
@@ -248,10 +227,8 @@ Result<std::vector<Inbound>> CombineUp(
     std::vector<std::vector<Inbound>> inbox, const std::string& label,
     WireFormat wire_format, int num_key, const std::vector<SubSlot>& slots,
     int sub_width, RoundMetrics* rm) {
-  std::optional<obs::ScopedSpan> up_span;
-  if (tree.num_levels > 2) {
-    up_span.emplace("round.propagate_up", obs::kTrackCoordinator);
-  }
+  obs::ScopedSpan up_span(tree.num_levels > 2 ? "round.propagate_up" : nullptr,
+                          obs::kTrackCoordinator);
   std::vector<double> inbound_sec(tree.nodes.size(), 0.0);
   for (int level = 1; level + 1 < tree.num_levels; ++level) {
     double level_comm = 0;
@@ -266,27 +243,15 @@ Result<std::vector<Inbound>> CombineUp(
       GroupMap groups(num_key);
       SubResultFold fold(&groups, slots, sub_width, /*add_groups=*/true);
       SchemaPtr schema;
-      int64_t merged_rows = 0;
       for (const Inbound& in : received) {
         SKALLA_ASSIGN_OR_RETURN(DecodedColumns h,
                                 Serializer::DecodeColumns(in.payload));
         SKALLA_RETURN_NOT_OK(fold.Fold(h, in.from));
-        merged_rows += h.num_rows;
         if (schema == nullptr) schema = std::move(h.schema);
       }
       const Table combined = fold.Emit(std::move(schema));
       const double merge_sec = merge_sw.ElapsedSeconds();
       level_merge_cpu = std::max(level_merge_cpu, merge_sec);
-      if (obs::JournalEnabled()) {
-        obs::JournalRecord jr;
-        jr.event = obs::JournalEvent::kSyncMerge;
-        jr.round = net->current_round();
-        jr.site = EncodeAggregatorId(v);
-        jr.rows = merged_rows;
-        jr.seconds = merge_sec;
-        jr.label = "tree";
-        obs::JournalAppend(std::move(jr));
-      }
       std::string payload = Serializer::SerializeTable(combined, wire_format);
       const TransferOutcome out = net->Transfer(
           EncodeAggregatorId(v), ParentEndpoint(tree, v), payload.size(),
@@ -568,9 +533,8 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       Stopwatch prepare_sw;
       SKALLA_ASSIGN_OR_RETURN(
           down_of, ShipViews(x, round.ship_cols, predicates, topology_,
-                             active, wire_format, delta_enabled,
-                             network_.current_round(), &bases, &view_of,
-                             &views));
+                             active, wire_format, delta_enabled, &bases,
+                             &view_of, &views));
       coord_cpu += prepare_sw.ElapsedSeconds();
       if (prepare_span.armed()) {
         prepare_span.set_detail(std::to_string(participants.size()) +
@@ -651,16 +615,6 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
         assigned_rows[p_hot] = decision.split_at;
         assigned_rows.push_back(decision.rows - decision.split_at);
         rm.rebalance_splits++;
-        if (obs::JournalEnabled()) {
-          obs::JournalRecord jr;
-          jr.event = obs::JournalEvent::kReduction;
-          jr.round = network_.current_round();
-          jr.site = decision.hot_slot;
-          jr.rows = decision.split_at;
-          jr.rows_before = decision.rows;
-          jr.label = "rebalance split";
-          obs::JournalAppend(std::move(jr));
-        }
       }
     }
 
@@ -724,17 +678,7 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       SKALLA_ASSIGN_OR_RETURN(DecodedColumns h,
                               Serializer::DecodeColumns(in.payload));
       SKALLA_RETURN_NOT_OK(fold.Fold(h, in.from));
-      const double merge_sec = merge_sw.ElapsedSeconds();
-      coord_cpu += merge_sec;
-      if (obs::JournalEnabled()) {
-        obs::JournalRecord jr;
-        jr.event = obs::JournalEvent::kSyncMerge;
-        jr.round = network_.current_round();
-        jr.site = in.from;
-        jr.rows = h.num_rows;
-        jr.seconds = merge_sec;
-        obs::JournalAppend(std::move(jr));
-      }
+      coord_cpu += merge_sw.ElapsedSeconds();
     }
     sync_span.reset();
 
@@ -742,10 +686,8 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     //      the groups a plan-only round found become rows at full width
     //      (the base query's rows are keys only). ----
     {
-      std::optional<obs::ScopedSpan> finalize_span;
-      if (!base) {
-        finalize_span.emplace("round.finalize", obs::kTrackCoordinator);
-      }
+      obs::ScopedSpan finalize_span(base ? nullptr : "round.finalize",
+                                    obs::kTrackCoordinator);
       Stopwatch finalize_sw;
       fold.FinalizeInto(&x, final_width);
       coord_cpu += finalize_sw.ElapsedSeconds();

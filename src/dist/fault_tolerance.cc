@@ -4,7 +4,6 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/partition_info.h"
@@ -46,10 +45,11 @@ namespace {
 enum class FailureKind { kNone, kUnreachable, kTimeout };
 
 // Per-site registry instruments of the wave driver — the continuous skew
-// signal the ROADMAP's adaptive-execution item consumes (the per-query
-// equivalent lives in RoundMetrics). The per-site lookup builds a labeled
-// name, so it is gated behind MetricsEnabled() at the call sites; this is
-// per attempt per round, far off the row-at-a-time hot path.
+// signal a METRICS scrape watches (the per-query equivalent lives in
+// RoundMetrics; the skew detector learns from the latter). The per-site
+// lookup builds a labeled name, so it is gated behind MetricsEnabled() at
+// the call sites; this is per attempt per round, far off the row-at-a-time
+// hot path.
 obs::Histogram& SiteRoundHistogram(int sid) {
   return obs::GetHistogram(
       "skalla_dist_site_round_seconds{site=\"" + std::to_string(sid) + "\"}",
@@ -76,20 +76,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         obs::GetCounter("skalla_dist_rounds_total");
     rounds_total.Increment();
   }
-  const int round = net->current_round();
-  auto journal_site_event = [round](obs::JournalEvent event, int sid,
-                                    int attempt, double seconds,
-                                    const char* label) {
-    if (!obs::JournalEnabled()) return;
-    obs::JournalRecord jr;
-    jr.event = event;
-    jr.round = round;
-    jr.site = sid;
-    jr.attempt = attempt;
-    jr.seconds = seconds;
-    jr.label = label;
-    obs::JournalAppend(std::move(jr));
-  };
   const size_t n = participants.size();
   // Per-slot wall timings for the skew detector.
   if (rm->site_seconds.size() < n) rm->site_seconds.resize(n, 0.0);
@@ -117,8 +103,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       Site* site = roster->active(sid);
       SiteLoad& load = rm->site_loads[p];
       load.attempts++;
-      journal_site_event(obs::JournalEvent::kAttemptStart, sid, attempt, 0,
-                         "");
       if (attempt > 0) {
         rm->retries++;
         load.retries++;
@@ -126,7 +110,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
             obs::GetCounter("skalla_dist_retries_total");
         retries_total.Increment();
         charge[p] += retry.BackoffSeconds(attempt);
-        journal_site_event(obs::JournalEvent::kRetry, sid, attempt, 0, "");
       }
       const DownMessage& msg = down[p];
       // A delta payload is only safe on the first attempt: after a failed
@@ -176,8 +159,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         last_failure[p] = FailureKind::kUnreachable;
         charge[p] += retry.deadline_enabled() ? retry.DeadlineSeconds(attempt)
                                               : out.seconds;
-        journal_site_event(obs::JournalEvent::kAttemptFinish, sid, attempt, 0,
-                           "lost-down");
         continue;
       }
       down_sec[p] = out.seconds;
@@ -192,9 +173,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       const int sid = participants[p];
       // Local evaluation runs on pool threads; home its spans (and the
       // nested morsel spans) onto the site's track.
-      obs::TrackScope track(obs::SpanTracingEnabled()
-                                ? obs::TrackForSite(sid)
-                                : obs::kTrackInherit);
+      obs::TrackScope track(obs::TrackForSite(sid));
       obs::ScopedSpan span("site.eval");
       if (span.armed()) {
         span.set_detail("site " + std::to_string(sid) + " attempt " +
@@ -266,8 +245,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         // up on the reply.
         charge[p] += retry.deadline_enabled() ? deadline
                                               : down_sec[p] + out.seconds;
-        journal_site_event(obs::JournalEvent::kAttemptFinish, sid, attempt,
-                           cpu, "lost-up");
         continue;
       }
       const double attempt_sec = down_sec[p] + cpu + out.seconds;
@@ -282,8 +259,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
         last_failure[p] = FailureKind::kTimeout;
         charge[p] += deadline;
-        journal_site_event(obs::JournalEvent::kAttemptTimeout, sid, attempt,
-                           cpu, "");
         continue;
       }
       charge[p] += down_sec[p] + out.seconds;
@@ -300,8 +275,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       load.cpu_sec += cpu;
       rm->site_seconds[p] = cpu;
       if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
-      journal_site_event(obs::JournalEvent::kAttemptFinish, sid, attempt,
-                         cpu, "ok");
       replies[p] = std::move(payload);
       done[p] = true;
     }
@@ -319,6 +292,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
 
     // ---- Cull finished slots; exhausted slots fail over or abort. ----
     std::vector<size_t> next_pending;
+    Status failed;
     for (size_t p : pending) {
       if (done[p]) continue;
       const int sid = participants[p];
@@ -326,16 +300,14 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         std::string why;
         Site* replica = roster->Failover(sid, &why);
         if (replica == nullptr) {
-          const int attempts_used = attempt + 1;
-          if (last_failure[p] == FailureKind::kTimeout) {
-            return Status::DeadlineExceeded(StrFormat(
-                "site %d missed the deadline in round '%s' after %d "
-                "attempt(s); %s",
-                sid, rm->label.c_str(), attempts_used, why.c_str()));
-          }
-          return Status::Unavailable(StrFormat(
-              "site %d unreachable in round '%s' after %d attempt(s); %s",
-              sid, rm->label.c_str(), attempts_used, why.c_str()));
+          const bool timed_out = last_failure[p] == FailureKind::kTimeout;
+          failed = Status(
+              timed_out ? StatusCode::kDeadlineExceeded
+                        : StatusCode::kUnavailable,
+              StrFormat("site %d %s in round '%s' after %d attempt(s); %s",
+                        sid, timed_out ? "missed the deadline" : "unreachable",
+                        rm->label.c_str(), attempt + 1, why.c_str()));
+          break;
         }
         rm->failovers++;
         rm->site_loads[p].failovers++;
@@ -343,10 +315,19 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
             obs::GetCounter("skalla_dist_failovers_total");
         failovers_total.Increment();
         budget[p] += attempts_per_budget;
-        journal_site_event(obs::JournalEvent::kFailover, sid, attempt, 0, "");
       }
       next_pending.push_back(p);
     }
+    // The round's fault counts so far, on its timeline span: a round that
+    // gives up carries them too.
+    if (drive_span.armed() &&
+        rm->retries + rm->timeouts + rm->drops + rm->failovers > 0) {
+      drive_span.set_detail(StrFormat(
+          "%s: retries=%d timeouts=%d drops=%d failovers=%d",
+          rm->label.c_str(), rm->retries, rm->timeouts, rm->drops,
+          rm->failovers));
+    }
+    if (!failed.ok()) return failed;
     pending = std::move(next_pending);
     ++attempt;
   }

@@ -1,7 +1,6 @@
 #include "dist/rebalance.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/string_util.h"
 
@@ -22,46 +21,6 @@ void SkewDetector::SeedRows(size_t num_slots) {
   if (rate_.size() != num_slots) {
     rate_.assign(num_slots, 1.0);
     observed_.assign(num_slots, false);
-  }
-}
-
-void SkewDetector::SeedFromMetricsWindow(
-    const std::vector<obs::MetricValue>& window) {
-  // Collect the per-site mean round seconds present in the window.
-  std::vector<std::pair<int, double>> means;
-  for (const obs::MetricValue& v : window) {
-    if (v.kind != obs::MetricKind::kHistogram || v.hist_count == 0) continue;
-    std::string base, labels;
-    obs::SplitMetricName(v.name, &base, &labels);
-    if (base != "skalla_dist_site_round_seconds") continue;
-    const std::string prefix = "site=\"";
-    const size_t at = labels.find(prefix);
-    if (at == std::string::npos) continue;
-    const int slot = std::atoi(labels.c_str() + at + prefix.size());
-    means.emplace_back(slot, v.hist_sum / static_cast<double>(v.hist_count));
-  }
-  if (means.empty()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  double total = 0;
-  int max_slot = 0;
-  for (const auto& [slot, mean] : means) {
-    total += mean;
-    max_slot = std::max(max_slot, slot);
-  }
-  const double across = total / static_cast<double>(means.size());
-  if (across <= 0) return;
-  if (static_cast<size_t>(max_slot) >= rate_.size()) {
-    rate_.resize(static_cast<size_t>(max_slot) + 1, 1.0);
-    observed_.resize(static_cast<size_t>(max_slot) + 1, false);
-  }
-  // Relative rates: the window has no per-row attribution, so a slot twice
-  // as slow per round is assumed twice as slow per row — exact when the
-  // window's rounds scanned similar row counts, and refined by the first
-  // live ObserveRound either way.
-  for (const auto& [slot, mean] : means) {
-    if (slot < 0) continue;
-    rate_[static_cast<size_t>(slot)] = mean / across;
-    observed_[static_cast<size_t>(slot)] = true;
   }
 }
 

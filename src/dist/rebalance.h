@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace skalla {
 
 /// Knobs of the skew-aware adaptive round execution (docs/skew.md).
@@ -57,15 +55,14 @@ struct RebalanceDecision {
 ///
 /// Maintains an EWMA of each site slot's cost per scanned detail row,
 /// seeded statically from partition row counts (data skew is visible
-/// before the first round runs) and/or from a DiffMetrics window over the
-/// wave driver's `skalla_dist_site_round_seconds{site="N"}` histograms,
-/// then refined every round from the driver's per-slot wall timings. The
-/// detector is intentionally coordinator-side state: it survives across
-/// rounds (and across queries when owned by the Warehouse) so repeat
-/// offenders — slow hardware, heavy-hitter partitions — are caught from
-/// their first round of the next query. Rate state is internally
-/// synchronized (the serving layer runs concurrent queries against one
-/// warehouse-owned detector); the config is not — set it before serving.
+/// before the first round runs), then refined every round from the
+/// driver's per-slot wall timings. The detector is intentionally
+/// coordinator-side state: it survives across rounds (and across queries
+/// when owned by the Warehouse) so repeat offenders — slow hardware,
+/// heavy-hitter partitions — are caught from their first round of the next
+/// query. Rate state is internally synchronized (the serving layer runs
+/// concurrent queries against one warehouse-owned detector); the config is
+/// not — set it before serving.
 class SkewDetector {
  public:
   explicit SkewDetector(RebalanceConfig config = RebalanceConfig())
@@ -88,13 +85,6 @@ class SkewDetector {
   /// so seeding just declares the slots. Also resets stale slots when the
   /// topology changed.
   void SeedRows(size_t num_slots);
-
-  /// Seeds relative per-row rates from a registry window (DiffMetrics of
-  /// SnapshotMetrics taken around earlier queries): each
-  /// `skalla_dist_site_round_seconds{site="N"}` histogram's mean
-  /// observation, normalized by the across-site mean, becomes slot N's
-  /// initial rate. Slots absent from the window keep their current rate.
-  void SeedFromMetricsWindow(const std::vector<obs::MetricValue>& window);
 
   /// Folds one round's observation for a slot: `seconds` of site wall time
   /// over `rows` scanned detail rows.

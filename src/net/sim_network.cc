@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "common/string_util.h"
-#include "obs/journal.h"
-#include "obs/trace.h"
 
 namespace skalla {
 
@@ -43,23 +41,6 @@ TransferOutcome SimNetwork::Transfer(int from, int to, size_t bytes,
   }
 
   TransferOutcome outcome{record.delivered, record.seconds};
-  if (obs::JournalEnabled()) {
-    // Every byte ExecutionMetrics accounts for flows through here exactly
-    // once, so kMessage records sum to TotalBytes() by construction.
-    obs::JournalRecord jr;
-    jr.event = obs::JournalEvent::kMessage;
-    jr.round = current_round_;
-    jr.from = from;
-    jr.to = to;
-    jr.site = site;
-    jr.attempt = attempt;
-    jr.bytes = bytes;
-    jr.rows = rows;
-    jr.seconds = record.seconds;
-    jr.delivered = record.delivered;
-    jr.label = record.label;
-    obs::JournalAppend(std::move(jr));
-  }
   transfers_.push_back(std::move(record));
   return outcome;
 }

@@ -70,10 +70,6 @@ class SimNetwork {
   /// Starts a new accounting round with a human-readable label.
   void BeginRound(std::string label);
 
-  /// The index of the round currently being recorded (-1 before the first
-  /// BeginRound) — also the round number fault schedules key on.
-  int current_round() const { return current_round_; }
-
   /// Records one message and returns whether it was delivered plus the
   /// simulated seconds it took. `attempt` is the coordinator's retry
   /// counter for the exchange this message belongs to. `dir` defaults to

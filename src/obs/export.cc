@@ -21,17 +21,22 @@ std::string Micros(int64_t ns) {
   return buf;
 }
 
-const char* InstantName(JournalEvent event) {
-  switch (event) {
-    case JournalEvent::kRetry:
-      return "retry";
-    case JournalEvent::kFailover:
-      return "failover";
-    case JournalEvent::kAttemptTimeout:
-      return "timeout";
-    default:
-      return nullptr;
+// Writes one export destination. The atexit hook that usually calls
+// WriteConfiguredTraceOutputs drops its result, so a failure is also said
+// on stderr.
+template <typename WriteFn>
+bool WriteTraceFile(const std::string& path, const char* what,
+                    const WriteFn& write) {
+  std::ofstream file(path);
+  if (file) write(file);
+  file.close();
+  if (!file) {
+    std::cerr << "[skalla] could not write " << what << " to " << path
+              << "\n";
+    return false;
   }
+  std::cerr << "[skalla] " << what << " written to " << path << "\n";
+  return true;
 }
 
 }  // namespace
@@ -70,15 +75,9 @@ std::string JsonEscape(const std::string& value) {
 }
 
 void ExportChromeTrace(const std::vector<TraceSpan>& spans,
-                       const std::vector<JournalRecord>& journal,
                        std::ostream& out) {
   std::set<int> tracks;
   for (const TraceSpan& span : spans) tracks.insert(span.track);
-  for (const JournalRecord& record : journal) {
-    if (InstantName(record.event) != nullptr) {
-      tracks.insert(TrackForSite(record.site));
-    }
-  }
 
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
@@ -114,20 +113,6 @@ void ExportChromeTrace(const std::vector<TraceSpan>& spans,
     out << "\"thread\":" << span.thread << "}}";
   }
 
-  for (const JournalRecord& record : journal) {
-    const char* name = InstantName(record.event);
-    if (name == nullptr) continue;
-    sep();
-    out << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
-        << TrackForSite(record.site) << ",\"ts\":" << Micros(record.ts_ns)
-        << ",\"name\":\"" << name << "\",\"cat\":\"skalla\",\"args\":{"
-        << "\"site\":" << record.site << ",\"attempt\":" << record.attempt;
-    if (!record.label.empty()) {
-      out << ",\"label\":\"" << JsonEscape(record.label) << "\"";
-    }
-    out << "}}";
-  }
-
   out << "\n]}\n";
 }
 
@@ -160,67 +145,22 @@ void ExportTextTimeline(const std::vector<TraceSpan>& spans,
   }
 }
 
-void ExportJournalJsonl(const std::vector<JournalRecord>& journal,
-                        std::ostream& out) {
-  for (const JournalRecord& record : journal) {
-    out << "{\"event\":\"" << JournalEventName(record.event) << "\"";
-    if (record.round >= 0) out << ",\"round\":" << record.round;
-    if (record.event == JournalEvent::kMessage) {
-      out << ",\"from\":" << record.from << ",\"to\":" << record.to;
-      if (!record.delivered) out << ",\"delivered\":false";
-    }
-    // -1 is the "no site" default; aggregator endpoints (<= -2) still print.
-    if (record.site != -1) out << ",\"site\":" << record.site;
-    if (record.attempt > 0) out << ",\"attempt\":" << record.attempt;
-    if (record.bytes > 0) out << ",\"bytes\":" << record.bytes;
-    if (record.rows > 0) out << ",\"rows\":" << record.rows;
-    if (record.rows_before > 0) {
-      out << ",\"rows_before\":" << record.rows_before;
-    }
-    if (record.seconds > 0) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.6f", record.seconds);
-      out << ",\"seconds\":" << buf;
-    }
-    if (!record.label.empty()) {
-      out << ",\"label\":\"" << JsonEscape(record.label) << "\"";
-    }
-    out << ",\"ts_ns\":" << record.ts_ns << "}\n";
-  }
-}
-
 bool WriteConfiguredTraceOutputs() {
   const TraceConfig config = CurrentTraceConfig();
   bool ok = true;
   if (!config.chrome_path.empty()) {
-    std::ofstream file(config.chrome_path);
-    if (file) {
-      ExportChromeTrace(SpanSnapshot(), JournalSnapshot(), file);
-      std::cerr << "[skalla] chrome trace written to " << config.chrome_path
-                << "\n";
-    } else {
-      ok = false;
-    }
+    ok &= WriteTraceFile(config.chrome_path, "chrome trace",
+                         [](std::ostream& out) {
+                           ExportChromeTrace(SpanSnapshot(), out);
+                         });
   }
-  if (!config.text_path.empty()) {
-    if (config.text_path == "-") {
-      ExportTextTimeline(SpanSnapshot(), std::cerr);
-    } else {
-      std::ofstream file(config.text_path);
-      if (file) {
-        ExportTextTimeline(SpanSnapshot(), file);
-      } else {
-        ok = false;
-      }
-    }
-  }
-  if (!config.journal_path.empty()) {
-    std::ofstream file(config.journal_path);
-    if (file) {
-      ExportJournalJsonl(JournalSnapshot(), file);
-    } else {
-      ok = false;
-    }
+  if (config.text_path == "-") {
+    ExportTextTimeline(SpanSnapshot(), std::cerr);
+  } else if (!config.text_path.empty()) {
+    ok &= WriteTraceFile(config.text_path, "text timeline",
+                         [](std::ostream& out) {
+                           ExportTextTimeline(SpanSnapshot(), out);
+                         });
   }
   return ok;
 }

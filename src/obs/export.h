@@ -2,20 +2,19 @@
 #define SKALLA_OBS_EXPORT_H_
 
 #include <iosfwd>
+#include <string>
 #include <vector>
 
-#include "obs/journal.h"
 #include "obs/trace.h"
 
 namespace skalla {
 namespace obs {
 
-/// Writes spans (+ journal instants for retries/timeouts/failovers) as
-/// Chrome trace-event JSON, loadable in Perfetto / chrome://tracing. One
-/// timeline track per site plus the coordinator, pool-lane, and aggregator
-/// tracks (named via ph:"M" thread_name metadata).
+/// Writes spans as Chrome trace-event JSON, loadable in Perfetto /
+/// chrome://tracing. One timeline track per site plus the coordinator,
+/// pool-lane, and aggregator tracks (named via ph:"M" thread_name
+/// metadata).
 void ExportChromeTrace(const std::vector<TraceSpan>& spans,
-                       const std::vector<JournalRecord>& journal,
                        std::ostream& out);
 
 /// Writes a plain-text per-track timeline (start/duration/indent by
@@ -23,15 +22,10 @@ void ExportChromeTrace(const std::vector<TraceSpan>& spans,
 void ExportTextTimeline(const std::vector<TraceSpan>& spans,
                         std::ostream& out);
 
-/// Writes the journal as JSONL, one record per line, replayable by
-/// external tools (fields with zero defaults are omitted).
-void ExportJournalJsonl(const std::vector<JournalRecord>& journal,
-                        std::ostream& out);
-
 /// Writes whatever destinations the current TraceConfig names
-/// (chrome_path / text_path / journal_path; text "-" = stderr). Registered
-/// via atexit when SKALLA_TRACE requests file output. Returns false if any
-/// destination could not be opened.
+/// (chrome_path / text_path; text "-" = stderr). Registered via atexit when
+/// SKALLA_TRACE requests file output. Prints one "[skalla]" line on stderr
+/// per destination that could not be written and then returns false.
 bool WriteConfiguredTraceOutputs();
 
 /// JSON string-escapes `value` (quotes not included).

@@ -327,38 +327,6 @@ std::vector<MetricValue> SnapshotMetrics() {
   return values;
 }
 
-std::vector<MetricValue> DiffMetrics(const std::vector<MetricValue>& before,
-                                     const std::vector<MetricValue>& after) {
-  std::map<std::string, const MetricValue*> base;
-  for (const MetricValue& v : before) base[v.name] = &v;
-  std::vector<MetricValue> out;
-  out.reserve(after.size());
-  for (const MetricValue& v : after) {
-    MetricValue d = v;
-    const auto it = base.find(v.name);
-    if (it != base.end() && it->second->kind == v.kind) {
-      const MetricValue& b = *it->second;
-      switch (v.kind) {
-        case MetricKind::kCounter:
-          d.counter_value = v.counter_value - b.counter_value;
-          break;
-        case MetricKind::kGauge:
-          break;  // a gauge is a level, not a flow: keep `after`
-        case MetricKind::kHistogram:
-          d.hist_count = v.hist_count - b.hist_count;
-          d.hist_sum = v.hist_sum - b.hist_sum;
-          for (size_t i = 0; i < d.buckets.size() && i < b.buckets.size();
-               ++i) {
-            d.buckets[i] = v.buckets[i] - b.buckets[i];
-          }
-          break;
-      }
-    }
-    out.push_back(std::move(d));
-  }
-  return out;
-}
-
 void SplitMetricName(const std::string& name, std::string* base,
                      std::string* labels) {
   const size_t brace = name.find('{');

@@ -247,14 +247,6 @@ struct MetricValue {
 /// Values of every registered instrument, sorted by name.
 std::vector<MetricValue> SnapshotMetrics();
 
-/// `after - before`, matched by name: counters and histogram counts/sums
-/// subtract; gauges keep the `after` value (a gauge is a level, not a
-/// flow). Instruments registered only in `after` are kept as-is. Use to
-/// scope process-wide metrics to a region — e.g. the PROFILE verb diffs
-/// around one query's execution.
-std::vector<MetricValue> DiffMetrics(const std::vector<MetricValue>& before,
-                                     const std::vector<MetricValue>& after);
-
 /// Splits a registered name into its base and label part:
 /// `foo{a="b"}` -> ("foo", `a="b"`); no labels -> (name, "").
 void SplitMetricName(const std::string& name, std::string* base,

@@ -1,19 +1,17 @@
 #include "obs/trace.h"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
 #include "obs/export.h"
-#include "obs/journal.h"
 
 namespace skalla {
 namespace obs {
 
 namespace internal {
 std::atomic<bool> g_trace_enabled{false};
-std::atomic<bool> g_spans_enabled{false};
-std::atomic<bool> g_journal_enabled{false};
 std::atomic<int> g_morsel_sample{16};
 }  // namespace internal
 
@@ -62,15 +60,20 @@ void RecordSpan(TraceSpan span) {
 
 // Reads SKALLA_TRACE once at process start and, when it names export
 // destinations, registers an atexit writer so examples and benches get a
-// trace file with no code changes.
+// trace file with no code changes. A malformed value is reported once and
+// leaves tracing off.
 const bool g_env_initialized = [] {
   const char* env = std::getenv("SKALLA_TRACE");
   if (env == nullptr || *env == '\0') return true;
-  const TraceConfig config = TraceConfigFromEnv(env);
-  if (!config.enabled) return true;
-  ConfigureTracing(config);
-  if (!config.chrome_path.empty() || !config.text_path.empty() ||
-      !config.journal_path.empty()) {
+  const Result<TraceConfig> config = TraceConfigFromEnv(env);
+  if (!config.ok()) {
+    std::fprintf(stderr, "[skalla] %s; tracing stays off\n",
+                 config.status().message().c_str());
+    return true;
+  }
+  if (!config->enabled) return true;
+  ConfigureTracing(*config);
+  if (!config->chrome_path.empty() || !config->text_path.empty()) {
     std::atexit([] { WriteConfiguredTraceOutputs(); });
   }
   return true;
@@ -86,10 +89,6 @@ void ConfigureTracing(const TraceConfig& config) {
   }
   internal::g_morsel_sample.store(config.morsel_sample,
                                   std::memory_order_relaxed);
-  internal::g_spans_enabled.store(config.enabled && config.spans,
-                                  std::memory_order_relaxed);
-  internal::g_journal_enabled.store(config.enabled && config.journal,
-                                    std::memory_order_relaxed);
   internal::g_trace_enabled.store(config.enabled, std::memory_order_relaxed);
 }
 
@@ -101,19 +100,15 @@ TraceConfig CurrentTraceConfig() {
 
 void ResetTracing() {
   TracerState& state = State();
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    state.spans.clear();
-    state.dropped.store(0, std::memory_order_relaxed);
-  }
-  ClearJournal();
+  std::lock_guard<std::mutex> lock(state.mu);
+  state.spans.clear();
+  state.dropped.store(0, std::memory_order_relaxed);
 }
 
-TraceConfig TraceConfigFromEnv(const char* value) {
+Result<TraceConfig> TraceConfigFromEnv(const char* value) {
   TraceConfig config;
-  if (value == nullptr) return config;
+  if (value == nullptr || *value == '\0') return config;
   const std::string v(value);
-  if (v.empty() || v == "0" || v == "off") return config;
   config.enabled = true;
   size_t pos = 0;
   while (pos <= v.size()) {
@@ -125,16 +120,22 @@ TraceConfig TraceConfigFromEnv(const char* value) {
     const std::string key = token.substr(0, colon);
     const std::string arg =
         colon == std::string::npos ? "" : token.substr(colon + 1);
-    if (key == "chrome") {
+    if (token.empty() || token == "on" || token == "1") {
+      // A non-empty value turns tracing on already.
+    } else if (token == "off" || token == "0") {
+      config.enabled = false;
+    } else if (key == "chrome") {
       config.chrome_path = arg.empty() ? "skalla_trace.json" : arg;
     } else if (key == "text") {
       config.text_path = arg.empty() ? "-" : arg;
-    } else if (key == "journal") {
-      config.journal_path = arg.empty() ? "skalla_journal.jsonl" : arg;
-    } else if (key == "sample") {
-      config.morsel_sample = std::atoi(arg.c_str());
+    } else if (key == "sample" && !arg.empty() && arg.size() <= 9 &&
+               arg.find_first_not_of("0123456789") == std::string::npos) {
+      config.morsel_sample = std::atoi(arg.c_str());  // <= 9 digits: fits
+    } else {
+      return Status::InvalidArgument(
+          "SKALLA_TRACE: invalid token '" + token +
+          "' (expected on, off, chrome[:path], text[:path] or sample:<n>)");
     }
-    // "on"/"1"/unknown tokens just leave tracing enabled.
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -191,7 +192,7 @@ size_t DroppedSpanCount() {
 }
 
 ScopedSpan::ScopedSpan(const char* name, int track) {
-  if (name == nullptr || !SpanTracingEnabled()) return;
+  if (name == nullptr || !TraceEnabled()) return;
   armed_ = true;
   name_ = name;
   track_ = track == kTrackInherit ? tls_track : track;
@@ -217,7 +218,7 @@ ScopedSpan::~ScopedSpan() {
 }
 
 TrackScope::TrackScope(int track) {
-  if (track == kTrackInherit || !SpanTracingEnabled()) return;
+  if (track == kTrackInherit || !TraceEnabled()) return;
   armed_ = true;
   saved_ = tls_track;
   tls_track = track;
@@ -228,7 +229,7 @@ TrackScope::~TrackScope() {
 }
 
 ParentScope::ParentScope(uint64_t parent) {
-  if (parent == 0 || !SpanTracingEnabled()) return;
+  if (parent == 0 || !TraceEnabled()) return;
   armed_ = true;
   tls_span_stack.push_back(parent);
 }

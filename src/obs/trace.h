@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
+
 namespace skalla {
 namespace obs {
 
@@ -18,8 +20,6 @@ namespace obs {
 /// (TraceConfigFromEnv). See docs/observability.md.
 struct TraceConfig {
   bool enabled = false;
-  bool spans = true;    ///< record Span intervals
-  bool journal = true;  ///< record typed journal events (obs/journal.h)
   /// Record every Nth morsel-lane span of a parallel local GMDJ
   /// evaluation (gmdj/local_eval.cc); 0 disables lane spans. Sampling
   /// keeps big scans from flooding the span buffer while still showing
@@ -32,33 +32,18 @@ struct TraceConfig {
   /// (obs/export.h); empty = skip. text_path "-" means stderr.
   std::string chrome_path;
   std::string text_path;
-  std::string journal_path;
 };
 
 namespace internal {
-// Split out of TraceConfig so the hot-path gates are single relaxed
-// atomic loads (near-zero when tracing is disabled).
+// Split out of TraceConfig so the hot-path gate is a single relaxed
+// atomic load (near-zero when tracing is disabled).
 extern std::atomic<bool> g_trace_enabled;
-extern std::atomic<bool> g_spans_enabled;
-extern std::atomic<bool> g_journal_enabled;
 extern std::atomic<int> g_morsel_sample;
 }  // namespace internal
 
-/// Master gate: true when tracing is configured on.
+/// The tracer's one gate: true when tracing is configured on.
 inline bool TraceEnabled() {
   return internal::g_trace_enabled.load(std::memory_order_relaxed);
-}
-
-/// True when span recording is on (master gate && TraceConfig::spans).
-inline bool SpanTracingEnabled() {
-  return internal::g_spans_enabled.load(std::memory_order_relaxed);
-}
-
-/// True when journal recording is on (master gate && TraceConfig::journal).
-/// Callers must guard record construction behind this so that building the
-/// record (which may allocate) is skipped entirely when tracing is off.
-inline bool JournalEnabled() {
-  return internal::g_journal_enabled.load(std::memory_order_relaxed);
 }
 
 /// Morsel-span sampling stride (TraceConfig::morsel_sample).
@@ -66,26 +51,27 @@ inline int MorselSampleEvery() {
   return internal::g_morsel_sample.load(std::memory_order_relaxed);
 }
 
-/// Installs `config` process-wide. Existing spans/journal records are kept;
-/// call ResetTracing() for a clean slate. Thread-safe, but intended to be
+/// Installs `config` process-wide. Existing spans are kept; call
+/// ResetTracing() for a clean slate. Thread-safe, but intended to be
 /// called while no query is executing.
 void ConfigureTracing(const TraceConfig& config);
 
 /// The currently installed configuration.
 TraceConfig CurrentTraceConfig();
 
-/// Clears recorded spans and journal records (configuration is kept).
+/// Clears recorded spans (configuration is kept).
 void ResetTracing();
 
 /// Parses a SKALLA_TRACE value into a TraceConfig. Grammar: a comma list of
-/// "on"/"1", "chrome[:path]", "text[:path]", "journal[:path]",
-/// "sample:<n>"; "" / "0" / "off" leave tracing disabled.
-TraceConfig TraceConfigFromEnv(const char* value);
+/// "on"/"1", "off"/"0", "chrome[:path]", "text[:path]", "sample:<n>". A
+/// null or empty value, or any "off"/"0" token, leaves tracing disabled.
+/// Any other token is kInvalidArgument.
+Result<TraceConfig> TraceConfigFromEnv(const char* value);
 
 // ---- Track model -----------------------------------------------------------
-// Every span and journal instant lives on one logical track of the
-// exported timeline: the coordinator, one track per site, one per
-// thread-pool lane, and one per aggregation-tree internal node.
+// Every span lives on one logical track of the exported timeline: the
+// coordinator, one track per site, one per thread-pool lane, and one per
+// aggregation-tree internal node.
 
 inline constexpr int kTrackCoordinator = 0;
 /// Sentinel for ScopedSpan/TrackScope: use the thread's current track.

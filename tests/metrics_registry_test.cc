@@ -1,8 +1,8 @@
 // Metrics-registry correctness (ISSUE 9): exact totals under concurrent
 // hammering (run under TSan via the "metrics" ctest label), disabled-mode
-// no-op semantics, exposition/JSONL formats, registry diffing, the STATS
-// additive contract, and the PROFILE verb's round-trip equality with the
-// query's own ExecutionMetrics.
+// no-op semantics, exposition/JSONL formats, the STATS additive contract,
+// and the PROFILE verb's round-trip equality with the query's own
+// ExecutionMetrics.
 
 #include <gtest/gtest.h>
 
@@ -143,45 +143,6 @@ TEST(MetricsRegistryTest, GaugeGuardPairsAcrossAGateFlip) {
     obs::EnableMetrics(false);
   }
   EXPECT_EQ(gauge.Value(), 0);
-}
-
-TEST(MetricsRegistryTest, DiffSubtractsFlowsAndKeepsLevels) {
-  EnabledGuard enabled;
-  obs::Counter& counter = obs::GetCounter("skalla_test_diff_total");
-  obs::Gauge& gauge = obs::GetGauge("skalla_test_diff_depth");
-  obs::Histogram& hist = obs::GetHistogram("skalla_test_diff_seconds",
-                                           obs::HistogramLayout::Ratio());
-  counter.Reset();
-  gauge.Reset();
-  hist.Reset();
-  counter.Add(5);
-  gauge.Add(5);
-  hist.Observe(0.01);
-
-  std::vector<obs::MetricValue> before = obs::SnapshotMetrics();
-  counter.Add(3);
-  gauge.Sub(2);
-  hist.Observe(0.02);
-  hist.Observe(0.04);
-  std::vector<obs::MetricValue> diff =
-      obs::DiffMetrics(before, obs::SnapshotMetrics());
-
-  auto find = [&diff](const std::string& name) -> const obs::MetricValue* {
-    for (const obs::MetricValue& v : diff) {
-      if (v.name == name) return &v;
-    }
-    return nullptr;
-  };
-  const obs::MetricValue* c = find("skalla_test_diff_total");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->counter_value, 3u);  // flow: after - before
-  const obs::MetricValue* g = find("skalla_test_diff_depth");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->gauge_value, 3);  // level: the after value
-  const obs::MetricValue* h = find("skalla_test_diff_seconds");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->hist_count, 2u);
-  EXPECT_NEAR(h->hist_sum, 0.06, 1e-12);
 }
 
 TEST(MetricsRegistryTest, ExpositionFormatGolden) {

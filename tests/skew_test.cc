@@ -1,12 +1,12 @@
 // Skew-aware adaptive round execution suite (ctest label "skew").
 //
-// Covers the straggler detector (EWMA rates, metric-window seeding, the
-// PlanRound keep rule), the heavy-hitter sketch and frequency-weighted φ
-// partitioning, and — the acceptance property of docs/skew.md — that a
-// rebalanced execution is *byte-identical* to the unrebalanced one across
-// coordinator topologies, local-thread counts, wire formats, pinned fuzz
-// seeds, and fault schedules (DESIGN.md invariant 12). The rebalancer may
-// only move work, never change the answer.
+// Covers the straggler detector (EWMA rates, the PlanRound keep rule),
+// the heavy-hitter sketch and frequency-weighted φ partitioning, and — the
+// acceptance property of docs/skew.md — that a rebalanced execution is
+// *byte-identical* to the unrebalanced one across coordinator topologies,
+// local-thread counts, wire formats, pinned fuzz seeds, and fault
+// schedules (DESIGN.md invariant 12). The rebalancer may only move work,
+// never change the answer.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "dist/rebalance.h"
 #include "flow/flowgen.h"
 #include "net/fault_injector.h"
-#include "obs/metrics.h"
 #include "opt/cost_model.h"
 #include "server/admission.h"
 #include "skalla/queries.h"
@@ -70,41 +69,6 @@ TEST(SkewDetectorTest, ObserveRoundIgnoresInvalidSamples) {
   detector.ObserveRound(1, -1.0, 100);   // negative wall time
   EXPECT_DOUBLE_EQ(detector.CostPerRow(0), 1.0);
   EXPECT_DOUBLE_EQ(detector.CostPerRow(1), 1.0);
-}
-
-TEST(SkewDetectorTest, SeedFromMetricsWindowNormalizesRates) {
-  obs::MetricValue slow;
-  slow.name = "skalla_dist_site_round_seconds{site=\"0\"}";
-  slow.kind = obs::MetricKind::kHistogram;
-  slow.hist_count = 4;
-  slow.hist_sum = 8.0;  // mean 2.0 s/round
-  obs::MetricValue fast;
-  fast.name = "skalla_dist_site_round_seconds{site=\"1\"}";
-  fast.kind = obs::MetricKind::kHistogram;
-  fast.hist_count = 2;
-  fast.hist_sum = 2.0;  // mean 1.0 s/round
-  obs::MetricValue unrelated;
-  unrelated.name = "skalla_dist_rounds_total";
-  unrelated.kind = obs::MetricKind::kCounter;
-
-  SkewDetector detector;
-  detector.SeedFromMetricsWindow({slow, fast, unrelated});
-  // Across-site mean is 1.5: rates are each site's mean relative to it.
-  EXPECT_DOUBLE_EQ(detector.CostPerRow(0), 2.0 / 1.5);
-  EXPECT_DOUBLE_EQ(detector.CostPerRow(1), 1.0 / 1.5);
-  // Slots absent from the window stay neutral.
-  EXPECT_DOUBLE_EQ(detector.CostPerRow(2), 1.0);
-}
-
-TEST(SkewDetectorTest, SeedFromEmptyOrCountlessWindowIsANoOp) {
-  obs::MetricValue empty_hist;
-  empty_hist.name = "skalla_dist_site_round_seconds{site=\"0\"}";
-  empty_hist.kind = obs::MetricKind::kHistogram;
-  empty_hist.hist_count = 0;
-  SkewDetector detector;
-  detector.SeedFromMetricsWindow({});
-  detector.SeedFromMetricsWindow({empty_hist});
-  EXPECT_DOUBLE_EQ(detector.CostPerRow(0), 1.0);
 }
 
 TEST(SkewDetectorTest, PlanRoundVetoes) {

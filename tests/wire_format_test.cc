@@ -663,29 +663,34 @@ void ExpectBytesMatchNetwork(const ExecutionMetrics& metrics,
 TEST_F(WireEndToEndTest, MetricsEqualNetworkBytesUnderDelta) {
   Warehouse wh(8);
   Load(&wh);
-  ASSERT_OK_AND_ASSIGN(
-      DistributedPlan plan,
-      wh.Plan(queries::CombinedQuery("CustKey"), OptimizerOptions::None()));
   std::vector<Site*> sites;
   for (int i = 0; i < wh.num_sites(); ++i) sites.push_back(&wh.site(i));
 
-  for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
-    for (const bool delta : {false, true}) {
-      SCOPED_TRACE(std::string(WireFormatName(format)) +
-                   (delta ? "+delta" : ""));
-      Coordinator flat(sites, Config(format, delta));
-      ExecutionMetrics flat_metrics;
-      ASSERT_OK_AND_ASSIGN(Table flat_table,
-                           flat.Execute(plan, &flat_metrics));
-      EXPECT_GT(flat_table.num_rows(), 0);
-      ExpectBytesMatchNetwork(flat_metrics, flat.network());
+  // All() adds aware group reduction, fused rounds and column pruning: the
+  // reduced, pruned X views and their deltas must match the log too.
+  for (const bool all : {false, true}) {
+    ASSERT_OK_AND_ASSIGN(
+        DistributedPlan plan,
+        wh.Plan(queries::CombinedQuery("CustKey"),
+                all ? OptimizerOptions::All() : OptimizerOptions::None()));
+    for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
+      for (const bool delta : {false, true}) {
+        SCOPED_TRACE(std::string(all ? "All() " : "None() ") +
+                     WireFormatName(format) + (delta ? "+delta" : ""));
+        Coordinator flat(sites, Config(format, delta));
+        ExecutionMetrics flat_metrics;
+        ASSERT_OK_AND_ASSIGN(Table flat_table,
+                             flat.Execute(plan, &flat_metrics));
+        EXPECT_GT(flat_table.num_rows(), 0);
+        ExpectBytesMatchNetwork(flat_metrics, flat.network());
 
-      Coordinator tree(sites, /*fan_in=*/2, Config(format, delta));
-      ExecutionMetrics tree_metrics;
-      ASSERT_OK_AND_ASSIGN(Table tree_table,
-                           tree.Execute(plan, &tree_metrics));
-      EXPECT_EQ(TableBytes(tree_table), TableBytes(flat_table));
-      ExpectBytesMatchNetwork(tree_metrics, tree.network());
+        Coordinator tree(sites, /*fan_in=*/2, Config(format, delta));
+        ExecutionMetrics tree_metrics;
+        ASSERT_OK_AND_ASSIGN(Table tree_table,
+                             tree.Execute(plan, &tree_metrics));
+        EXPECT_EQ(TableBytes(tree_table), TableBytes(flat_table));
+        ExpectBytesMatchNetwork(tree_metrics, tree.network());
+      }
     }
   }
 }
