@@ -1,9 +1,9 @@
 // Wire-format ablation: SKL1 vs SKL2 vs SKL2+delta on the paper's Fig. 2
 // (group-reduction) and Fig. 5 (combined/coalescing) workloads. Reports
 // total simulated bytes shipped per configuration, raw encode/decode
-// throughput of the serializer, and the encode-only win of the
-// columnar-fed SKL2 encoder over the row-path reference, then writes
-// BENCH_wire_format.json.
+// throughput of the serializer on an X-shaped and a reply-shaped relation,
+// and the encode-only win of the columnar-fed SKL2 encoder over the
+// row-path reference, then writes BENCH_wire_format.json.
 //
 //   ./bench_wire_format [--quick]
 //
@@ -18,6 +18,7 @@
 #include <string>
 
 #include "bench_util.h"
+#include "common/random.h"
 #include "storage/serializer.h"
 
 namespace {
@@ -102,6 +103,28 @@ Table XShapedTable(int64_t rows) {
   for (int64_t i = 0; i < rows; ++i) {
     t.AddRow({Value(i), Value(status[i % 3]), Value(i * 17 % 4096),
               Value(static_cast<double>(i) * 0.25)});
+  }
+  return t;
+}
+
+/// A site reply (H) in the shape the packed integer codec targets: keys in
+/// ascending order with small gaps, COUNTs of 1-30, and integral SUMs of
+/// which about one in twelve is NULL (a group whose inputs were all NULL).
+Table ReplyShapedTable(int64_t rows) {
+  Table t(MakeSchema({{"CustKey", ValueType::kInt64},
+                      {"cnt", ValueType::kInt64},
+                      {"sum_qty", ValueType::kDouble},
+                      {"cnt_qty", ValueType::kInt64}}));
+  Rng rng(20);
+  int64_t key = 1;
+  for (int64_t i = 0; i < rows; ++i) {
+    key += rng.Uniform(1, 3);
+    const int64_t cnt = rng.Uniform(1, 30);
+    const bool null_sum = rng.Chance(1.0 / 12);
+    t.AddRow({Value(key), Value(cnt),
+              null_sum ? Value::Null()
+                       : Value(static_cast<double>(cnt * rng.Uniform(1, 50))),
+              Value(null_sum ? 0 : cnt)});
   }
   return t;
 }
@@ -209,6 +232,38 @@ void PrintTableAndReport() {
         "(%.2fx)\n",
         static_cast<long long>(x_rows), ms[0], ms[1],
         ms[1] > 0 ? ms[0] / ms[1] : 0.0);
+  }
+
+  // Reply-shaped relation: encode + decode of the production path, and
+  // the row path's bytes checked against it.
+  {
+    const Table h = ReplyShapedTable(x_rows);
+    const auto start = std::chrono::steady_clock::now();
+    std::string bytes;
+    for (int i = 0; i < iters; ++i) {
+      bytes = Serializer::SerializeTable(h, WireFormat::kSkl2);
+      auto decoded = Serializer::DeserializeTable(bytes);
+      if (!decoded.ok()) std::abort();
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count() /
+                      iters;
+    if (bytes != Serializer::SerializeTableRowPath(h, WireFormat::kSkl2)) {
+      std::fprintf(stderr,
+                   "FAIL: reply-shaped SKL2 differs between encoder paths\n");
+      std::abort();
+    }
+    report.Add("encode+decode/skl2-reply",
+               {{"rows", static_cast<double>(x_rows)},
+                {"bytes_per_row", static_cast<double>(bytes.size()) /
+                                      static_cast<double>(x_rows)}},
+               ms, static_cast<int64_t>(bytes.size()));
+    std::printf(
+        "reply-shaped SKL2, %lld rows: %zu bytes (%.2f B/row), "
+        "encode+decode %.3f ms\n",
+        static_cast<long long>(x_rows), bytes.size(),
+        static_cast<double>(bytes.size()) / static_cast<double>(x_rows), ms);
   }
   report.Write();
 }

@@ -171,15 +171,21 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     std::vector<SiteEvalReport> reports(n);
     auto eval_one = [&](size_t p) {
       const int sid = participants[p];
+      Site* site = roster->active(sid);
       // Local evaluation runs on pool threads; home its spans (and the
-      // nested morsel spans) onto the site's track.
-      obs::TrackScope track(obs::TrackForSite(sid));
+      // nested morsel spans) onto the track of the site that evaluates —
+      // after a failover, the replica's.
+      obs::TrackScope track(obs::TrackForSite(site->id()));
       obs::ScopedSpan span("site.eval");
       if (span.armed()) {
-        span.set_detail("site " + std::to_string(sid) + " attempt " +
-                        std::to_string(attempt));
+        std::string detail = "site " + std::to_string(site->id()) +
+                             " attempt " + std::to_string(attempt);
+        if (site->id() != sid) {
+          detail += " (replica of site " + std::to_string(sid) + ")";
+        }
+        span.set_detail(std::move(detail));
       }
-      outcomes[p] = eval(static_cast<int>(p), roster->active(sid), &reports[p]);
+      outcomes[p] = eval(static_cast<int>(p), site, &reports[p]);
     };
     if (parallel && eligible.size() > 1) {
       // Site tasks of a wave run on the shared pool (one task per slot,

@@ -8,6 +8,11 @@
 namespace skalla {
 
 /// \brief Evaluates the base query B₀ over a single relation instance.
+///
+/// The rows come back in ascending key order (lexicographic over the
+/// projected columns): NULL < numbers by exact value < NaN < strings, with
+/// ties — NaNs, 5 and 5.0 — kept in first-appearance order. Every site
+/// derives its B_i this way, so sorted keys reach the wire.
 Result<Table> EvalBaseQuery(const BaseQuery& base, const Table& source);
 
 /// \brief Centralized reference evaluation of a complex GMDJ expression.

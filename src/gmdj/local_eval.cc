@@ -276,6 +276,25 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
       }
     }
     const bool vec_probe = !probe_cols.empty();
+    const bool probe_nulls =
+        std::any_of(probe_cols.begin(), probe_cols.end(),
+                    [](const ColumnarTable::Column* col) {
+                      return col->has_nulls;
+                    });
+    // A NULL equi-key compares unknown, never equal: a detail row with a
+    // NULL in any key column matches no base row, as on the nested loop.
+    auto null_key_row = [&plan](const Row& row) {
+      return std::any_of(plan.detail_key_cols.begin(),
+                         plan.detail_key_cols.end(), [&row](int c) {
+                           return row[static_cast<size_t>(c)].is_null();
+                         });
+    };
+    auto null_key_cell = [&probe_cols](int64_t d) {
+      return std::any_of(probe_cols.begin(), probe_cols.end(),
+                         [d](const ColumnarTable::Column* col) {
+                           return !col->IsValid(d);
+                         });
+    };
 
     // Scans detail rows [lo, hi) into `target`. Match sets are
     // row-independent, so any disjoint cover of [0, |R|) visits each match
@@ -476,6 +495,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
                   map.Prefetch(hashes[k + kProbeLookahead]);
                 }
                 const int64_t d = chunk + static_cast<int64_t>(k);
+                if (probe_nulls && null_key_cell(d)) continue;
                 const int64_t g =
                     map.FindIf(hashes[k], [&probe_cols, d](const Value* key) {
                       for (size_t i = 0; i < probe_cols.size(); ++i) {
@@ -490,6 +510,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
             }
           } else {
             for (int64_t d = lo; d < hi; ++d) {
+              if (null_key_row(detail.row(d))) continue;
               const int64_t g =
                   groups->Find(detail.row(d), plan.detail_key_cols);
               if (g >= 0) fold_matches(d, groups->rows(g));
@@ -503,6 +524,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
         } else {
           for (int64_t d = lo; d < hi; ++d) {
             const Row& detail_row = detail.row(d);
+            if (null_key_row(detail_row)) continue;
             const int64_t g = groups->Find(detail_row, plan.detail_key_cols);
             if (g < 0) continue;
             for (int64_t base_row_id : groups->rows(g)) {

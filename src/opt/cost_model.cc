@@ -58,14 +58,15 @@ namespace {
 /// SKL1 width of one numeric aggregate column (tag + 8 bytes).
 constexpr double kAggColBytes = 9.0;
 
-/// SKL2 width of one numeric aggregate column per group. Measured on the
-/// Fig. 2/5 workloads: sub-aggregate columns in site replies cost 0.5–1.2
-/// bytes (null-free varint counts and integral sums; an AVG count equal to
-/// its COUNT(*) column is a 2-byte repeat), appended columns in SKLD deltas
-/// ~4.5 (finalized AVGs stay raw 8-byte doubles). 1.5 is the width at
-/// which flat estimates of those workloads meet the measured bytes
-/// (0.86–1.13x in cost_model_test).
-constexpr double kAggColBytesSkl2 = 1.5;
+/// SKL2 width of one numeric aggregate column per group. Site replies now
+/// arrive in key order and ship their counts and integral sums bit-packed
+/// (a count of 1-30 takes 5 bits; docs/wire-format.md §3), while the
+/// finalized AVGs appended to X in SKLD deltas stay raw 8-byte doubles.
+/// 1.0 is the width at which flat and tree estimates of the Fig. 2/5
+/// workloads meet the measured bytes: 0.84-1.14x in cost_model_test, where
+/// the earlier 1.5 (set for varint deltas, then 0.86-1.13x) now reads
+/// 1.07-1.47x.
+constexpr double kAggColBytesSkl2 = 1.0;
 
 /// Fixed serialization overhead charged once per shipped relation
 /// (magic + schema header + row count); small but keeps tiny-relation

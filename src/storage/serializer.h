@@ -41,10 +41,13 @@ struct DecodedColumns {
 /// zig-zag varint deltas, double as raw 8-byte patterns (NaN/±inf
 /// bit-exact) or, when every value is an int64 bit for bit, as that
 /// int64's varint deltas, string as a first-appearance dictionary plus
-/// varint codes. Columns mixing non-null types fall back to a per-value
-/// tagged codec, and a section byte-equal to an earlier one over as many
-/// rows is sent as a repeat of that field's index. A size codec is used
-/// only when it makes its section strictly smaller.
+/// varint codes. An integer section (bit 6 of its tag) may instead ship
+/// bit-packed: a fixed bit width over its values minus their minimum, or
+/// over its successive differences. Columns mixing non-null types fall
+/// back to a per-value tagged codec, and a section byte-equal to an
+/// earlier one over as many rows is sent as a repeat of that field's
+/// index. A size codec is used only when it makes its section strictly
+/// smaller.
 ///
 /// SKLD (delta): ships only what changed versus a base table the receiver
 /// already holds; decoded with DecodeShipment(). Layout: magic 'SKLD',

@@ -80,14 +80,10 @@ class Value {
 
   /// Hash() of a non-NULL value of each type, without boxing it, so typed
   /// columnar cells hash exactly as their Values do. An int64 hashes
-  /// through its double when that is exact, so 5 and 5.0 hash alike;
-  /// -0.0 hashes as +0.0.
-  static uint64_t HashOf(int64_t v) {
-    // Near INT64_MAX, d rounds to 2^63, outside int64: not exact.
-    const double d = static_cast<double>(v);
-    if (d < 0x1p63 && static_cast<int64_t>(d) == v) return HashOf(d);
-    return HashInt64(static_cast<uint64_t>(v));
-  }
+  /// through its double, the conversion operator== compares through, so
+  /// every int64/double pair it calls equal hashes alike (5 and 5.0, and
+  /// 2^53 + 1 and 2^53 as a double); -0.0 hashes as +0.0.
+  static uint64_t HashOf(int64_t v) { return HashOf(static_cast<double>(v)); }
   static uint64_t HashOf(double d) {
     if (d == 0.0) d = 0.0;  // normalize -0.0
     uint64_t bits;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -282,9 +283,10 @@ TEST(GmdjLocalTest, TouchedOnlyAndSubMode) {
 }
 
 /// The GMDJ row at a time, as its definition reads: every (base, detail)
-/// pair, the equi-key conjuncts compared with Value::operator==, the
-/// residual through EvalBool, and each match folded with AggState::Update
-/// in detail order. Final mode, every base column carried.
+/// pair, the equi-key conjuncts compared with Value::operator== (a NULL on
+/// either side is unknown, so no match), the residual through EvalBool,
+/// and each match folded with AggState::Update in detail order. Final
+/// mode, every base column carried.
 std::vector<Row> ReferenceGmdjRows(const Table& base, const Table& detail,
                                    const GmdjOp& op) {
   static const Value kOne(int64_t{1});
@@ -317,7 +319,9 @@ std::vector<Row> ReferenceGmdjRows(const Table& base, const Table& detail,
       for (size_t b = 0; b < out.size(); ++b) {
         const Row& base_row = base.row(static_cast<int64_t>(b));
         bool match = true;
-        for (const auto& [bk, dk] : keys) match = match && base_row[bk] == d[dk];
+        for (const auto& [bk, dk] : keys) {
+          match = match && !d[dk].is_null() && base_row[bk] == d[dk];
+        }
         if (!match ||
             (residual.has_value() && !residual->EvalBool(&base_row, &d))) {
           continue;
@@ -456,30 +460,53 @@ TEST(GmdjLocalTest, CrossTypeAndMixedKeyColumnsMatchReference) {
   }
 }
 
-// The NULL-key rule as it stands: a decomposed equi-key conjunct matches a
-// NULL detail key to B's NULL group, since keys compare as grouping does
-// (NULL groups with NULL). The same condition in a form the decomposer
-// leaves whole runs on the nested loop, where a comparison with NULL is
-// unknown and matches nothing. docs/gmdj-algebra.md states the rule.
-TEST(GmdjLocalTest, NullKeyMatchesOnlyThroughDecomposedEquiKeys) {
-  Table detail(MakeSchema({{"k", ValueType::kInt64}}));
-  detail.AddRow({Value::Null()});
-  detail.AddRow({Value(int64_t{1})});
-  detail.AddRow({Value::Null()});
-  Table base(MakeSchema({{"k", ValueType::kInt64}}));
-  base.AddRow({Value::Null()});
-  for (const bool vectorize : {true, false}) {
-    LocalGmdjOptions options;
-    options.vectorize = vectorize;
-    ASSERT_OK_AND_ASSIGN(
-        Table keyed,
-        EvalGmdjOp(base, detail, SimpleCountOp("B.k = R.k"), options));
-    EXPECT_EQ(keyed.Get(0, 1), Value(int64_t{2})) << vectorize;
-    ASSERT_OK_AND_ASSIGN(
-        Table whole, EvalGmdjOp(base, detail,
-                                SimpleCountOp("B.k = R.k || B.k = R.k"),
-                                options));
-    EXPECT_EQ(whole.Get(0, 1), Value(int64_t{0})) << vectorize;
+// A NULL equi-key is unknown, never equal, whichever form θ takes: a
+// decomposed equi-key conjunct (the typed and the boxed probe) skips a
+// detail tuple with a NULL in any key column, so it counts exactly what
+// the nested loop counts for the same comparison left whole.
+// docs/gmdj-algebra.md states the rule.
+TEST(GmdjLocalTest, NullKeysMatchNothingWhicheverFormThetaTakes) {
+  Table detail(MakeSchema({{"k", ValueType::kInt64},
+                           {"k2", ValueType::kString}}));
+  detail.AddRow({Value::Null(), Value("a")});
+  detail.AddRow({Value(int64_t{1}), Value("a")});
+  detail.AddRow({Value::Null(), Value::Null()});
+  detail.AddRow({Value(int64_t{1}), Value::Null()});
+  Table base(MakeSchema({{"k", ValueType::kInt64},
+                         {"k2", ValueType::kString}}));
+  base.AddRow({Value::Null(), Value("a")});
+  base.AddRow({Value(int64_t{1}), Value("a")});
+  base.AddRow({Value(int64_t{1}), Value::Null()});
+  base.AddRow({Value::Null(), Value::Null()});
+  struct Form {
+    const char* keyed;  // decomposed into equi-keys: the probe
+    const char* whole;  // the same comparison left whole: the nested loop
+    std::vector<int64_t> counts;  // per base row
+  };
+  for (const Form& form : std::vector<Form>{
+           {"B.k = R.k", "B.k = R.k || B.k = R.k", {0, 2, 2, 0}},
+           {"B.k = R.k && B.k2 = R.k2",
+            "(B.k = R.k && B.k2 = R.k2) || (B.k = R.k && B.k2 = R.k2)",
+            {0, 1, 0, 0}}}) {
+    SCOPED_TRACE(form.keyed);
+    for (const bool vectorize : {true, false}) {
+      LocalGmdjOptions options;
+      options.vectorize = vectorize;
+      ASSERT_OK_AND_ASSIGN(
+          Table keyed,
+          EvalGmdjOp(base, detail, SimpleCountOp(form.keyed), options));
+      ASSERT_OK_AND_ASSIGN(
+          Table whole,
+          EvalGmdjOp(base, detail, SimpleCountOp(form.whole), options));
+      const int count_col = base.schema().num_fields();
+      for (int64_t b = 0; b < base.num_rows(); ++b) {
+        const Value want(form.counts[static_cast<size_t>(b)]);
+        EXPECT_EQ(keyed.Get(b, count_col), want)
+            << "keyed, base row " << b << ", vectorize " << vectorize;
+        EXPECT_EQ(whole.Get(b, count_col), want)
+            << "whole, base row " << b << ", vectorize " << vectorize;
+      }
+    }
   }
 }
 
@@ -544,6 +571,51 @@ TEST(CentralEvalTest, BaseQueryWithFilter) {
   ASSERT_OK_AND_ASSIGN(Table sorted, SortedBy(result, {"g"}));
   ASSERT_EQ(sorted.num_rows(), 3);
   EXPECT_EQ(sorted.Get(0, 1), Value(3));
+}
+
+TEST(CentralEvalTest, BaseQueryComesBackInKeyOrder) {
+  // A composite key (a, b) whose a column holds NULL, doubles, int64s equal
+  // to doubles, NaNs of both signs (each its own group) and a type-deviant
+  // string: NULL < numbers by exact value < NaN < strings, ties in
+  // first-appearance order.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t past_2_62 = (int64_t{1} << 62) + 1;  // == 2^62 as a double
+  Table t(MakeSchema({{"a", ValueType::kDouble}, {"b", ValueType::kString}}));
+  for (const Row& row : std::vector<Row>{
+           {Value(3.0), Value("x")},           // 0
+           {Value(nan), Value("y")},           // 1
+           {Value::Null(), Value("z")},        // 2
+           {Value(-1.0), Value("x")},          // 3
+           {Value(-nan), Value("y")},          // 4
+           {Value(3.0), Value("a")},           // 5
+           {Value(int64_t{5}), Value("m")},    // 6
+           {Value(4.5), Value("m")},           // 7
+           {Value("s"), Value("m")},           // 8
+           {Value(int64_t{3}), Value("x")},    // 9: row 0's group
+           {Value(nan), Value("b")},           // 10
+           {Value(past_2_62), Value("m")},     // 11
+           {Value(0x1p62), Value("m")}}) {     // 12: row 11's group
+    t.AddRow(row);
+  }
+  auto skl1 = [](const Table& table) {
+    return Serializer::SerializeTable(table, WireFormat::kSkl1);
+  };
+  BaseQuery base;
+  base.source_table = "T";
+  base.project_cols = {"a", "b"};
+  ASSERT_OK_AND_ASSIGN(Table b, EvalBaseQuery(base, t));
+  auto rows_of = [&t](const std::vector<int64_t>& ids) {
+    std::vector<Row> rows;
+    for (int64_t id : ids) rows.push_back(t.row(id));
+    return Table(t.schema_ptr(), std::move(rows));
+  };
+  EXPECT_EQ(skl1(b), skl1(rows_of({2, 3, 5, 0, 7, 6, 11, 10, 1, 4, 8})));
+  // Without DISTINCT every row stays: int64 3 ties with 3.0 after it, and
+  // double 2^62 sorts before 2^62 + 1, which it equals only as a double.
+  base.distinct = false;
+  ASSERT_OK_AND_ASSIGN(Table bag, EvalBaseQuery(base, t));
+  EXPECT_EQ(skl1(bag),
+            skl1(rows_of({2, 3, 5, 0, 9, 7, 6, 12, 11, 10, 1, 4, 8})));
 }
 
 // ---------------------------------------------------------------------------

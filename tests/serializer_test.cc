@@ -283,10 +283,10 @@ TEST(SerializerMalformedTest, DeltaRepeatAcrossRowCountsRejected) {
     next.AddRow({Value(i), Value(i * 7)});
   }
   // k ships its 2 appended rows; the new o ends the payload with its
-  // 12 rows: a null-free tag, then deltas 0 and eleven times 7.
+  // 12 rows: a null-free packed tag, then the differences layout at width
+  // 0 — first value 0, every difference 7.
   std::string delta = Serializer::SerializeDelta(base, next);
-  const std::string o_section =
-      std::string("\x81\x00", 2) + std::string(11, '\x0e');
+  const std::string o_section = std::string("\xc1\x80\x00\x0e", 4);
   ASSERT_EQ(delta.substr(delta.size() - o_section.size()), o_section);
   // o as a repeat of the 2-row k section.
   delta.resize(delta.size() - o_section.size());
@@ -327,10 +327,98 @@ TEST(SerializerMalformedTest, UnknownCodecFlagBitsAndCodecsRejected) {
   t.AddRow({Value(int64_t{5})});
   const std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
   ASSERT_EQ(static_cast<uint8_t>(bytes[kSkl2OneColHeader]), 0x81);
-  for (const char tag : {'\x91', '\xa1', '\xc1', '\x11', '\x07', '\x0f'}) {
+  // Bits 4 and 5 are reserved, with or without the packed bit 6, and
+  // codecs 7-15 are unassigned.
+  for (const char tag :
+       {'\x91', '\xa1', '\xd1', '\xe1', '\x11', '\x07', '\x0f', '\x4f'}) {
     std::string bad = bytes;
     bad[kSkl2OneColHeader] = tag;
     ExpectIoError(DecodeBoth(bad), "codec");
+  }
+}
+
+/// Decodes `section` as the only column of an int64 table of `nrows` rows.
+Result<Table> DecodeOneInt(uint64_t nrows, const std::string& section) {
+  return DecodeBoth(
+      Skl2Payload(MakeSchema({{"a", ValueType::kInt64}}), nrows, section));
+}
+
+TEST(SerializerMalformedTest, PackedSectionsDecodeByHand) {
+  // Values layout, one value at width 0: 5 is zz 0x0a.
+  ASSERT_OK_AND_ASSIGN(Table one, DecodeOneInt(1, std::string("\xc1\x00\x0a", 3)));
+  EXPECT_EQ(one.Get(0, 0), Value(int64_t{5}));
+  // Differences layout, one value: no packed bytes at all.
+  ASSERT_OK_AND_ASSIGN(Table first,
+                       DecodeOneInt(1, std::string("\xc1\x80\x0a\x00", 4)));
+  EXPECT_EQ(first.Get(0, 0), Value(int64_t{5}));
+  // Width 64: two values, eight bytes each, over min 0.
+  std::string wide("\xc1\x40\x00", 3);
+  wide += std::string("\xff\xff\xff\xff\xff\xff\xff\x7f", 8);
+  wide += std::string("\x01\x00\x00\x00\x00\x00\x00\x00", 8);
+  ASSERT_OK_AND_ASSIGN(Table two, DecodeOneInt(2, wide));
+  EXPECT_EQ(two.Get(0, 0), Value(std::numeric_limits<int64_t>::max()));
+  EXPECT_EQ(two.Get(1, 0), Value(int64_t{1}));
+  // NULL-interleaved, with a bitmap: rows 0 and 2 present, 3 bits each
+  // over min 1 (zz 0x02): offsets 2 and 5 -> values 3 and 6.
+  ASSERT_OK_AND_ASSIGN(Table sparse,
+                       DecodeOneInt(3, std::string("\x41\x05\x03\x02\x2a", 5)));
+  EXPECT_EQ(sparse.Get(0, 0), Value(int64_t{3}));
+  EXPECT_TRUE(sparse.Get(1, 0).is_null());
+  EXPECT_EQ(sparse.Get(2, 0), Value(int64_t{6}));
+}
+
+TEST(SerializerMalformedTest, PackedWidthOver64Rejected) {
+  for (const char layout : {'\x41', '\x7f', '\xc1', '\xff'}) {
+    std::string section("\xc1", 1);
+    section += layout;
+    section += std::string(20, '\0');
+    ExpectIoError(DecodeOneInt(2, section), "width");
+  }
+}
+
+TEST(SerializerMalformedTest, PackedLengthBoundedByPayload) {
+  // Two values at width 8 need two packed bytes; one is there.
+  ExpectIoError(DecodeOneInt(2, std::string("\xc1\x08\x00\x01", 4)),
+                "packed section length");
+  // 2^31 rows at width 64 claim 16 GiB: rejected from the remaining
+  // payload, before any value is decoded.
+  ExpectIoError(DecodeOneInt(uint64_t{1} << 31,
+                             std::string("\xc1\x40\x00", 3) +
+                                 std::string(64, '\x01')),
+                "packed section length");
+  // The differences layout packs one value fewer, and no more.
+  ASSERT_OK(DecodeOneInt(3, std::string("\xc1\x88\x00\x00\x01\x02", 6)).status());
+  ExpectIoError(DecodeOneInt(3, std::string("\xc1\x88\x00\x00\x01", 5)),
+                "packed section length");
+}
+
+TEST(SerializerMalformedTest, PackedFlagOnlyOnIntegerCodecs) {
+  for (const char tag : {'\xc2', '\x42', '\xc3', '\x40', '\x44', '\x46'}) {
+    SCOPED_TRACE(static_cast<int>(static_cast<uint8_t>(tag)));
+    ExpectIoError(DecodeOneInt(1, std::string(1, tag) + std::string(9, '\0')),
+                  "packed flag");
+  }
+  // Integral doubles may be packed.
+  ASSERT_OK_AND_ASSIGN(
+      Table d, DecodeBoth(Skl2Payload(MakeSchema({{"d", ValueType::kDouble}}), 1,
+                                      std::string("\xc5\x00\x0a", 3))));
+  EXPECT_EQ(d.Get(0, 0), Value(5.0));
+}
+
+TEST(SerializerMalformedTest, PackedTruncationsRejectedCleanly) {
+  Table t(MakeSchema({{"c", ValueType::kInt64},
+                      {"k", ValueType::kInt64},
+                      {"s", ValueType::kDouble}}));
+  for (int64_t i = 0; i < 40; ++i) {
+    t.AddRow({Value(1 + (i * 7) % 30), Value(100 + 3 * i),
+              i % 4 == 0 ? Value::Null() : Value(static_cast<double>(i % 9))});
+  }
+  const std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  ASSERT_OK(DecodeBoth(bytes).status());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    auto result = DecodeBoth(std::string_view(bytes).substr(0, cut));
+    ASSERT_FALSE(result.ok()) << "cut at " << cut;
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <span>
 
 #include "common/random.h"
+#include "engine/operators.h"
 #include "storage/group_map.h"
 #include "sync_oracle.h"
 #include "test_util.h"
@@ -348,10 +349,13 @@ GroupMap MapOf(int width, const std::vector<Row>& keys) {
 TEST(GroupMapTest, TypedProbeAgreesWithFind) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const int64_t big = std::numeric_limits<int64_t>::max();
+  // 2^53 + 1 is not a double: operator== compares it with a double through
+  // the conversion, which rounds it to 2^53.
+  const int64_t past_2_53 = (int64_t{1} << 53) + 1;
   const GroupMap single =
       MapOf(1, {{Value(int64_t{5})}, {Value(9.0)}, {Value(-0.0)},
                 {Value(nan)}, {Value::Null()}, {Value("a")}, {Value(2.5)},
-                {Value(big)}, {Value("5")}});
+                {Value(big)}, {Value("5")}, {Value(0x1p53)}});
   auto lookup = [&single](const Value& v) {
     auto key_at = [&v](int) -> const Value& { return v; };
     return single.Find(GroupMap::Hash(1, key_at), key_at);
@@ -362,11 +366,15 @@ TEST(GroupMapTest, TypedProbeAgreesWithFind) {
   EXPECT_EQ(lookup(Value(int64_t{0})), 2);  // 0 == -0.0
   EXPECT_EQ(lookup(Value(nan)), -1);        // NaN never matches
   EXPECT_EQ(lookup(Value::Null()), 4);      // NULL finds NULL
+  ASSERT_EQ(Value(past_2_53), Value(0x1p53));
+  EXPECT_EQ(Value(past_2_53).Hash(), Value(0x1p53).Hash());
+  EXPECT_EQ(lookup(Value(past_2_53)), 9);   // equal beyond 2^53 finds it
 
   Table ints(MakeSchema({{"k", ValueType::kInt64}}));
   for (const Value& v : {Value(int64_t{5}), Value(int64_t{9}), Value(int64_t{0}),
                          Value::Null(), Value(int64_t{7}), Value(big),
-                         Value(big - 1), Value(int64_t{2})}) {
+                         Value(big - 1), Value(int64_t{2}),
+                         Value(past_2_53)}) {
     ints.AddRow({v});
   }
   ExpectTypedProbeAgrees(single, ints);
@@ -403,6 +411,27 @@ TEST(GroupMapTest, TypedProbeAgreesWithFind) {
     pairs.AddRow(row);
   }
   ExpectTypedProbeAgrees(composite, pairs);
+}
+
+TEST(GroupMapTest, EqualKeysBeyond2To53FormOneGroup) {
+  // int64 2^53 + 1 == double 2^53 (operator== compares through the
+  // double), so every grouping puts them in one group: the hash agrees
+  // with ==.
+  const int64_t past_2_53 = (int64_t{1} << 53) + 1;
+  Table t(MakeSchema({{"k", ValueType::kDouble}}));
+  t.AddRow({Value(0x1p53)});
+  t.AddRow({Value(past_2_53)});
+  t.AddRow({Value(1.0)});
+  t.AddRow({Value(past_2_53)});
+  ASSERT_OK_AND_ASSIGN(Table distinct, DistinctProject(t, {"k"}));
+  ASSERT_EQ(distinct.num_rows(), 2);
+  EXPECT_EQ(distinct.Get(0, 0), Value(0x1p53));
+  const RowGroups groups = RowGroups::Of(t, {0});
+  ASSERT_EQ(groups.num_groups(), 2);
+  EXPECT_EQ(std::vector<int64_t>(groups.rows(0).begin(), groups.rows(0).end()),
+            (std::vector<int64_t>{0, 1, 3}));
+  const Row probe{Value(past_2_53)};
+  EXPECT_EQ(groups.Find(probe, {0}), 0);
 }
 
 TEST(RowGroupsTest, RepeatedKeyRowsAscendAcrossGrowth) {

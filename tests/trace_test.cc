@@ -631,15 +631,19 @@ TEST_F(TraceTest, FailoverShowsOnTheTimeline) {
   EXPECT_EQ(FaultedRoundDetails(),
             std::vector<std::string>{
                 "base query: retries=3 timeouts=0 drops=3 failovers=1"});
-  // The slot keeps its track across the failover, as it keeps its SiteLoad
-  // row: the three attempts that lost X never evaluate, the replica answers
-  // at attempt 3 of the base round and at attempt 0 of every later round.
-  std::vector<std::string> expected = {"site 1 attempt 3"};
+  // Evaluation lands on the track of the site that evaluates: the three
+  // attempts that lost X never evaluate, and the replica answers on its
+  // own track, naming itself and the site it stands in for, at attempt 3
+  // of the base round and at attempt 0 of every later round. The killed
+  // site's track records no evaluation.
+  const std::string evaluator = "site " + std::to_string(replica_id);
+  std::vector<std::string> expected = {evaluator +
+                                       " attempt 3 (replica of site 1)"};
   for (size_t i = 1; i < result.metrics.rounds.size(); ++i) {
-    expected.push_back("site 1 attempt 0");
+    expected.push_back(evaluator + " attempt 0 (replica of site 1)");
   }
-  EXPECT_EQ(SiteEvalDetails(1), expected);
-  EXPECT_TRUE(SiteEvalDetails(replica_id).empty());
+  EXPECT_EQ(SiteEvalDetails(replica_id), expected);
+  EXPECT_TRUE(SiteEvalDetails(1).empty());
 }
 
 TEST_F(TraceTest, TreeRoundRetryShowsOnTheTimeline) {
