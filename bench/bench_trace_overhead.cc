@@ -3,9 +3,12 @@
 //
 // Tracer measurements on a Fig. 5-style combined-reductions query (with
 // the metrics registry switched off so the two layers are costed
-// separately):
+// separately), over a relation sized so that every site's scan spans
+// several morsels and so runs, and traces, morsel lanes:
 //  1. wall time with tracing disabled (the default production mode),
-//  2. wall time with full tracing on (every span, every morsel lane),
+//  2. wall time with full tracing on (every span, every morsel lane), the
+//     two timed as interleaved best-of-batches like the registry half;
+//     the binary exits nonzero if a traced query records no lane span,
 //  3. the per-hit cost of a *disarmed* ScopedSpan (one relaxed atomic
 //     load), microbenchmarked in isolation.
 //
@@ -30,8 +33,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "bench_util.h"
+#include "gmdj/local_eval.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -65,11 +70,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
 
-  WarehouseSpec spec;
-  spec.sites = 4;
-  spec.rows_per_site = quick ? 4000 : 15000;
-  spec.groups_per_site = quick ? 400 : 1000;
-  Warehouse& warehouse = GetWarehouse(spec);
   const GmdjExpr query = queries::CombinedQuery("CustKey");
   const OptimizerOptions options = OptimizerOptions::All();
   const int reps = quick ? 3 : 5;
@@ -80,23 +80,45 @@ int main(int argc, char** argv) {
   bench::JsonReport trace_report("trace_overhead");
   obs::EnableMetrics(false);
 
-  // 1. Disabled tracing: the mode whose overhead must stay negligible.
-  obs::ConfigureTracing(obs::TraceConfig{});
-  obs::ResetTracing();
-  const double off_sec = TimeQuery(warehouse, query, options, reps);
+  // Two sites of 2.5 morsels each, in --quick too: a site's scan splits
+  // into morsels only past kDefaultMorselRows rows, and only split scans
+  // run (and trace) lanes. Four lanes per site, whatever the host.
+  WarehouseSpec lanes_spec;
+  lanes_spec.sites = 2;
+  lanes_spec.rows_per_site = 2 * kDefaultMorselRows + kDefaultMorselRows / 2;
+  lanes_spec.groups_per_site = 1000;
+  Warehouse& lanes_warehouse = GetWarehouse(lanes_spec);
+  lanes_warehouse.set_local_threads(4);
 
-  // 2. Full tracing (every morsel lane recorded, no sampling).
+  // 1-2. Disabled tracing — the mode whose overhead must stay negligible —
+  // against full tracing (every morsel lane recorded, no sampling), as
+  // interleaved best-of-batches.
   obs::TraceConfig full;
   full.enabled = true;
   full.morsel_sample = 1;
-  obs::ConfigureTracing(full);
-  obs::ResetTracing();
-  const double on_sec = TimeQuery(warehouse, query, options, reps);
+  double off_sec = 0;
+  double on_sec = 0;
+  for (int b = 0; b < batches; ++b) {
+    obs::ConfigureTracing(obs::TraceConfig{});
+    obs::ResetTracing();
+    const double off = TimeQuery(lanes_warehouse, query, options, reps);
+    obs::ConfigureTracing(full);
+    obs::ResetTracing();
+    const double on = TimeQuery(lanes_warehouse, query, options, reps);
+    off_sec = b == 0 ? off : std::min(off_sec, off);
+    on_sec = b == 0 ? on : std::min(on_sec, on);
+  }
 
-  // Instrumentation hits of a single query at sample=1.
+  // Instrumentation hits, and morsel-lane spans among them, of a single
+  // query at sample=1.
   obs::ResetTracing();
-  MustExecute(warehouse, query, options);
-  const size_t hits = obs::SpanSnapshot().size() + obs::DroppedSpanCount();
+  MustExecute(lanes_warehouse, query, options);
+  const std::vector<obs::TraceSpan> spans = obs::SpanSnapshot();
+  const size_t hits = spans.size() + obs::DroppedSpanCount();
+  const size_t lane_spans = static_cast<size_t>(
+      std::count_if(spans.begin(), spans.end(), [](const obs::TraceSpan& s) {
+        return std::strcmp(s.name, "morsel") == 0;
+      }));
   obs::ConfigureTracing(obs::TraceConfig{});
   obs::ResetTracing();
 
@@ -112,21 +134,29 @@ int main(int argc, char** argv) {
                                   : 0.0;
   const double enabled_overhead = off_sec > 0 ? on_sec / off_sec - 1.0 : 0.0;
 
-  std::printf("trace overhead, combined query (%d sites, %lld rows/site)\n",
-              spec.sites, static_cast<long long>(spec.rows_per_site));
+  std::printf("trace overhead, combined query (%d sites, %lld rows/site, "
+              "best of %d interleaved batches)\n",
+              lanes_spec.sites,
+              static_cast<long long>(lanes_spec.rows_per_site), batches);
   std::printf("  disabled            %8.2f ms/query\n", off_sec * 1e3);
   std::printf("  full tracing        %8.2f ms/query  (%+.1f%%)\n",
               on_sec * 1e3, enabled_overhead * 100);
-  std::printf("  instrumentation     %8zu hits/query\n", hits);
+  std::printf("  instrumentation     %8zu hits/query, %zu morsel-lane spans\n",
+              hits, lane_spans);
   std::printf("  disarmed span       %8.2f ns/hit\n", per_hit_ns);
   std::printf("  est. disabled cost  %8.3f%% of query (budget 5%%)\n",
               est_overhead * 100);
 
-  trace_report.Add("disabled", {{"reps", static_cast<double>(reps)}},
+  trace_report.Add("disabled",
+                   {{"reps", static_cast<double>(reps)},
+                    {"batches", static_cast<double>(batches)}},
                    off_sec * 1e3);
   trace_report.Add("full_tracing",
                    {{"reps", static_cast<double>(reps)},
-                    {"hits", static_cast<double>(hits)}},
+                    {"batches", static_cast<double>(batches)},
+                    {"hits", static_cast<double>(hits)},
+                    {"lane_spans", static_cast<double>(lane_spans)},
+                    {"overhead_pct", enabled_overhead * 100}},
                    on_sec * 1e3);
   trace_report.Add("disabled_estimate",
                    {{"per_hit_ns", per_hit_ns},
@@ -137,6 +167,11 @@ int main(int argc, char** argv) {
 
   // ---- Metrics registry (tracing stays off) --------------------------------
   bench::JsonReport metrics_report("metrics_overhead");
+  WarehouseSpec spec;
+  spec.sites = 4;
+  spec.rows_per_site = quick ? 4000 : 15000;
+  spec.groups_per_site = quick ? 400 : 1000;
+  Warehouse& warehouse = GetWarehouse(spec);
 
   // 4. Enabled (the registry's default state) vs disabled wall time.
   // Interleaved best-of-batches: alternating off/on batches and taking
@@ -190,6 +225,11 @@ int main(int argc, char** argv) {
   metrics_report.Write();
 
   int failures = 0;
+  if (lane_spans == 0) {
+    std::fprintf(stderr,
+                 "FAIL: a fully traced query recorded no morsel-lane span\n");
+    ++failures;
+  }
   if (est_overhead >= 0.05) {
     std::fprintf(stderr,
                  "FAIL: estimated disabled-tracing overhead %.3f%% exceeds "

@@ -1,9 +1,10 @@
 // Wire-format ablation: SKL1 vs SKL2 vs SKL2+delta on the paper's Fig. 2
 // (group-reduction) and Fig. 5 (combined/coalescing) workloads. Reports
-// total simulated bytes shipped per configuration, raw encode/decode
-// throughput of the serializer on an X-shaped and a reply-shaped relation,
-// and the encode-only win of the columnar-fed SKL2 encoder over the
-// row-path reference, then writes BENCH_wire_format.json.
+// total simulated bytes shipped per configuration; raw encode/decode
+// throughput of the serializer on an X-shaped and a reply-shaped relation;
+// the encode-only win of the columnar-fed SKL2 encoder over the row-path
+// reference; and the bytes of an X view whose AVG columns ship raw or as
+// their (sum, count) carriers. Writes BENCH_wire_format.json.
 //
 //   ./bench_wire_format [--quick]
 //
@@ -15,8 +16,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "agg/aggregate.h"
 #include "bench_util.h"
 #include "common/random.h"
 #include "storage/serializer.h"
@@ -127,6 +131,44 @@ Table ReplyShapedTable(int64_t rows) {
               Value(null_sum ? 0 : cnt)});
   }
   return t;
+}
+
+/// An X view in the shape the Fig. 2 query's second round ships: one
+/// sorted key per group, an AVG over int64 inputs (a quantity) and one over
+/// integral-double inputs (a whole-dollar price), each finalized from its
+/// (sum, count) as SubResultFold::FinalizeInto does, with the carriers
+/// AvgQuotient finds.
+struct XView {
+  Table table;
+  std::vector<QuotientCarriers> carriers;
+};
+
+XView XViewTable(int64_t rows) {
+  XView view{Table(MakeSchema({{"ClerkKey", ValueType::kInt64},
+                               {"avg_qty", ValueType::kDouble},
+                               {"avg_price", ValueType::kDouble}})),
+             {QuotientCarriers{1, {}, {}}, QuotientCarriers{2, {}, {}}}};
+  Rng rng(21);
+  for (int64_t key = 0; key < rows; ++key) {
+    const int64_t count = rng.Uniform(30, 80);
+    const Value qty[2] = {Value(rng.Uniform(count, 50 * count)),
+                          Value(count)};
+    const Value price[2] = {
+        Value(static_cast<double>(rng.Uniform(900 * count, 100000 * count))),
+        Value(count)};
+    view.table.AddRow({Value(key), FinalizeSubValues(AggFunc::kAvg, qty),
+                       FinalizeSubValues(AggFunc::kAvg, price)});
+    auto keep = [](const Value* acc, QuotientCarriers* carriers) {
+      int64_t num = 0;
+      int64_t den = 0;
+      AvgQuotient(acc, &num, &den);
+      carriers->num.push_back(num);
+      carriers->den.push_back(den);
+    };
+    keep(qty, &view.carriers[0]);
+    keep(price, &view.carriers[1]);
+  }
+  return view;
 }
 
 void BM_EncodeDecode(benchmark::State& state) {
@@ -264,6 +306,59 @@ void PrintTableAndReport() {
         "encode+decode %.3f ms\n",
         static_cast<long long>(x_rows), bytes.size(),
         static_cast<double>(bytes.size()) / static_cast<double>(x_rows), ms);
+  }
+
+  // X view: the same 3,000-group view encoded raw and with its AVG
+  // carriers; each must decode to the view bit for bit. SKL1 writes every
+  // double's 8 bytes, so equal SKL1 encodings hold equal bits.
+  {
+    const int64_t view_rows = 3000;
+    const XView view = XViewTable(view_rows);
+    const std::string expected =
+        Serializer::SerializeTable(view.table, WireFormat::kSkl1);
+    for (int with_carriers = 0; with_carriers <= 1; ++with_carriers) {
+      const std::span<const QuotientCarriers> carriers =
+          with_carriers ? std::span<const QuotientCarriers>(view.carriers)
+                        : std::span<const QuotientCarriers>();
+      std::string bytes;
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < iters; ++i) {
+        bytes =
+            Serializer::SerializeTable(view.table, WireFormat::kSkl2, carriers);
+        auto decoded = Serializer::DeserializeTable(bytes);
+        if (!decoded.ok()) std::abort();
+      }
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count() /
+                        iters;
+      if (bytes != Serializer::SerializeTableRowPath(
+                       view.table, WireFormat::kSkl2, carriers)) {
+        std::fprintf(stderr,
+                     "FAIL: X-view SKL2 differs between encoder paths\n");
+        std::abort();
+      }
+      auto decoded = Serializer::DeserializeTable(bytes);
+      if (!decoded.ok() ||
+          Serializer::SerializeTable(*decoded, WireFormat::kSkl1) !=
+              expected) {
+        std::fprintf(stderr, "FAIL: the X view decoded %s differs from it\n",
+                     with_carriers ? "from its carriers" : "raw");
+        std::abort();
+      }
+      const double per_row =
+          static_cast<double>(bytes.size()) / static_cast<double>(view_rows);
+      report.Add(std::string("encode+decode/skl2-xview-") +
+                     (with_carriers ? "carriers" : "raw"),
+                 {{"rows", static_cast<double>(view_rows)},
+                  {"bytes_per_row", per_row}},
+                 ms, static_cast<int64_t>(bytes.size()));
+      std::printf(
+          "X view SKL2 %s, %lld rows: %zu bytes (%.2f B/row), "
+          "encode+decode %.3f ms\n",
+          with_carriers ? "with AVG carriers" : "raw",
+          static_cast<long long>(view_rows), bytes.size(), per_row, ms);
+    }
   }
   report.Write();
 }

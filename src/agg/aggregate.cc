@@ -247,6 +247,17 @@ Value FinalizeSubValues(AggFunc func, const Value* acc) {
   return Value::Null();
 }
 
+bool AvgQuotient(const Value* acc, int64_t* num, int64_t* den) {
+  if (!acc[1].is_int64() || acc[1].AsInt64() <= 0) return false;
+  if (acc[0].is_int64()) {
+    *num = acc[0].AsInt64();
+  } else if (!acc[0].is_double() || !ExactInt64(acc[0].AsDouble(), num)) {
+    return false;
+  }
+  *den = acc[1].AsInt64();
+  return true;
+}
+
 void AggState::Update(const Value& v) {
   if (v.is_null()) return;
   switch (func_) {

@@ -131,6 +131,13 @@ void MergeSubValues(AggFunc func, const Value* sub, Value* acc);
 /// (identity except AVG → sum/cnt, NULL when cnt = 0).
 Value FinalizeSubValues(AggFunc func, const Value* acc);
 
+/// The exact integers an AVG finalizes from: true, with `*num` the merged
+/// sum and `*den` the merged count, when the count is positive and the sum
+/// is an int64 or a double equal to one bit for bit — then
+/// FinalizeSubValues(kAvg, acc) is static_cast<double>(*num) /
+/// static_cast<double>(*den).
+bool AvgQuotient(const Value* acc, int64_t* num, int64_t* den);
+
 /// \brief Accumulator used by the local GMDJ evaluator: one state per
 /// (base tuple, aggregate) pair, updated once per matching detail tuple.
 class AggState {

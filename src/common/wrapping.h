@@ -2,6 +2,7 @@
 #define SKALLA_COMMON_WRAPPING_H_
 
 #include <cstdint>
+#include <cstring>
 
 namespace skalla {
 
@@ -34,6 +35,16 @@ inline int64_t WrapNeg(int64_t a) {
 /// x86); every x % -1 is 0, which is also its value mod 2^64.
 inline int64_t WrapMod(int64_t a, int64_t b) {
   return b == -1 ? 0 : a % b;
+}
+
+/// True when `d` equals an int64 bit for bit, stored in `*out`. The range
+/// check runs before the cast, which is undefined for NaN, ±inf and values
+/// outside [-2^63, 2^63); the bit compare rejects -0.0 and fractions.
+inline bool ExactInt64(double d, int64_t* out) {
+  if (!(d >= -0x1p63 && d < 0x1p63)) return false;
+  *out = static_cast<int64_t>(d);
+  const double back = static_cast<double>(*out);
+  return std::memcmp(&back, &d, sizeof d) == 0;
 }
 
 }  // namespace skalla

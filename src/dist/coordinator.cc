@@ -86,16 +86,47 @@ struct DeltaBases {
   size_t next_gen;
 };
 
+/// The carriers of `view`'s fields among X's `x_carriers`, at X's rows
+/// `rows` (all of X's rows when null): a view keeps an AVG column's exact
+/// carriers through the row filter and the column pruning.
+std::vector<QuotientCarriers> ViewCarriers(
+    const Schema& x_schema, const std::vector<QuotientCarriers>& x_carriers,
+    const Schema& view_schema, const std::vector<int64_t>* rows) {
+  std::vector<QuotientCarriers> out;
+  for (const QuotientCarriers& q : x_carriers) {
+    const std::optional<int> field =
+        view_schema.IndexOf(x_schema.field(q.field).name);
+    if (!field.has_value()) continue;  // pruned
+    QuotientCarriers& v = out.emplace_back();
+    v.field = *field;
+    if (rows == nullptr) {
+      v.num = q.num;
+      v.den = q.den;
+      continue;
+    }
+    v.num.reserve(rows->size());
+    v.den.reserve(rows->size());
+    for (int64_t r : *rows) {
+      v.num.push_back(q.num[static_cast<size_t>(r)]);
+      v.den.push_back(q.den[static_cast<size_t>(r)]);
+    }
+  }
+  return out;
+}
+
 /// Phase A of an X round: each active node's view of X — the rows its
 /// subtree's ship `predicates` keep (Theorem 4: a leaf's own predicate, an
 /// aggregator's the OR of its leaves', all of X if any leaf has none),
 /// column-pruned — as an SKLD delta against its base when strictly smaller,
 /// the full payload attached as the retry fallback (docs/wire-format.md).
+/// `x_carriers` are X's AVG carriers (SubResultFold::FinalizeInto), which
+/// each view's SKL2 encoding may ship in place of the AVG column.
 /// Equal views over equal bases are encoded once. Returns each node's
 /// message and fills the node-sized `view_of`; `views` owns the decoded
 /// views, which is what each node holds after the round.
 Result<std::vector<DownMessage>> ShipViews(
-    const Table& x, const std::vector<std::string>& ship_cols,
+    const Table& x, const std::vector<QuotientCarriers>& x_carriers,
+    const std::vector<std::string>& ship_cols,
     const std::vector<ExprPtr>& predicates, const TreeTopology& tree,
     const std::vector<bool>& active, WireFormat wire_format,
     bool delta_enabled, DeltaBases* bases,
@@ -138,12 +169,15 @@ Result<std::vector<DownMessage>> ShipViews(
     } else {
       const Table* to_ship = &x;
       Table reduced;
+      std::vector<int64_t> kept;  // X's rows in `reduced`
       if (!filter[v].empty()) {
         reduced = Table(x.schema_ptr());
-        for (const Row& row : x.rows()) {
+        for (int64_t r = 0; r < x.num_rows(); ++r) {
+          const Row& row = x.row(r);
           for (int s : filter[v]) {
             if (ship[static_cast<size_t>(s)]->EvalBool(&row, nullptr)) {
               reduced.AddRow(row);
+              kept.push_back(r);
               break;
             }
           }
@@ -156,13 +190,17 @@ Result<std::vector<DownMessage>> ShipViews(
         SKALLA_ASSIGN_OR_RETURN(pruned, Project(*to_ship, ship_cols));
         to_ship = &pruned;
       }
+      const std::vector<QuotientCarriers> carriers =
+          ViewCarriers(x.schema(), x_carriers, to_ship->schema(),
+                       filter[v].empty() ? nullptr : &kept);
       std::string full_payload =
-          Serializer::SerializeTable(*to_ship, wire_format);
+          Serializer::SerializeTable(*to_ship, wire_format, carriers);
       std::string payload;
       size_t fallback = 0;
       std::string label = "X fragment";
       if (delta_enabled && cached.has_value()) {
-        std::string delta = Serializer::SerializeDelta(*cached, *to_ship);
+        std::string delta =
+            Serializer::SerializeDelta(*cached, *to_ship, carriers);
         if (delta.size() < full_payload.size()) {
           payload = std::move(delta);
           fallback = full_payload.size();
@@ -459,6 +497,10 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
   const size_t final_width = static_cast<size_t>(final_schema->num_fields());
   Table x(x_schema);
   GroupMap x_groups(num_key);
+  // The exact (sum, count) of each AVG column X's rounds finalized, so its
+  // views can ship them instead (ShipViews). A resumed X has none for the
+  // columns it arrived with; those ship as the doubles they are.
+  std::vector<QuotientCarriers> x_carriers;
   double pending_coord_cpu = 0;
   if (resuming) {
     Stopwatch key_sw;
@@ -532,9 +574,9 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       obs::ScopedSpan prepare_span("round.prepare", obs::kTrackCoordinator);
       Stopwatch prepare_sw;
       SKALLA_ASSIGN_OR_RETURN(
-          down_of, ShipViews(x, round.ship_cols, predicates, topology_,
-                             active, wire_format, delta_enabled, &bases,
-                             &view_of, &views));
+          down_of, ShipViews(x, x_carriers, round.ship_cols, predicates,
+                             topology_, active, wire_format, delta_enabled,
+                             &bases, &view_of, &views));
       coord_cpu += prepare_sw.ElapsedSeconds();
       if (prepare_span.armed()) {
         prepare_span.set_detail(std::to_string(participants.size()) +
@@ -689,7 +731,9 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       obs::ScopedSpan finalize_span(base ? nullptr : "round.finalize",
                                     obs::kTrackCoordinator);
       Stopwatch finalize_sw;
-      fold.FinalizeInto(&x, final_width);
+      // The last round's X ships to no site, so it keeps no carriers.
+      fold.FinalizeInto(&x, final_width,
+                        step < plan.rounds.size() ? &x_carriers : nullptr);
       coord_cpu += finalize_sw.ElapsedSeconds();
     }
 

@@ -150,8 +150,11 @@ Status SubResultFold::Fold(const DecodedColumns& reply, int from) {
   return Status::OK();
 }
 
-void SubResultFold::FinalizeInto(Table* x, size_t row_capacity) const {
+void SubResultFold::FinalizeInto(
+    Table* x, size_t row_capacity,
+    std::vector<QuotientCarriers>* carriers) const {
   SchemaPtr schema = x->schema_ptr();
+  const int old_fields = schema->num_fields();
   if (!slots_.empty()) {
     std::vector<Field> fields = schema->fields();
     for (const SubSlot& slot : slots_) fields.push_back(slot.final_field);
@@ -160,6 +163,22 @@ void SubResultFold::FinalizeInto(Table* x, size_t row_capacity) const {
   const size_t num_key = static_cast<size_t>(groups_->width());
   const size_t old_rows = static_cast<size_t>(x->num_rows());
   const size_t num_groups = static_cast<size_t>(groups_->size());
+  if (carriers != nullptr) {
+    for (size_t s = 0; s < slots_.size(); ++s) {
+      const SubSlot& slot = slots_[s];
+      if (slot.func != AggFunc::kAvg) continue;
+      QuotientCarriers& q = carriers->emplace_back();
+      q.field = old_fields + static_cast<int>(s);
+      q.num.resize(num_groups);
+      q.den.resize(num_groups);
+      for (size_t g = 0; g < num_groups; ++g) {
+        if (!AvgQuotient(acc_.data() + g * sub_width_ + slot.offset,
+                         &q.num[g], &q.den[g])) {
+          q.den[g] = 0;
+        }
+      }
+    }
+  }
   std::vector<Row> rows = x->ReleaseRows();
   rows.resize(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {

@@ -68,7 +68,11 @@ class SubResultFold {
   /// per slot, in place, and each group the fold added becomes a new row —
   /// its key, then its finalized columns. Rows are reserved for
   /// `row_capacity` values, so later rounds widen them without moving.
-  void FinalizeInto(Table* x, size_t row_capacity) const;
+  /// `*carriers` (may be null) holds X's QuotientCarriers: each AVG slot's
+  /// column gains the exact (sum, count) it finalized from, one per row of
+  /// the new X (AvgQuotient; den 0 where there is none).
+  void FinalizeInto(Table* x, size_t row_capacity,
+                    std::vector<QuotientCarriers>* carriers) const;
 
   /// The combined sub-result relation under `schema`: one row per group
   /// in id order, its key followed by its carriers.

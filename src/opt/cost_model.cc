@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/string_util.h"
 #include "dist/coordinator.h"
+#include "gmdj/central_eval.h"
 #include "storage/serializer.h"
 
 namespace skalla {
@@ -16,28 +16,28 @@ Result<RelationStats> ProfileRelation(const Table& table,
   stats.rows = table.num_rows();
   for (const std::string& attr : attrs) {
     SKALLA_ASSIGN_OR_RETURN(int idx, table.schema().MustIndexOf(attr));
-    std::unordered_set<uint64_t> hashes;
     double width_sum = 0;
-    Table column(MakeSchema({table.schema().field(idx)}));
-    column.Reserve(table.num_rows());
     for (int64_t r = 0; r < table.num_rows(); ++r) {
-      const Value& v = table.Get(r, idx);
-      hashes.insert(v.Hash());
-      width_sum += static_cast<double>(v.SerializedSize());
-      column.AddRow({v});
+      width_sum += static_cast<double>(table.Get(r, idx).SerializedSize());
     }
-    stats.distinct_counts[attr] = static_cast<int64_t>(hashes.size());
     stats.avg_widths[attr] =
         table.num_rows() == 0 ? 0.0
                               : width_sum / static_cast<double>(table.num_rows());
-    // Measured columnar width: encode the attribute as one SKL2 column and
-    // average (includes the codec tag, null bitmap, and dictionary).
+    // The attribute's distinct values (grouped through GroupMap) in the
+    // ascending key order every site derives its base groups in, so X and
+    // every reply carry one sorted key per group: the measured SKL2 width
+    // is that column's payload per group (codec tag, null bitmap, packed
+    // differences or dictionary codes).
+    BaseQuery keys;
+    keys.project_cols = {attr};
+    SKALLA_ASSIGN_OR_RETURN(Table sorted, EvalBaseQuery(keys, table));
+    stats.distinct_counts[attr] = sorted.num_rows();
     stats.avg_widths_skl2[attr] =
-        table.num_rows() == 0
+        sorted.num_rows() == 0
             ? 0.0
             : static_cast<double>(
-                  Serializer::TablePayloadSize(column, WireFormat::kSkl2)) /
-                  static_cast<double>(table.num_rows());
+                  Serializer::TablePayloadSize(sorted, WireFormat::kSkl2)) /
+                  static_cast<double>(sorted.num_rows());
   }
   return stats;
 }
@@ -58,14 +58,14 @@ namespace {
 /// SKL1 width of one numeric aggregate column (tag + 8 bytes).
 constexpr double kAggColBytes = 9.0;
 
-/// SKL2 width of one numeric aggregate column per group. Site replies now
-/// arrive in key order and ship their counts and integral sums bit-packed
-/// (a count of 1-30 takes 5 bits; docs/wire-format.md §3), while the
-/// finalized AVGs appended to X in SKLD deltas stay raw 8-byte doubles.
-/// 1.0 is the width at which flat and tree estimates of the Fig. 2/5
-/// workloads meet the measured bytes: 0.84-1.14x in cost_model_test, where
-/// the earlier 1.5 (set for varint deltas, then 0.86-1.13x) now reads
-/// 1.07-1.47x.
+/// SKL2 width of one numeric aggregate column per group, measured on the
+/// cost_model_test workload (8 sites): replies arrive in key order with
+/// counts and integral sums bit-packed (docs/wire-format.md §3) — ≈1.0 B a
+/// carrier on a fused round, whose groups are all ones the site touched,
+/// ≈0.3 B on a naive round, where most of each site's groups are untouched
+/// zeros — and X's finalized columns ship at ≈1.2-1.5 B, each AVG as its
+/// exact (sum, count) carriers. 1.0 serves both directions: the estimates
+/// read 1.04-1.54x the measured bytes in cost_model_test.
 constexpr double kAggColBytesSkl2 = 1.0;
 
 /// Fixed serialization overhead charged once per shipped relation

@@ -18,20 +18,21 @@ namespace skalla {
 /// estimator. Gathered once at load time via ProfileRelation.
 struct RelationStats {
   int64_t rows = 0;
-  /// Distinct-value counts per profiled attribute.
+  /// Distinct-value counts per profiled attribute, grouped as GroupMap
+  /// groups keys.
   std::map<std::string, int64_t> distinct_counts;
   /// Average serialized width (bytes) per profiled attribute in the
   /// row-oriented SKL1 format (per-value tag + payload).
   std::map<std::string, double> avg_widths;
-  /// Average columnar (SKL2) width per profiled attribute: the attribute's
-  /// measured column payload — codec tag, null bitmap, varint deltas or
-  /// dictionary codes — divided by the row count. Typically well below the
-  /// SKL1 width; the estimator picks the map matching the configured
-  /// wire format.
+  /// Columnar (SKL2) width per distinct value of each profiled attribute:
+  /// the measured payload of the attribute's distinct values as one column
+  /// in ascending key order — the order base groups ship in — divided by
+  /// their count. A dense integer key range packs to a few bytes in all;
+  /// the estimator picks this map or avg_widths by the wire format.
   std::map<std::string, double> avg_widths_skl2;
 };
 
-/// Computes RelationStats for the given attributes in one pass.
+/// Computes RelationStats for the given attributes.
 Result<RelationStats> ProfileRelation(const Table& table,
                                       const std::vector<std::string>& attrs);
 

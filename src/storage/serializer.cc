@@ -175,6 +175,7 @@ enum ColumnCodec : uint8_t {
   kColMixed = 4,  ///< heterogeneous non-null types: per-value tag + payload
   kColIntegralDouble = 5,  ///< int64-exact doubles, written as kColInt64
   kColRepeat = 6,  ///< varint field index of an earlier, byte-equal section
+  kColQuotient = 7,  ///< doubles as num / den, two integer sub-sections
 };
 
 constexpr uint8_t kCodecMask = 0x0f;
@@ -387,39 +388,97 @@ uint8_t PutInts(std::string* out, const Each& each) {
   return PutInts(out, s, ChooseIntEncoding(s), each);
 }
 
-/// True when `d` equals an int64 bit for bit, stored in `*out`. The range
-/// check runs before the cast, which is undefined for NaN, ±inf and values
-/// outside [-2^63, 2^63); the bit compare rejects -0.0 and fractions.
-bool ExactInt64(double d, int64_t* out) {
-  if (!(d >= -0x1p63 && d < 0x1p63)) return false;
-  *out = static_cast<int64_t>(d);
-  const double back = static_cast<double>(*out);
-  return std::memcmp(&back, &d, sizeof d) == 0;
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-/// Appends the non-null doubles of a section, which `each(fn)` passes to
-/// `fn` in row order: as the int64s of kColIntegralDouble (PutInts) when
-/// every value is ExactInt64 and that takes fewer bytes than the raw 8 per
-/// value, raw otherwise. Returns the codec written, with its kPacked bit.
-template <typename Each>
-uint8_t PutDoubles(std::string* out, const Each& each) {
-  IntSummary s;
+// Quotient sections. A kColQuotient section ships a double column as exact
+// integer carriers (QuotientCarriers): after the tag and the Double
+// section's null bitmap come two sub-sections, the non-null rows'
+// numerators and then their denominators. Each sub-section is a u8 tag
+// (kColInt64 | kNullFree, plus kPacked when packed), a varint count of
+// values, and PutInts' values. Row r decodes to
+// static_cast<double>(num) / static_cast<double>(den), FinalizeSubValues'
+// AVG expression.
+
+/// Bytes PutSubSection writes for `s` in `encoding`.
+uint64_t SubSectionBytes(const IntSummary& s, const IntEncoding& encoding) {
+  return 1 + VarintSize(s.count) + encoding.bytes;
+}
+
+/// Appends one quotient sub-section: `values` at the rows `each_row(fn)`
+/// passes to `fn`, in row order, in `encoding` (ChooseIntEncoding over
+/// their IntSummary `s`).
+template <typename EachRow>
+void PutSubSection(std::string* out, const IntSummary& s,
+                   const IntEncoding& encoding,
+                   const std::vector<int64_t>& values,
+                   const EachRow& each_row) {
+  PutU8(out, kColInt64 | kNullFree | (encoding.packed ? kPacked : 0));
+  PutVarint(out, s.count);
+  PutInts(out, s, encoding, [&](auto&& fn) {
+    each_row([&](int64_t r, double) { fn(values[static_cast<size_t>(r)]); });
+  });
+}
+
+/// Appends the non-null doubles of a section, which `each_row(fn)` passes
+/// to `fn` as (row, value) in row order: as the int64s of
+/// kColIntegralDouble (PutInts) when every value is ExactInt64 and that
+/// takes fewer bytes than the raw 8 per value, raw otherwise — unless
+/// `quotients` holds carriers for every row that reproduce its value bit
+/// for bit, and their kColQuotient sub-sections take strictly fewer bytes
+/// still. One pass sizes each form, and only the one chosen is written.
+/// Returns the codec written, with its kPacked bit.
+template <typename EachRow>
+uint8_t PutDoubleColumn(std::string* out, const QuotientCarriers* quotients,
+                        int64_t end, const EachRow& each_row) {
+  const size_t rows = static_cast<size_t>(end);
+  bool exact = quotients != nullptr && quotients->num.size() >= rows &&
+               quotients->den.size() >= rows;
+  uint64_t count = 0;
   bool integral = true;
-  each([&](double d) {
+  IntSummary ints;
+  IntSummary nums;
+  IntSummary dens;
+  each_row([&](int64_t r, double d) {
+    ++count;
     int64_t i = 0;
     integral = integral && ExactInt64(d, &i);
-    if (integral) s.Add(i);
+    if (integral) ints.Add(i);
+    if (!exact) return;
+    const int64_t n = quotients->num[static_cast<size_t>(r)];
+    const int64_t m = quotients->den[static_cast<size_t>(r)];
+    exact = m > 0 &&
+            SameBits(static_cast<double>(n) / static_cast<double>(m), d);
+    nums.Add(n);
+    dens.Add(m);
   });
+  uint64_t bytes = 8 * count;
+  IntEncoding int_encoding;
   if (integral) {
-    const IntEncoding encoding = ChooseIntEncoding(s);
-    if (encoding.bytes < 8 * s.count) {
-      return kColIntegralDouble |
-             PutInts(out, s, encoding, [&](auto&& fn) {
-               each([&](double d) { fn(static_cast<int64_t>(d)); });
-             });
+    int_encoding = ChooseIntEncoding(ints);
+    integral = int_encoding.bytes < bytes;
+    if (integral) bytes = int_encoding.bytes;
+  }
+  if (exact) {
+    const IntEncoding num_encoding = ChooseIntEncoding(nums);
+    const IntEncoding den_encoding = ChooseIntEncoding(dens);
+    if (SubSectionBytes(nums, num_encoding) +
+            SubSectionBytes(dens, den_encoding) <
+        bytes) {
+      PutSubSection(out, nums, num_encoding, quotients->num, each_row);
+      PutSubSection(out, dens, den_encoding, quotients->den, each_row);
+      return kColQuotient;
     }
   }
-  each([out](double d) { PutFixed(out, d); });
+  if (integral) {
+    return kColIntegralDouble |
+           PutInts(out, ints, int_encoding, [&](auto&& fn) {
+             each_row(
+                 [&](int64_t, double d) { fn(static_cast<int64_t>(d)); });
+           });
+  }
+  each_row([out](int64_t, double d) { PutFixed(out, d); });
   return kColDouble;
 }
 
@@ -471,8 +530,10 @@ void PutNullBitmap(std::string* out, const Table& t, int col, int64_t begin,
 
 /// Row-path section writer: boxes every cell through Table::Get. Used for
 /// SKLD sub-ranges, type-deviant columns and SerializeTableRowPath.
+/// `quotients` (may be null) are the column's carriers, by table row.
 void EncodeColumnRange(std::string* out, const Table& t, int col,
-                       int64_t begin, int64_t end) {
+                       int64_t begin, int64_t end,
+                       const QuotientCarriers* quotients) {
   bool has_nulls = false;
   const ColumnCodec codec = ClassifyColumn(t, col, begin, end, &has_nulls);
   const size_t tag = out->size();
@@ -498,8 +559,11 @@ void EncodeColumnRange(std::string* out, const Table& t, int col,
       });
       break;
     case kColDouble:
-      written = PutDoubles(out, [&](auto&& fn) {
-        each([&](const Value& v) { fn(v.AsDouble()); });
+      written = PutDoubleColumn(out, quotients, end, [&](auto&& fn) {
+        for (int64_t r = begin; r < end; ++r) {
+          const Value& v = t.Get(r, col);
+          if (v.type() != ValueType::kNull) fn(r, v.AsDouble());
+        }
       });
       break;
     case kColString: {
@@ -560,7 +624,7 @@ void PutNullBitmapColumnar(std::string* out,
 }
 
 void EncodeColumnarFull(std::string* out, const ColumnarTable::Column& col,
-                        int64_t n) {
+                        int64_t n, const QuotientCarriers* quotients) {
   const ColumnCodec codec = ClassifyColumnar(col, n);
   const size_t tag = out->size();
   PutU8(out, codec);
@@ -579,8 +643,11 @@ void EncodeColumnarFull(std::string* out, const ColumnarTable::Column& col,
       written |= PutInts(out, [&](auto&& fn) { each_valid(col.ints, fn); });
       break;
     case kColDouble:
-      written = PutDoubles(out,
-                           [&](auto&& fn) { each_valid(col.doubles, fn); });
+      written = PutDoubleColumn(out, quotients, n, [&](auto&& fn) {
+        for (int64_t r = 0; r < n; ++r) {
+          if (col.IsValid(r)) fn(r, col.doubles[static_cast<size_t>(r)]);
+        }
+      });
       break;
     case kColString: {
       // The snapshot dictionary is first-appearance over all rows — for a
@@ -716,6 +783,39 @@ class PackedInts {
   BitUnpacker bits_{std::string_view(), 0};
 };
 
+/// Reads one sub-section of a kColQuotient section (PutSubSection) into
+/// `*out`; it must be a null-free int64 section of `count` values, the
+/// section's non-null rows.
+Status ReadSubSection(Reader* reader, uint64_t count,
+                      std::vector<int64_t>* out) {
+  uint8_t tag = 0;
+  if (!reader->ReadU8(&tag)) {
+    return Status::IoError("truncated quotient sub-section");
+  }
+  if ((tag & ~kPacked) != (kColInt64 | kNullFree)) {
+    return Status::IoError("quotient sub-section " + std::to_string(tag) +
+                           " is not a null-free int64 section");
+  }
+  SKALLA_ASSIGN_OR_RETURN(uint64_t claimed, ReadVarint(reader));
+  if (claimed != count) {
+    return Status::IoError("quotient sub-section count does not match the "
+                           "null bitmap");
+  }
+  out->reserve(static_cast<size_t>(std::min(count, kReserveClamp)));
+  if ((tag & kPacked) != 0) {
+    SKALLA_ASSIGN_OR_RETURN(PackedInts ints, PackedInts::Read(reader, count));
+    for (uint64_t i = 0; i < count; ++i) out->push_back(ints.Next());
+    return Status::OK();
+  }
+  int64_t prev = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    SKALLA_ASSIGN_OR_RETURN(uint64_t raw, ReadVarint(reader));
+    prev = WrapAdd(prev, ZigZagDecode(raw));
+    out->push_back(prev);
+  }
+  return Status::OK();
+}
+
 /// Decodes one non-repeat column section of `n` values into `*out`.
 Status DecodeColumnRange(Reader* reader, uint8_t codec, bool null_free,
                          bool packed, int64_t n, std::vector<Value>* out) {
@@ -784,6 +884,29 @@ Status DecodeColumnRange(Reader* reader, uint8_t codec, bool null_free,
       }
       return Status::OK();
     }
+    case kColQuotient: {
+      const uint64_t count =
+          null_free ? static_cast<uint64_t>(n) : CountNonNull(bitmap, n);
+      std::vector<int64_t> num;
+      std::vector<int64_t> den;
+      SKALLA_RETURN_NOT_OK(ReadSubSection(reader, count, &num));
+      SKALLA_RETURN_NOT_OK(ReadSubSection(reader, count, &den));
+      size_t i = 0;
+      for (int64_t r = 0; r < n; ++r) {
+        if (!non_null(r)) {
+          out->push_back(Value::Null());
+          continue;
+        }
+        if (den[i] <= 0) {
+          return Status::IoError("quotient denominator " +
+                                 std::to_string(den[i]) + " is not positive");
+        }
+        out->push_back(Value(static_cast<double>(num[i]) /
+                             static_cast<double>(den[i])));
+        ++i;
+      }
+      return Status::OK();
+    }
     case kColString: {
       SKALLA_ASSIGN_OR_RETURN(uint64_t dict_count, ReadVarint(reader));
       if (dict_count > reader->remaining()) {
@@ -840,7 +963,7 @@ Status DecodeSections(Reader* reader, const std::vector<int64_t>& rows,
     const uint8_t codec = tag & kCodecMask;
     const bool null_free = (tag & kNullFree) != 0;
     const bool packed = (tag & kPacked) != 0;
-    if (codec > kColRepeat) {
+    if (codec > kColQuotient) {
       return Status::IoError("unknown column codec " + std::to_string(codec));
     }
     if (null_free &&
@@ -1123,10 +1246,20 @@ Result<Table> DecodeDeltaBody(const Table* cached, Reader* reader) {
 
 namespace {
 
+/// The carriers `carriers` holds for field `col`, or null.
+const QuotientCarriers* CarriersOf(std::span<const QuotientCarriers> carriers,
+                                   int col) {
+  for (const QuotientCarriers& q : carriers) {
+    if (q.field == col) return &q;
+  }
+  return nullptr;
+}
+
 /// The encoding alone, without a span or metric, so WireSize can measure
 /// through it. `columnar_feed` reads usable columns from the snapshot.
 std::string EncodeTable(const Table& table, Serializer::Format format,
-                        bool columnar_feed) {
+                        bool columnar_feed,
+                        std::span<const QuotientCarriers> carriers) {
   std::string out;
   PutFixed(&out, format == Serializer::Format::kSkl1 ? kMagicSkl1 : kMagicSkl2);
   PutSchema(&out, table.schema());
@@ -1145,22 +1278,25 @@ std::string EncodeTable(const Table& table, Serializer::Format format,
                   static_cast<size_t>(table.schema().num_fields()), nrows),
               [&](size_t c) {
                 const int col = static_cast<int>(c);
+                const QuotientCarriers* quotients = CarriersOf(carriers, col);
                 if (view != nullptr && view->column(col).usable) {
-                  EncodeColumnarFull(&out, view->column(col), nrows);
+                  EncodeColumnarFull(&out, view->column(col), nrows,
+                                     quotients);
                 } else {
-                  EncodeColumnRange(&out, table, col, 0, nrows);
+                  EncodeColumnRange(&out, table, col, 0, nrows, quotients);
                 }
               });
   return out;
 }
 
 std::string SerializeTableImpl(const Table& table, Serializer::Format format,
-                               bool columnar_feed) {
+                               bool columnar_feed,
+                               std::span<const QuotientCarriers> carriers) {
   obs::ScopedSpan span("serialize");
   static obs::Histogram& encode_seconds = obs::GetHistogram(
       "skalla_storage_encode_seconds", obs::HistogramLayout::LatencySeconds());
   obs::ScopedHistogramTimer timer(&encode_seconds);
-  std::string out = EncodeTable(table, format, columnar_feed);
+  std::string out = EncodeTable(table, format, columnar_feed, carriers);
   if (span.armed()) {
     span.set_detail(
         (format == Serializer::Format::kSkl1 ? "SKL1 " : "SKL2 ") +
@@ -1182,13 +1318,16 @@ std::string SerializeTableImpl(const Table& table, Serializer::Format format,
 
 }  // namespace
 
-std::string Serializer::SerializeTable(const Table& table, Format format) {
-  return SerializeTableImpl(table, format, /*columnar_feed=*/true);
+std::string Serializer::SerializeTable(
+    const Table& table, Format format,
+    std::span<const QuotientCarriers> carriers) {
+  return SerializeTableImpl(table, format, /*columnar_feed=*/true, carriers);
 }
 
-std::string Serializer::SerializeTableRowPath(const Table& table,
-                                              Format format) {
-  return SerializeTableImpl(table, format, /*columnar_feed=*/false);
+std::string Serializer::SerializeTableRowPath(
+    const Table& table, Format format,
+    std::span<const QuotientCarriers> carriers) {
+  return SerializeTableImpl(table, format, /*columnar_feed=*/false, carriers);
 }
 
 Result<Table> Serializer::DeserializeTable(std::string_view bytes) {
@@ -1210,7 +1349,7 @@ Result<DecodedColumns> Serializer::DecodeColumns(std::string_view bytes) {
 
 size_t Serializer::WireSize(const Table& table, Format format) {
   if (format == Format::kSkl2) {
-    return EncodeTable(table, format, /*columnar_feed=*/true).size();
+    return EncodeTable(table, format, /*columnar_feed=*/true, {}).size();
   }
   size_t size = HeaderSize(table);
   for (const Row& row : table.rows()) {
@@ -1223,8 +1362,9 @@ size_t Serializer::TablePayloadSize(const Table& table, Format format) {
   return WireSize(table, format) - HeaderSize(table);
 }
 
-std::string Serializer::SerializeDelta(const Table& base,
-                                       const Table& table) {
+std::string Serializer::SerializeDelta(
+    const Table& base, const Table& table,
+    std::span<const QuotientCarriers> carriers) {
   obs::ScopedSpan span("serialize.delta");
   static obs::Histogram& encode_seconds = obs::GetHistogram(
       "skalla_storage_encode_seconds", obs::HistogramLayout::LatencySeconds());
@@ -1278,8 +1418,9 @@ std::string Serializer::SerializeDelta(const Table& base,
     rows[c] = mapping[c] < 0 ? total : total - kept;
   }
   PutSections(&out, rows, [&](size_t c) {
-    EncodeColumnRange(&out, table, static_cast<int>(c), total - rows[c],
-                      total);
+    const int col = static_cast<int>(c);
+    EncodeColumnRange(&out, table, col, total - rows[c], total,
+                      CarriersOf(carriers, col));
   });
   if (span.armed()) {
     span.set_detail("SKLD kept " + std::to_string(kept) + "/" +

@@ -1,6 +1,8 @@
 #ifndef SKALLA_STORAGE_SERIALIZER_H_
 #define SKALLA_STORAGE_SERIALIZER_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +19,20 @@ struct DecodedColumns {
   int64_t num_rows = 0;
   /// One vector per schema field, num_rows values each.
   std::vector<std::vector<Value>> columns;
+};
+
+/// Exact integer carriers of one double column of a table, kept beside it
+/// for the SKL2 encoder (docs/wire-format.md §3, codec 7): a finalized AVG
+/// as its SUM and COUNT. Where den[r] > 0, row r of column `field` is
+/// meant to equal static_cast<double>(num[r]) / static_cast<double>(den[r]);
+/// den[r] <= 0 marks a row without carriers. The encoder trusts none of
+/// it: it ships the column as the carriers only when every non-null row
+/// has them and reproduces its cell bit for bit, and the section gets
+/// strictly smaller.
+struct QuotientCarriers {
+  int field = -1;            ///< the column's index in the table's schema
+  std::vector<int64_t> num;  ///< one per table row
+  std::vector<int64_t> den;  ///< one per table row
 };
 
 /// \brief Byte-exact binary relation formats (see docs/wire-format.md).
@@ -46,8 +62,9 @@ struct DecodedColumns {
 /// over its successive differences. Columns mixing non-null types fall
 /// back to a per-value tagged codec, and a section byte-equal to an
 /// earlier one over as many rows is sent as a repeat of that field's
-/// index. A size codec is used only when it makes its section strictly
-/// smaller.
+/// index. A double column given QuotientCarriers may ship as their two
+/// integer sub-sections instead. A size codec is used only when it makes
+/// its section strictly smaller.
 ///
 /// SKLD (delta): ships only what changed versus a base table the receiver
 /// already holds; decoded with DecodeShipment(). Layout: magic 'SKLD',
@@ -63,17 +80,20 @@ class Serializer {
   /// Encodes a table to its wire form in the given format. SKL2 columns
   /// are fed from the table's cached columnar snapshot when the column is
   /// `usable` (Table::columnar) — same bytes, no per-cell boxing; see
-  /// docs/wire-format.md.
-  static std::string SerializeTable(const Table& table,
-                                    Format format = WireFormat::kSkl2);
+  /// docs/wire-format.md. SKL2 may ship a double column named by
+  /// `carriers` as its QuotientCarriers; the decoded table is the same.
+  static std::string SerializeTable(
+      const Table& table, Format format = WireFormat::kSkl2,
+      std::span<const QuotientCarriers> carriers = {});
 
   /// Reference encoder that ignores the columnar snapshot and boxes every
   /// cell through Table::Get — the pre-columnar row path, kept callable so
   /// tests and benchmarks can pin SerializeTable's byte-identity (and
   /// measure the columnar feed's win). Produces identical bytes to
   /// SerializeTable for every table and format.
-  static std::string SerializeTableRowPath(const Table& table,
-                                           Format format = WireFormat::kSkl2);
+  static std::string SerializeTableRowPath(
+      const Table& table, Format format = WireFormat::kSkl2,
+      std::span<const QuotientCarriers> carriers = {});
 
   /// Decodes a wire-form table (either format, by magic); fails with
   /// IoError on malformed input. SKLD payloads are rejected here — they
@@ -101,8 +121,12 @@ class Serializer {
   /// are matched by name + declared type; a matched column whose first
   /// kept_rows values are bit-identical to the base ships only its appended
   /// rows. Always decodable; not guaranteed smaller than a full payload —
-  /// callers compare sizes and ship whichever is smaller.
-  static std::string SerializeDelta(const Table& base, const Table& table);
+  /// callers compare sizes and ship whichever is smaller. Every section,
+  /// over whichever rows it spans, may use `carriers` as SerializeTable's
+  /// do.
+  static std::string SerializeDelta(
+      const Table& base, const Table& table,
+      std::span<const QuotientCarriers> carriers = {});
 
   /// Decodes any shipped payload: SKL1/SKL2 full tables (cached may be
   /// null) or an SKLD delta applied to `*cached`. Fails with IoError on

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
+#include "storage/serializer.h"
 #include "test_util.h"
 #include "tpc/dbgen.h"
 
@@ -20,6 +22,37 @@ TEST(ProfileRelationTest, CountsAndWidths) {
   EXPECT_EQ(stats.distinct_counts["s"], 3);
   EXPECT_DOUBLE_EQ(stats.avg_widths["g"], 9.0);       // int64 = tag + 8
   EXPECT_DOUBLE_EQ(stats.avg_widths["s"], 1 + 4 + 1);  // 1-char strings
+}
+
+TEST(ProfileRelationTest, KeyWidthIsMeasuredInKeyOrder) {
+  // 3,000 keys on four rows each, shuffled. X and every reply carry one
+  // key per group in ascending order — a dense range packs to a constant
+  // difference — so that, not the table order, is the width per group.
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < 3000; ++k) keys.insert(keys.end(), 4, k);
+  Rng rng(21);
+  for (size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[static_cast<size_t>(
+                           rng.Uniform(0, static_cast<int64_t>(i)))]);
+  }
+  Table shuffled(MakeSchema({{"k", ValueType::kInt64}}));
+  for (const int64_t k : keys) shuffled.AddRow({Value(k)});
+  Table sorted(shuffled.schema_ptr());
+  for (int64_t k = 0; k < 3000; ++k) sorted.AddRow({Value(k)});
+
+  ASSERT_OK_AND_ASSIGN(RelationStats stats, ProfileRelation(shuffled, {"k"}));
+  EXPECT_EQ(stats.distinct_counts["k"], 3000);
+  EXPECT_DOUBLE_EQ(
+      stats.avg_widths_skl2["k"],
+      static_cast<double>(
+          Serializer::TablePayloadSize(sorted, WireFormat::kSkl2)) /
+          3000.0);
+  EXPECT_LT(stats.avg_widths_skl2["k"], 0.01);
+  // In table order the same column costs over a byte a row.
+  EXPECT_GT(static_cast<double>(
+                Serializer::TablePayloadSize(shuffled, WireFormat::kSkl2)) /
+                static_cast<double>(shuffled.num_rows()),
+            1.0);
 }
 
 TEST(ProfileRelationTest, EmptyTable) {

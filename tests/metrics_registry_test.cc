@@ -44,6 +44,23 @@ uint64_t ProfileTotal(const std::string& profile, const std::string& key) {
   return std::strtoull(profile.c_str() + pos + needle.size(), nullptr, 10);
 }
 
+// The SKALLA_METRICS knob, read once at start-up: 0, off or false starts
+// the registry disabled, so counter updates leave totals unchanged. The
+// ctest entry env.SKALLA_METRICS (tests/CMakeLists.txt) runs this test with
+// SKALLA_METRICS=0; without the variable the registry starts enabled. It
+// comes first so that no other test has flipped the gate when the whole
+// binary runs in one process.
+TEST(MetricsRegistryTest, SkallaMetricsSetsTheStartState) {
+  const char* env = std::getenv("SKALLA_METRICS");
+  const std::string value = env == nullptr ? "" : env;
+  const bool off = value == "0" || value == "off" || value == "false";
+  EXPECT_EQ(obs::MetricsEnabled(), !off);
+  obs::Counter& counter = obs::GetCounter("skalla_test_env_knob_total");
+  const uint64_t before = counter.Value();
+  counter.Increment();
+  EXPECT_EQ(counter.Value(), before + (off ? 0 : 1));
+}
+
 TEST(MetricsRegistryTest, ConcurrentCounterIsExact) {
   EnabledGuard enabled;
   obs::Counter& counter = obs::GetCounter("skalla_test_concurrent_total");

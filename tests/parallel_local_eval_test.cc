@@ -15,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -85,6 +88,21 @@ TEST(ThreadPoolTest, SharedPoolIsASingleton) {
   ThreadPool* b = &ThreadPool::Shared();
   EXPECT_EQ(a, b);
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
+}
+
+// The SKALLA_THREADS knob, read once: a value >= 1 fixes the default lane
+// count, and the shared pool runs that many lanes (the caller plus its
+// workers). The ctest entry env.SKALLA_THREADS (tests/CMakeLists.txt) runs
+// this test with SKALLA_THREADS=2; without the variable it checks the
+// hardware default.
+TEST(ThreadPoolTest, SkallaThreadsSetsTheDefaultLaneCount) {
+  const char* env = std::getenv("SKALLA_THREADS");
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int expected = env != nullptr && std::atoi(env) >= 1
+                           ? std::atoi(env)
+                           : std::max(1, static_cast<int>(hw));
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), expected);
+  EXPECT_EQ(ThreadPool::Shared().num_threads() + 1, expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -328,9 +328,9 @@ TEST(SerializerMalformedTest, UnknownCodecFlagBitsAndCodecsRejected) {
   const std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
   ASSERT_EQ(static_cast<uint8_t>(bytes[kSkl2OneColHeader]), 0x81);
   // Bits 4 and 5 are reserved, with or without the packed bit 6, and
-  // codecs 7-15 are unassigned.
+  // codecs 8-15 are unassigned.
   for (const char tag :
-       {'\x91', '\xa1', '\xd1', '\xe1', '\x11', '\x07', '\x0f', '\x4f'}) {
+       {'\x91', '\xa1', '\xd1', '\xe1', '\x11', '\x08', '\x0f', '\x4f'}) {
     std::string bad = bytes;
     bad[kSkl2OneColHeader] = tag;
     ExpectIoError(DecodeBoth(bad), "codec");
@@ -393,7 +393,8 @@ TEST(SerializerMalformedTest, PackedLengthBoundedByPayload) {
 }
 
 TEST(SerializerMalformedTest, PackedFlagOnlyOnIntegerCodecs) {
-  for (const char tag : {'\xc2', '\x42', '\xc3', '\x40', '\x44', '\x46'}) {
+  for (const char tag :
+       {'\xc2', '\x42', '\xc3', '\x40', '\x44', '\x46', '\x47', '\xc7'}) {
     SCOPED_TRACE(static_cast<int>(static_cast<uint8_t>(tag)));
     ExpectIoError(DecodeOneInt(1, std::string(1, tag) + std::string(9, '\0')),
                   "packed flag");
@@ -420,6 +421,99 @@ TEST(SerializerMalformedTest, PackedTruncationsRejectedCleanly) {
     ASSERT_FALSE(result.ok()) << "cut at " << cut;
     EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   }
+}
+
+/// Decodes `section` as the only column of a double table of `nrows` rows.
+Result<Table> DecodeOneDouble(uint64_t nrows, const std::string& section) {
+  return DecodeBoth(
+      Skl2Payload(MakeSchema({{"d", ValueType::kDouble}}), nrows, section));
+}
+
+// A quotient section (codec 7) over rows [2.5, 3.5]: numerators 5 and 7,
+// denominators 2 and 2, each sub-section a null-free int64 tag, a varint
+// count and the zig-zag varint deltas.
+const std::string kNums("\x81\x02\x0a\x04", 4);
+const std::string kDens("\x81\x02\x04\x00", 4);
+
+TEST(SerializerMalformedTest, QuotientSectionsDecodeByHand) {
+  ASSERT_OK_AND_ASSIGN(Table two, DecodeOneDouble(2, "\x87" + kNums + kDens));
+  EXPECT_EQ(two.Get(0, 0), Value(2.5));
+  EXPECT_EQ(two.Get(1, 0), Value(3.5));
+  // With the Double section's bitmap: rows 0 and 2 present.
+  ASSERT_OK_AND_ASSIGN(Table sparse,
+                       DecodeOneDouble(3, "\x07\x05" + kNums + kDens));
+  EXPECT_EQ(sparse.Get(0, 0), Value(2.5));
+  EXPECT_TRUE(sparse.Get(1, 0).is_null());
+  EXPECT_EQ(sparse.Get(2, 0), Value(3.5));
+  // Packed sub-sections: numerators as values over min 5 at width 2
+  // (offsets 0 and 2), denominators constant at width 0.
+  ASSERT_OK_AND_ASSIGN(
+      Table packed,
+      DecodeOneDouble(2, std::string("\x87\xc1\x02\x02\x0a\x08"
+                                     "\xc1\x02\x00\x04",
+                                     10)));
+  EXPECT_EQ(packed.Get(0, 0), Value(2.5));
+  EXPECT_EQ(packed.Get(1, 0), Value(3.5));
+}
+
+TEST(SerializerMalformedTest, QuotientDenominatorMustBePositive) {
+  // Denominators [0, 2] and [-1, 2].
+  ExpectIoError(
+      DecodeOneDouble(2, "\x87" + kNums + std::string("\x81\x02\x00\x04", 4)),
+      "denominator");
+  ExpectIoError(
+      DecodeOneDouble(2, "\x87" + kNums + std::string("\x81\x02\x01\x06", 4)),
+      "denominator");
+}
+
+TEST(SerializerMalformedTest, QuotientSubSectionsMustBeIntegers) {
+  // A double, a bitmap-carrying int64, an integral-double, a repeat and a
+  // reserved-bit tag are no sub-section, first or second.
+  for (const char tag : {'\x82', '\x01', '\x85', '\x06', '\x91', '\xc5'}) {
+    SCOPED_TRACE(static_cast<int>(static_cast<uint8_t>(tag)));
+    ExpectIoError(DecodeOneDouble(2, "\x87" + std::string(1, tag) +
+                                         kNums.substr(1) + kDens),
+                  "not a null-free int64");
+    ExpectIoError(DecodeOneDouble(2, "\x87" + kNums + std::string(1, tag) +
+                                         kDens.substr(1)),
+                  "not a null-free int64");
+  }
+}
+
+TEST(SerializerMalformedTest, QuotientCountsMustMatchTheBitmap) {
+  // Each sub-section's count must equal the section's non-null rows: 2 of
+  // 2 null-free, 2 of 3 under bitmap 0x05.
+  ExpectIoError(DecodeOneDouble(2, std::string("\x87\x81\x03\x0a\x04\x00", 6) +
+                                       kDens),
+                "count");
+  ExpectIoError(DecodeOneDouble(2, std::string("\x87\x81\x01\x0a", 4) +
+                                       kDens),
+                "count");
+  ExpectIoError(DecodeOneDouble(2, "\x87" + kNums +
+                                       std::string("\x81\x03\x04\x00\x00", 5)),
+                "count");
+  ExpectIoError(DecodeOneDouble(3, "\x07\x07" + kNums + kDens), "count");
+}
+
+TEST(SerializerMalformedTest, QuotientTruncationsAndOverrunsRejected) {
+  const std::string section = "\x87" + kNums + kDens;
+  ASSERT_OK(DecodeOneDouble(2, section).status());
+  const std::string whole =
+      Skl2Payload(MakeSchema({{"d", ValueType::kDouble}}), 2, section);
+  for (size_t cut = 0; cut < whole.size(); ++cut) {
+    auto result = DecodeBoth(std::string_view(whole).substr(0, cut));
+    ASSERT_FALSE(result.ok()) << "cut at " << cut;
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  }
+  // An overlong numerator sub-section runs into the denominators' tag; an
+  // overlong denominator sub-section leaves trailing bytes.
+  ExpectIoError(DecodeOneDouble(2, "\x87" + kNums + "\x02" + kDens),
+                "not a null-free int64");
+  ExpectIoError(DecodeOneDouble(2, section + "\x02"), "trailing");
+  // A packed region longer than the payload is rejected before it is read.
+  ExpectIoError(DecodeOneDouble(2, std::string("\x87\xc1\x02\x40\x00", 5) +
+                                       kDens),
+                "packed section length");
 }
 
 TEST(SerializerMalformedTest, CellCapBoundsRepeatSections) {

@@ -142,8 +142,10 @@ Result<Table> SynchronizeWithFold(const Table& x,
         Serializer::DecodeColumns(Serializer::SerializeTable(*replies[from])));
     SKALLA_RETURN_NOT_OK(fold.Fold(h, static_cast<int>(from)));
   }
-  fold.FinalizeInto(&out, static_cast<size_t>(out.schema().num_fields()) +
-                              slots.size());
+  fold.FinalizeInto(&out,
+                    static_cast<size_t>(out.schema().num_fields()) +
+                        slots.size(),
+                    /*carriers=*/nullptr);
   return out;
 }
 

@@ -7,15 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "agg/aggregate.h"
 #include "common/random.h"
 #include "common/wrapping.h"
 #include "dist/coordinator.h"
+#include "engine/operators.h"
 #include "obs/metrics.h"
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
@@ -565,6 +571,270 @@ TEST(WirePackedTest, NoSectionLargerThanItsVarintDeltas) {
 }
 
 // ---------------------------------------------------------------------------
+// Quotient sections (codec 7): a finalized AVG column shipped as its exact
+// (sum, count) carriers.
+// ---------------------------------------------------------------------------
+
+constexpr uint8_t kTagQuotient = 0x07;
+constexpr uint8_t kCodecBits = 0x0f;
+
+/// An X-shaped table: a sorted int64 key and one AVG column, built the way
+/// SubResultFold::FinalizeInto builds it — FinalizeSubValues over each
+/// group's merged (sum, count) — with the carriers AvgQuotient finds.
+struct AvgTable {
+  Table table{MakeSchema({{"k", ValueType::kInt64},
+                          {"avg", ValueType::kDouble}})};
+  std::vector<QuotientCarriers> carriers{QuotientCarriers{1, {}, {}}};
+
+  /// Appends a group whose AVG carriers are `sum` (int64, double or NULL)
+  /// and `count`.
+  void Add(const Value& sum, int64_t count) {
+    const Value acc[2] = {sum, Value(count)};
+    table.AddRow({Value(table.num_rows()),
+                  FinalizeSubValues(AggFunc::kAvg, acc)});
+    int64_t num = 0;
+    int64_t den = 0;
+    AvgQuotient(acc, &num, &den);
+    carriers[0].num.push_back(num);
+    carriers[0].den.push_back(den);
+  }
+};
+
+/// Random groups: counts of 1-30 and sums of up to `max_value` a row,
+/// integral doubles when `doubles`, one group in `null_every` with no
+/// input rows (count 0, a NULL AVG).
+AvgTable RandomAvgs(Rng* rng, int64_t groups, bool doubles,
+                    int64_t max_value, int null_every = 0) {
+  AvgTable t;
+  for (int64_t g = 0; g < groups; ++g) {
+    if (null_every > 0 && g % null_every == 0) {
+      t.Add(Value::Null(), 0);
+      continue;
+    }
+    const int64_t count = rng->Uniform(1, 30);
+    const int64_t sum = rng->Uniform(count, count * max_value);
+    t.Add(doubles ? Value(static_cast<double>(sum)) : Value(sum), count);
+  }
+  return t;
+}
+
+/// The AVG column's section of `t` encoded with `carriers`.
+std::string AvgSection(const Table& t,
+                       std::span<const QuotientCarriers> carriers) {
+  const std::string bytes =
+      Serializer::SerializeTable(t, WireFormat::kSkl2, carriers);
+  const std::string key_only = Serializer::SerializeTable(
+      *Project(t, {"k"}), WireFormat::kSkl2);
+  // The header differs only in the second field; the key section follows
+  // it in both.
+  const size_t header =
+      Serializer::WireSize(Table(t.schema_ptr()), WireFormat::kSkl2);
+  const size_t key_header =
+      Serializer::WireSize(Table(MakeSchema({{"k", ValueType::kInt64}})),
+                           WireFormat::kSkl2);
+  return bytes.substr(header + (key_only.size() - key_header));
+}
+
+/// Both encoder paths write the same bytes with carriers, and they decode
+/// to `t` bit for bit — through DeserializeTable and DecodeColumns.
+void ExpectCarriersRoundTrip(const Table& t,
+                             std::span<const QuotientCarriers> carriers) {
+  const std::string bytes =
+      Serializer::SerializeTable(t, WireFormat::kSkl2, carriers);
+  EXPECT_EQ(bytes,
+            Serializer::SerializeTableRowPath(t, WireFormat::kSkl2, carriers));
+  ASSERT_OK_AND_ASSIGN(Table rows, Serializer::DeserializeTable(bytes));
+  EXPECT_EQ(Serializer::ContentHash(rows), Serializer::ContentHash(t));
+  ASSERT_OK_AND_ASSIGN(DecodedColumns columns,
+                       Serializer::DecodeColumns(bytes));
+  ASSERT_EQ(columns.num_rows, t.num_rows());
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    for (int c = 0; c < t.schema().num_fields(); ++c) {
+      const Value& got = columns.columns[static_cast<size_t>(c)]
+                                        [static_cast<size_t>(r)];
+      ASSERT_EQ(got.type(), t.Get(r, c).type());
+      if (got.is_double()) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.AsDouble()),
+                  std::bit_cast<uint64_t>(t.Get(r, c).AsDouble()));
+      }
+    }
+  }
+  // The decode re-encodes, without carriers, to the raw encoding.
+  EXPECT_EQ(Serializer::SerializeTable(rows, WireFormat::kSkl2),
+            Serializer::SerializeTable(t, WireFormat::kSkl2));
+}
+
+TEST(WireQuotientTest, AvgOverInt64ShipsAsCarriers) {
+  Rng rng(90);
+  const AvgTable t = RandomAvgs(&rng, 3000, /*doubles=*/false, 50);
+  const std::string raw = AvgSection(t.table, {});
+  const std::string quotient = AvgSection(t.table, t.carriers);
+  EXPECT_EQ(Tag(raw), kTagDouble | kTagNullFree);
+  EXPECT_EQ(Tag(quotient), kTagQuotient | kTagNullFree);
+  // Sums under 1,500 and counts of 1-30 take 11 and 5 bits, against 8
+  // bytes a value.
+  EXPECT_LT(quotient.size() * 3, raw.size()) << quotient.size();
+  ExpectCarriersRoundTrip(t.table, t.carriers);
+}
+
+TEST(WireQuotientTest, AvgOverIntegralDoublesShipsAsCarriers) {
+  Rng rng(91);
+  const AvgTable t = RandomAvgs(&rng, 3000, /*doubles=*/true, 100000);
+  const std::string quotient = AvgSection(t.table, t.carriers);
+  EXPECT_EQ(Tag(quotient), kTagQuotient | kTagNullFree);
+  EXPECT_LT(quotient.size(), AvgSection(t.table, {}).size() / 2);
+  ExpectCarriersRoundTrip(t.table, t.carriers);
+}
+
+TEST(WireQuotientTest, NullGroupsKeepTheBitmap) {
+  // A group with no input rows finalizes to NULL (count 0): the section
+  // keeps the Double section's bitmap, and the sub-sections carry only
+  // the non-null rows.
+  Rng rng(92);
+  const AvgTable t = RandomAvgs(&rng, 500, /*doubles=*/false, 50,
+                                /*null_every=*/7);
+  const std::string quotient = AvgSection(t.table, t.carriers);
+  EXPECT_EQ(Tag(quotient), kTagQuotient);
+  EXPECT_EQ(Tag(AvgSection(t.table, {})), kTagDouble);
+  EXPECT_LT(quotient.size(), AvgSection(t.table, {}).size());
+  ExpectCarriersRoundTrip(t.table, t.carriers);
+}
+
+TEST(WireQuotientTest, SumsBeyond2To53RoundTrip) {
+  // An int64 sum past 2^53 finalizes through its rounded double on both
+  // sides, so the carriers still reproduce the cell bit for bit.
+  Rng rng(93);
+  AvgTable t = RandomAvgs(&rng, 200, /*doubles=*/false, 50);
+  t.Add(Value((int64_t{1} << 53) + 1), 3);
+  t.Add(Value((int64_t{1} << 62) + 12345), 7);
+  t.Add(Value(std::numeric_limits<int64_t>::max()), 1);
+  t.Add(Value(std::numeric_limits<int64_t>::min()), 2);
+  t.Add(Value(0x1p62), 5);  // an integral double sum beyond 2^53
+  EXPECT_EQ(Tag(AvgSection(t.table, t.carriers)),
+            kTagQuotient | kTagNullFree);
+  ExpectCarriersRoundTrip(t.table, t.carriers);
+}
+
+TEST(WireQuotientTest, InexactCellsKeepRawDoubles) {
+  // Whatever one row's carriers say, a cell they do not reproduce bit for
+  // bit sends the whole column raw: -0.0, NaN, ±inf, a non-integral sum
+  // (no carriers: AvgQuotient declines it), and carriers that disagree.
+  const std::vector<std::pair<const char*, AvgTable (*)(AvgTable)>> cases = {
+      {"-0.0 sum",
+       [](AvgTable t) {
+         t.Add(Value(-0.0), 4);
+         return t;
+       }},
+      {"NaN sum",
+       [](AvgTable t) {
+         t.Add(Value(std::nan("")), 4);
+         return t;
+       }},
+      {"+inf sum",
+       [](AvgTable t) {
+         t.Add(Value(std::numeric_limits<double>::infinity()), 4);
+         return t;
+       }},
+      {"-inf sum",
+       [](AvgTable t) {
+         t.Add(Value(-std::numeric_limits<double>::infinity()), 4);
+         return t;
+       }},
+      {"non-integral sum",
+       [](AvgTable t) {
+         t.Add(Value(2.75), 3);
+         return t;
+       }},
+      {"disagreeing carriers",
+       [](AvgTable t) {
+         t.Add(Value(int64_t{10}), 4);
+         t.carriers[0].num.back() = 11;
+         return t;
+       }},
+      {"-0.0 cell claimed as 0 / 5",
+       [](AvgTable t) {
+         t.Add(Value(int64_t{0}), 5);
+         t.table.mutable_row(t.table.num_rows() - 1)[1] = Value(-0.0);
+         return t;
+       }},
+  };
+  Rng rng(94);
+  const AvgTable common = RandomAvgs(&rng, 100, /*doubles=*/false, 50);
+  for (const auto& [name, make] : cases) {
+    SCOPED_TRACE(name);
+    const AvgTable t = make(common);
+    EXPECT_EQ(Tag(AvgSection(t.table, t.carriers)) & kCodecBits, kTagDouble);
+    EXPECT_EQ(AvgSection(t.table, t.carriers), AvgSection(t.table, {}));
+    ExpectCarriersRoundTrip(t.table, t.carriers);
+  }
+}
+
+TEST(WireQuotientTest, AbsentCarriersKeepRawDoubles) {
+  Rng rng(95);
+  AvgTable t = RandomAvgs(&rng, 100, /*doubles=*/false, 50);
+  const std::string raw = AvgSection(t.table, {});
+  // Carriers for another field, or fewer carriers than rows, are none.
+  std::vector<QuotientCarriers> elsewhere = t.carriers;
+  elsewhere[0].field = 0;
+  EXPECT_EQ(AvgSection(t.table, elsewhere), raw);
+  std::vector<QuotientCarriers> short_by_one = t.carriers;
+  short_by_one[0].num.pop_back();
+  short_by_one[0].den.pop_back();
+  EXPECT_EQ(AvgSection(t.table, short_by_one), raw);
+  // A row whose carriers are missing (den 0) sends the column raw.
+  t.carriers[0].den[40] = 0;
+  EXPECT_EQ(AvgSection(t.table, t.carriers), raw);
+}
+
+TEST(WireQuotientTest, NoSectionLargerThanWithoutCarriers) {
+  // Never larger: carriers replace a section only when strictly smaller —
+  // a constant AVG ships as one packed integral double, which no pair of
+  // sub-sections beats.
+  AvgTable constant;
+  for (int64_t g = 0; g < 50; ++g) {
+    constant.Add(Value(int64_t{10} * (g + 1)), g + 1);
+  }
+  EXPECT_EQ(Tag(AvgSection(constant.table, constant.carriers)),
+            kTagIntegralDouble | kTagPacked | kTagNullFree);
+  Rng rng(96);
+  int quotients = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(trial);
+    const AvgTable t = RandomAvgs(
+        &rng, rng.Uniform(1, 60), rng.Chance(0.5),
+        int64_t{1} << rng.Uniform(0, 50),
+        rng.Chance(0.5) ? 0 : static_cast<int>(rng.Uniform(1, 5)));
+    const std::string with = AvgSection(t.table, t.carriers);
+    const std::string without = AvgSection(t.table, {});
+    if ((Tag(with) & kCodecBits) == kTagQuotient) {
+      ++quotients;
+      EXPECT_LT(with.size(), without.size());
+    } else {
+      EXPECT_EQ(with, without);
+    }
+    ExpectCarriersRoundTrip(t.table, t.carriers);
+  }
+  EXPECT_GT(quotients, 100);
+}
+
+TEST(WireQuotientTest, DeltaNewColumnShipsAsCarriers) {
+  // Round r + 1's X is round r's plus the AVG column round r finalized:
+  // the SKLD delta ships that new column as its carriers too.
+  Rng rng(97);
+  const AvgTable t = RandomAvgs(&rng, 1000, /*doubles=*/true, 10000,
+                                /*null_every=*/9);
+  const Table base = *Project(t.table, {"k"});
+  const std::string raw = Serializer::SerializeDelta(base, t.table);
+  const std::string delta =
+      Serializer::SerializeDelta(base, t.table, t.carriers);
+  EXPECT_LT(delta.size() * 2, raw.size());
+  ASSERT_OK_AND_ASSIGN(Table decoded,
+                       Serializer::DecodeShipment(&base, delta));
+  EXPECT_EQ(Serializer::ContentHash(decoded),
+            Serializer::ContentHash(t.table));
+}
+
+// ---------------------------------------------------------------------------
 // SKLD delta payloads.
 // ---------------------------------------------------------------------------
 
@@ -832,6 +1102,77 @@ TEST_F(WireEndToEndTest, FusedRoundRepliesStayUnderTenBytesPerGroup) {
             10.0)
       << fused.bytes_to_coord << " bytes for " << fused.groups_to_coord
       << " groups";
+}
+
+TEST_F(WireEndToEndTest, AvgCarriersLeaveResultsUnchanged) {
+  // SKL1 never ships carriers: every SKL2 plan — Theorem-4 reduced and
+  // column-pruned views under All(), deltas, trees — must give its bytes.
+  Warehouse wh(8);
+  Load(&wh);
+  for (const GmdjExpr& query :
+       {queries::GroupReductionQuery("CustKey"),
+        queries::CoalescingQuery("ClerkKey"),
+        queries::SyncReductionQuery("CustKey"),
+        queries::CombinedQuery("CustKey"),
+        queries::MultiFeatureQuery("ClerkKey")}) {
+    for (const bool all : {false, true}) {
+      ASSERT_OK_AND_ASSIGN(
+          DistributedPlan plan,
+          wh.Plan(query,
+                  all ? OptimizerOptions::All() : OptimizerOptions::None()));
+      wh.set_network_config(Config(WireFormat::kSkl1, false));
+      ASSERT_OK_AND_ASSIGN(QueryResult reference, wh.ExecutePlan(plan));
+      const std::string expected = TableBytes(reference.table);
+      for (const bool delta : {false, true}) {
+        SCOPED_TRACE(std::string(all ? "All()" : "None()") +
+                     (delta ? " skl2+delta" : " skl2"));
+        wh.set_network_config(Config(WireFormat::kSkl2, delta));
+        ASSERT_OK_AND_ASSIGN(QueryResult flat, wh.ExecutePlan(plan));
+        EXPECT_EQ(TableBytes(flat.table), expected);
+        ASSERT_OK_AND_ASSIGN(QueryResult tree, wh.ExecutePlanTree(plan, 2));
+        EXPECT_EQ(TableBytes(tree.table), expected);
+      }
+    }
+  }
+}
+
+TEST_F(WireEndToEndTest, XViewsShipAvgsAsCarriersAndAResumedXRaw) {
+  // Round 2 of the Fig. 2 query ships X with avg1 to all 8 sites. Its
+  // views carry avg1 as (sum, count) carriers; an X resumed from a cached
+  // prefix has none, so it ships the raw view — and the answers agree.
+  Warehouse wh(8);
+  Load(&wh);
+  std::vector<Site*> sites;
+  for (int i = 0; i < wh.num_sites(); ++i) sites.push_back(&wh.site(i));
+  ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                       wh.Plan(queries::GroupReductionQuery("CustKey"),
+                               OptimizerOptions::None()));
+  ASSERT_EQ(plan.rounds.size(), 2u);
+
+  Coordinator fresh(sites, Config(WireFormat::kSkl2, false));
+  std::optional<Table> x1;
+  fresh.set_round_observer([&x1](size_t ops_done, const Table& x) {
+    if (ops_done == 1) x1 = x;
+  });
+  ExecutionMetrics fresh_metrics;
+  ASSERT_OK_AND_ASSIGN(Table fresh_table, fresh.Execute(plan, &fresh_metrics));
+  ASSERT_TRUE(x1.has_value());
+  const size_t raw_views =
+      sites.size() * Serializer::SerializeTable(*x1).size();
+  const size_t carrier_views = fresh_metrics.rounds.back().bytes_to_sites;
+  // Raw, a view takes ≈9 bytes a group, 8 of them avg1's; with avg1's
+  // carriers it takes ≈3.
+  EXPECT_LT(carrier_views * 2, raw_views)
+      << carrier_views << " vs " << raw_views;
+
+  Coordinator resumed(sites, Config(WireFormat::kSkl2, false));
+  resumed.set_resume(&*x1, 1);
+  ExecutionMetrics resumed_metrics;
+  ASSERT_OK_AND_ASSIGN(Table resumed_table,
+                       resumed.Execute(plan, &resumed_metrics));
+  EXPECT_EQ(TableBytes(resumed_table), TableBytes(fresh_table));
+  ASSERT_EQ(resumed_metrics.rounds.size(), 1u);
+  EXPECT_EQ(resumed_metrics.rounds[0].bytes_to_sites, raw_views);
 }
 
 void ExpectBytesMatchNetwork(const ExecutionMetrics& metrics,
