@@ -116,14 +116,15 @@ std::vector<QuotientCarriers> ViewCarriers(
 
 /// Phase A of an X round: each active node's view of X — the rows its
 /// subtree's ship `predicates` keep (Theorem 4: a leaf's own predicate, an
-/// aggregator's the OR of its leaves', all of X if any leaf has none),
-/// column-pruned — as an SKLD delta against its base when strictly smaller,
-/// the full payload attached as the retry fallback (docs/wire-format.md).
-/// `x_carriers` are X's AVG carriers (SubResultFold::FinalizeInto), which
-/// each view's SKL2 encoding may ship in place of the AVG column.
-/// Equal views over equal bases are encoded once. Returns each node's
-/// message and fills the node-sized `view_of`; `views` owns the decoded
-/// views, which is what each node holds after the round.
+/// aggregator's the OR of its leaves', all of X if any leaf has none or
+/// keeps every row), column-pruned — as an SKLD delta against its base
+/// when strictly smaller, the full payload attached as the retry fallback
+/// (docs/wire-format.md). `x_carriers` are X's AVG carriers
+/// (SubResultFold::FinalizeInto), which each view's SKL2 encoding may ship
+/// in place of the AVG column. Equal views over equal bases are encoded
+/// once. Returns each node's message and fills the node-sized `view_of`;
+/// `views` owns the decoded views, which is what each node holds after the
+/// round.
 Result<std::vector<DownMessage>> ShipViews(
     const Table& x, const std::vector<QuotientCarriers>& x_carriers,
     const std::vector<std::string>& ship_cols,
@@ -135,7 +136,8 @@ Result<std::vector<DownMessage>> ShipViews(
   std::vector<DownMessage> down_of(num_nodes);
   // Leaves whose predicates a node's view ORs; empty = all of X.
   std::vector<std::vector<int>> filter(num_nodes);
-  std::vector<std::optional<CompiledExpr>> ship(num_nodes);
+  // keeps[v][r]: leaf v's ship predicate keeps X's row r.
+  std::vector<std::vector<bool>> keeps(num_nodes);
   // (filter, base generation) -> the node that holds that encoding.
   std::map<std::pair<std::vector<int>, size_t>, size_t> encoded;
   for (size_t v = 0; v < num_nodes; ++v) {
@@ -144,8 +146,19 @@ Result<std::vector<DownMessage>> ShipViews(
     const bool leaf = node.site_index >= 0;
     if (leaf && v < predicates.size() && predicates[v] != nullptr) {
       SKALLA_ASSIGN_OR_RETURN(
-          ship[v], CompiledExpr::Compile(predicates[v], &x.schema(), nullptr));
-      filter[v] = {static_cast<int>(v)};
+          CompiledExpr ship,
+          CompiledExpr::Compile(predicates[v], &x.schema(), nullptr));
+      std::vector<bool>& keep = keeps[v];
+      keep.resize(static_cast<size_t>(x.num_rows()));
+      bool all = true;
+      for (int64_t r = 0; r < x.num_rows(); ++r) {
+        const bool kept = ship.EvalBool(&x.row(r), nullptr);
+        keep[static_cast<size_t>(r)] = kept;
+        all &= kept;
+      }
+      // A leaf that keeps every row takes the unfiltered view, the one a
+      // predicate-less leaf gets, and shares its encoding.
+      if (!all) filter[v] = {static_cast<int>(v)};
     } else if (!leaf) {
       bool everything = false;
       for (int c : node.children) {
@@ -173,10 +186,9 @@ Result<std::vector<DownMessage>> ShipViews(
       if (!filter[v].empty()) {
         reduced = Table(x.schema_ptr());
         for (int64_t r = 0; r < x.num_rows(); ++r) {
-          const Row& row = x.row(r);
           for (int s : filter[v]) {
-            if (ship[static_cast<size_t>(s)]->EvalBool(&row, nullptr)) {
-              reduced.AddRow(row);
+            if (keeps[static_cast<size_t>(s)][static_cast<size_t>(r)]) {
+              reduced.AddRow(x.row(r));
               kept.push_back(r);
               break;
             }

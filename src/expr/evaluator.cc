@@ -764,7 +764,7 @@ CompiledExpr::BatchVal CompiledExpr::EvalNodeBatch(int node_id,
               // the constant is present and the rank equals lb. One
               // integer compare per element replaces the lexicographic
               // string compare, with identical outcomes.
-              const std::string& s = c.AsString();
+              const std::string_view s = c.AsString();
               const int32_t lb = sv.strcol->LowerBoundRank(s);
               const bool present = sv.strcol->CodeOf(s) >= 0;
               const int32_t* rank = sv.strcol->order_rank.data();

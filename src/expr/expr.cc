@@ -76,7 +76,12 @@ bool ColumnExpr::Equals(const Expr& other) const {
 }
 
 std::string LiteralExpr::ToString() const {
-  if (value_.is_string()) return "'" + value_.AsString() + "'";
+  if (value_.is_string()) {
+    std::string quoted = "'";
+    quoted += value_.AsString();
+    quoted += '\'';
+    return quoted;
+  }
   return value_.ToString();
 }
 

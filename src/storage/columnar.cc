@@ -8,11 +8,11 @@
 
 namespace skalla {
 
-int32_t ColumnarTable::Column::LowerBoundRank(const std::string& s) const {
+int32_t ColumnarTable::Column::LowerBoundRank(std::string_view s) const {
   auto it = std::lower_bound(
       sorted_codes.begin(), sorted_codes.end(), s,
-      [this](int32_t code, const std::string& key) {
-        return dict[static_cast<size_t>(code)] < key;
+      [this](int32_t code, std::string_view key) {
+        return std::string_view(dict[static_cast<size_t>(code)]) < key;
       });
   return static_cast<int32_t>(it - sorted_codes.begin());
 }
@@ -63,10 +63,14 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::Build(const Table& table) {
           col.doubles[static_cast<size_t>(i)] = v.AsDouble();
           break;
         case ValueType::kString: {
-          const std::string& s = v.AsString();
-          auto [it, inserted] = col.dict_index.try_emplace(
-              s, static_cast<int32_t>(col.dict.size()));
-          if (inserted) col.dict.push_back(s);
+          const std::string_view s = v.AsString();
+          auto it = col.dict_index.find(s);
+          if (it == col.dict_index.end()) {
+            it = col.dict_index
+                     .emplace(s, static_cast<int32_t>(col.dict.size()))
+                     .first;
+            col.dict.emplace_back(s);
+          }
           col.codes[static_cast<size_t>(i)] = it->second;
           break;
         }

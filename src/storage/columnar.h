@@ -2,8 +2,10 @@
 #define SKALLA_STORAGE_COLUMNAR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +32,15 @@ class Table;
 /// per cell — see the fallback rules in docs/vectorized-execution.md).
 class ColumnarTable {
  public:
+  /// Hashes std::string keys and std::string_view probes alike, so a
+  /// dictionary lookup builds no temporary std::string.
+  struct StringKeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   struct Column {
     ValueType type = ValueType::kNull;  ///< declared schema type
     /// Every non-NULL cell matches `type`; false disables the typed arrays
@@ -44,7 +55,8 @@ class ColumnarTable {
     /// kString payload: dictionary code per row, -1 for NULL.
     std::vector<int32_t> codes;
     std::vector<std::string> dict;  ///< first-appearance order
-    std::unordered_map<std::string, int32_t> dict_index;
+    std::unordered_map<std::string, int32_t, StringKeyHash, std::equal_to<>>
+        dict_index;
     /// Order index over `dict`: order_rank[code] is the rank of dict[code]
     /// under lexicographic (Value::Compare) string order, so ordering
     /// comparisons between two values of this column — and against a
@@ -63,7 +75,7 @@ class ColumnarTable {
       return has_nulls ? valid.data() : nullptr;
     }
     /// Dictionary code of `s`, or -1 when the column never contains it.
-    int32_t CodeOf(const std::string& s) const {
+    int32_t CodeOf(std::string_view s) const {
       auto it = dict_index.find(s);
       return it == dict_index.end() ? -1 : it->second;
     }
@@ -71,7 +83,7 @@ class ColumnarTable {
     /// constant would occupy. With CodeOf, every ordering comparison of a
     /// column value against `s` reduces to an integer compare on ranks:
     /// value < s  ⟺  order_rank[code] < LowerBoundRank(s).
-    int32_t LowerBoundRank(const std::string& s) const;
+    int32_t LowerBoundRank(std::string_view s) const;
   };
 
   /// Materializes the snapshot; O(rows × columns), one pass.

@@ -147,11 +147,10 @@ Result<Value> ReadValue(Reader* reader) {
     }
     case ValueType::kString: {
       uint32_t len = 0;
-      std::string s;
-      if (!reader->ReadFixed(&len) || !reader->ReadString(len, &s)) {
+      if (!reader->ReadFixed(&len) || len > reader->remaining()) {
         return Status::IoError("truncated string");
       }
-      return Value(std::move(s));
+      return Value(reader->Take(len));
     }
   }
   return Status::IoError("unknown value tag " + std::to_string(tag));
@@ -914,18 +913,14 @@ Status DecodeColumnRange(Reader* reader, uint8_t codec, bool null_free,
         // the remaining payload is corrupt, reject before allocating.
         return Status::IoError("dictionary count out of range");
       }
-      std::vector<std::string> dict;
+      std::vector<std::string_view> dict;  // into the payload
       dict.reserve(static_cast<size_t>(dict_count));
       for (uint64_t i = 0; i < dict_count; ++i) {
         SKALLA_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(reader));
         if (len > reader->remaining()) {
           return Status::IoError("truncated dictionary entry");
         }
-        std::string s;
-        if (!reader->ReadString(static_cast<uint32_t>(len), &s)) {
-          return Status::IoError("truncated dictionary entry");
-        }
-        dict.push_back(std::move(s));
+        dict.push_back(reader->Take(static_cast<size_t>(len)));
       }
       for (int64_t r = 0; r < n; ++r) {
         if (!non_null(r)) {

@@ -1,8 +1,26 @@
 #include "storage/value.h"
 
+#include <limits>
+#include <new>
+#include <stdexcept>
+
 #include "common/string_util.h"
 
 namespace skalla {
+
+void Value::InitHeapString(std::string_view s) {
+  if (s.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("Value: a string cell holds at most 4 GiB");
+  }
+  char* p = static_cast<char*>(::operator new(s.size()));
+  std::memcpy(p, s.data(), s.size());
+  const uint32_t n = static_cast<uint32_t>(s.size());
+  std::memcpy(bytes_, &p, sizeof(p));
+  std::memcpy(bytes_ + kHeapSizeOffset, &n, sizeof(n));
+  set_tag(kTagString | kHeapBit);
+}
+
+void Value::FreeHeapString() { ::operator delete(heap_data(), heap_size()); }
 
 const char* ValueTypeToString(ValueType type) {
   switch (type) {
@@ -47,9 +65,8 @@ int Value::Compare(const Value& other) const {
     return a < b ? -1 : (a > b ? 1 : 0);
   }
   if (lhs_num != rhs_num) return lhs_num ? -1 : 1;  // numerics before strings
-  return AsString().compare(other.AsString()) < 0
-             ? -1
-             : (AsString() == other.AsString() ? 0 : 1);
+  const int cmp = AsString().compare(other.AsString());
+  return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
 }
 
 uint64_t Value::Hash() const {
@@ -61,7 +78,7 @@ uint64_t Value::Hash() const {
     case ValueType::kDouble:
       return HashOf(AsDouble());
     case ValueType::kString:
-      return HashOf(std::string_view(AsString()));
+      return HashOf(AsString());
   }
   return 0;
 }
@@ -77,7 +94,7 @@ std::string Value::ToString() const {
       return StrFormat("%g", AsDouble());
     }
     case ValueType::kString:
-      return AsString();
+      return std::string(AsString());
   }
   return "?";
 }

@@ -1,11 +1,11 @@
 #ifndef SKALLA_STORAGE_VALUE_H_
 #define SKALLA_STORAGE_VALUE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <variant>
 
 #include "common/hash_util.h"
 
@@ -33,21 +33,76 @@ const char* ValueTypeToString(ValueType type);
 ///  - NULLs compare equal to each other for grouping/ordering purposes
 ///    (predicate evaluation handles NULL separately, see expr/evaluator.h);
 ///  - Hash() is consistent with operator== across numeric types.
+///
+/// A Value is a 16-byte tagged cell. Byte 15 is the tag: its low two bits
+/// are the ValueType. An int64 or a double sits in bytes 0-7. A string of
+/// up to 15 bytes sits inline in bytes 0-14, its length in the tag's bits
+/// 3-6; a longer one lives in one heap block the Value owns (pointer in
+/// bytes 0-7, length in bytes 8-11) and deep-copies. Moves never allocate
+/// and leave the source NULL.
 class Value {
  public:
+  /// Longest string stored inline, without a heap block.
+  static constexpr size_t kMaxInlineString = 15;
+
   /// NULL value.
-  Value() : data_(std::monostate{}) {}
-  Value(int64_t v) : data_(v) {}           // NOLINT(runtime/explicit)
-  Value(int v) : data_(int64_t{v}) {}      // NOLINT(runtime/explicit)
-  Value(double v) : data_(v) {}            // NOLINT(runtime/explicit)
-  Value(std::string v) : data_(std::move(v)) {}  // NOLINT(runtime/explicit)
-  Value(const char* v) : data_(std::string(v)) {}  // NOLINT(runtime/explicit)
+  Value() noexcept { set_tag(kTagNull); }
+  Value(int64_t v) noexcept {  // NOLINT(runtime/explicit)
+    std::memcpy(bytes_, &v, sizeof(v));
+    set_tag(kTagInt64);
+  }
+  Value(int v) noexcept : Value(int64_t{v}) {}  // NOLINT(runtime/explicit)
+  Value(double v) noexcept {  // NOLINT(runtime/explicit)
+    std::memcpy(bytes_, &v, sizeof(v));
+    set_tag(kTagDouble);
+  }
+  Value(std::string_view v) {  // NOLINT(runtime/explicit)
+    if (v.size() > kMaxInlineString) {
+      InitHeapString(v);
+      return;
+    }
+    if (!v.empty()) std::memcpy(bytes_, v.data(), v.size());
+    set_tag(static_cast<uint8_t>(kTagString | (v.size() << kLengthShift)));
+  }
+  Value(const std::string& v)  // NOLINT(runtime/explicit)
+      : Value(std::string_view(v)) {}
+  Value(const char* v)  // NOLINT(runtime/explicit)
+      : Value(std::string_view(v)) {}
+
+  Value(const Value& other) {
+    if (other.is_heap_string()) {
+      InitHeapString(other.AsString());
+    } else {
+      std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+    }
+  }
+  Value(Value&& other) noexcept {
+    std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+    other.set_tag(kTagNull);
+  }
+  Value& operator=(const Value& other) {
+    if (this == &other) return *this;
+    if (is_heap_string() || other.is_heap_string()) {
+      *this = Value(other);
+    } else {
+      std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+    }
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this == &other) return *this;
+    if (is_heap_string()) FreeHeapString();
+    std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+    other.set_tag(kTagNull);
+    return *this;
+  }
+  ~Value() {
+    if (is_heap_string()) FreeHeapString();
+  }
 
   static Value Null() { return Value(); }
 
-  ValueType type() const {
-    return static_cast<ValueType>(data_.index());
-  }
+  ValueType type() const { return static_cast<ValueType>(tag() & kTypeMask); }
   bool is_null() const { return type() == ValueType::kNull; }
   bool is_int64() const { return type() == ValueType::kInt64; }
   bool is_double() const { return type() == ValueType::kDouble; }
@@ -55,11 +110,26 @@ class Value {
   bool is_numeric() const { return is_int64() || is_double(); }
 
   /// The contained int64; must be is_int64().
-  int64_t AsInt64() const { return std::get<int64_t>(data_); }
+  int64_t AsInt64() const {
+    assert(is_int64());
+    int64_t v = 0;
+    std::memcpy(&v, bytes_, sizeof(v));
+    return v;
+  }
   /// The contained double; must be is_double().
-  double AsDouble() const { return std::get<double>(data_); }
-  /// The contained string; must be is_string().
-  const std::string& AsString() const { return std::get<std::string>(data_); }
+  double AsDouble() const {
+    assert(is_double());
+    double v = 0;
+    std::memcpy(&v, bytes_, sizeof(v));
+    return v;
+  }
+  /// The contained string; must be is_string(). The view is valid while
+  /// this Value lives and is not moved from or assigned to.
+  std::string_view AsString() const {
+    assert(is_string());
+    if (is_heap_string()) return {heap_data(), heap_size()};
+    return {bytes_, static_cast<size_t>(tag() >> kLengthShift)};
+  }
 
   /// Numeric coercion to double; must be is_numeric().
   double ToDouble() const {
@@ -100,8 +170,39 @@ class Value {
   size_t SerializedSize() const;
 
  private:
-  std::variant<std::monostate, int64_t, double, std::string> data_;
+  // Tag byte: bits 0-1 the ValueType, bit 2 set for a heap string, bits
+  // 3-6 an inline string's length.
+  static constexpr uint8_t kTypeMask = 0x3;
+  static constexpr uint8_t kHeapBit = 0x4;
+  static constexpr int kLengthShift = 3;
+  static constexpr uint8_t kTagNull = 0;
+  static constexpr uint8_t kTagInt64 = 1;
+  static constexpr uint8_t kTagDouble = 2;
+  static constexpr uint8_t kTagString = 3;
+  static constexpr size_t kTagByte = 15;
+  static constexpr size_t kHeapSizeOffset = 8;
+
+  uint8_t tag() const { return static_cast<uint8_t>(bytes_[kTagByte]); }
+  void set_tag(uint8_t t) { bytes_[kTagByte] = static_cast<char>(t); }
+  bool is_heap_string() const { return (tag() & kHeapBit) != 0; }
+  char* heap_data() const {
+    char* p = nullptr;
+    std::memcpy(&p, bytes_, sizeof(p));
+    return p;
+  }
+  size_t heap_size() const {
+    uint32_t n = 0;
+    std::memcpy(&n, bytes_ + kHeapSizeOffset, sizeof(n));
+    return n;
+  }
+  /// Copies `s` (longer than kMaxInlineString) into a new heap block.
+  void InitHeapString(std::string_view s);
+  void FreeHeapString();
+
+  alignas(8) char bytes_[16] = {};
 };
+
+static_assert(sizeof(Value) == 16, "Value is a 16-byte cell");
 
 }  // namespace skalla
 

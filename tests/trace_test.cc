@@ -570,6 +570,73 @@ TEST_F(TraceTest, CleanRoundsCarryOnlyTheirLabels) {
   EXPECT_EQ(evals, slots);
 }
 
+/// decode.shipment spans: one per X view the coordinator prepares.
+size_t PreparedViews() {
+  size_t n = 0;
+  for (const obs::TraceSpan& span : obs::SpanSnapshot()) {
+    n += std::string_view(span.name) == "decode.shipment";
+  }
+  return n;
+}
+
+// Every site's ship predicate keeps all of X when every site sees every
+// clerk: each X round then prepares one view, which every leaf ships.
+TEST_F(TraceTest, LeavesKeepingAllOfXShareOneView) {
+  EnableTracing();
+  TpcConfig config;
+  config.num_rows = 1500;
+  config.num_customers = 120;
+  config.num_clerks = 40;
+  config.seed = 31;
+  Warehouse wh(4);
+  ASSERT_OK(wh.LoadByRange("TPCR", GenerateTpcr(config), "NationKey", 0, 24,
+                           {"ClerkKey"}));
+  OptimizerOptions options;
+  options.aware_group_reduction = true;
+  const GmdjExpr query = queries::GroupReductionQuery("ClerkKey");
+  ASSERT_OK_AND_ASSIGN(DistributedPlan plan, wh.Plan(query, options));
+  obs::ResetTracing();
+  ASSERT_OK_AND_ASSIGN(QueryResult result, wh.ExecutePlan(plan));
+  ASSERT_OK_AND_ASSIGN(Table expected, wh.ExecuteCentralized(query));
+  ExpectSameRows(result.table, expected);
+
+  size_t x_rounds = 0;
+  for (const RoundMetrics& rm : result.metrics.rounds) {
+    if (rm.groups_to_sites == 0) continue;  // a plan, not X
+    ++x_rounds;
+    // The precondition: every leaf's view is all of X.
+    EXPECT_EQ(rm.groups_to_sites, 4 * result.table.num_rows());
+  }
+  ASSERT_GE(x_rounds, 1u);
+  EXPECT_EQ(PreparedViews(), x_rounds);
+}
+
+// Disjoint CustKey ranges: every site's ship predicate drops rows of X, so
+// each leaf still gets a view of its own, reduced.
+TEST_F(TraceTest, FilteringLeavesStillGetReducedViews) {
+  EnableTracing();
+  Warehouse wh(4);
+  ASSERT_OK(wh.LoadByRange("TPCR", SmallTpcr(), "NationKey", 0, 24,
+                           {"CustKey"}));
+  OptimizerOptions options;
+  options.aware_group_reduction = true;
+  const GmdjExpr query = queries::GroupReductionQuery("CustKey");
+  ASSERT_OK_AND_ASSIGN(DistributedPlan plan, wh.Plan(query, options));
+  obs::ResetTracing();
+  ASSERT_OK_AND_ASSIGN(QueryResult result, wh.ExecutePlan(plan));
+  ASSERT_OK_AND_ASSIGN(Table expected, wh.ExecuteCentralized(query));
+  ExpectSameRows(result.table, expected);
+
+  size_t x_rounds = 0;
+  for (const RoundMetrics& rm : result.metrics.rounds) {
+    if (rm.groups_to_sites == 0) continue;
+    ++x_rounds;
+    EXPECT_LT(rm.groups_to_sites, 4 * result.table.num_rows());
+  }
+  ASSERT_GE(x_rounds, 1u);
+  EXPECT_EQ(PreparedViews(), 4 * x_rounds);
+}
+
 TEST_F(TraceTest, DeadlineExceededRoundCarriesItsCounts) {
   // Site 0's link is 100x slow: every exchange takes ~0.2 s of simulated
   // time against a fixed 0.05 s deadline, so the base round spends all
