@@ -1077,6 +1077,38 @@ TEST_F(WireEndToEndTest, DeltaShippingCutsTrafficAtLeastTwofold) {
   EXPECT_GT(tree_delta.metrics.BytesSavedByDelta(), 0u);
 }
 
+TEST_F(WireEndToEndTest, Skl1BaselineEqualsSkl1RunBytes) {
+  // BytesBaselineSkl1() is what every message of the query would cost as a
+  // full SKL1 payload: exactly the bytes an SKL1 run ships, whatever the
+  // SKL2 run saves with deltas, flat and on the tree.
+  Warehouse wh(8);
+  Load(&wh);
+  for (const GmdjExpr& query :
+       {queries::GroupReductionQuery("CustKey"),
+        queries::CombinedQuery("CustKey"),
+        queries::CoalescingQuery("ClerkKey")}) {
+    ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                         wh.Plan(query, OptimizerOptions::None()));
+    for (const int fan_in : {0, 2}) {
+      auto run = [&](const NetworkConfig& net) {
+        wh.set_network_config(net);
+        return fan_in == 0 ? wh.ExecutePlan(plan)
+                           : wh.ExecutePlanTree(plan, fan_in);
+      };
+      ASSERT_OK_AND_ASSIGN(QueryResult skl1,
+                           run(Config(WireFormat::kSkl1, false)));
+      for (const bool delta : {false, true}) {
+        SCOPED_TRACE(std::string(fan_in == 0 ? "flat" : "tree") +
+                     (delta ? " skl2+delta" : " skl2"));
+        ASSERT_OK_AND_ASSIGN(QueryResult skl2,
+                             run(Config(WireFormat::kSkl2, delta)));
+        EXPECT_EQ(skl2.metrics.BytesBaselineSkl1(),
+                  skl1.metrics.TotalBytes());
+      }
+    }
+  }
+}
+
 TEST_F(WireEndToEndTest, FusedRoundRepliesStayUnderTenBytesPerGroup) {
   // Under All() the query runs as one fused round whose replies carry
   // CustKey, cnt1, avg1's (sum, count), cnt2 and avg2's (sum, count). The
