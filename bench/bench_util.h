@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -114,6 +115,7 @@ inline void PrintSeriesHeader(const char* title, const char* cols) {
 /// configure time, CMAKE_BUILD_TYPE, and the hardware thread count.
 /// `bytes_shipped` carries the simulated network volume for distributed
 /// benchmarks (ExecutionMetrics::TotalBytes()) and 0 for purely local ones.
+/// A record that no timed run stands behind has no `wall_ms`.
 class JsonReport {
  public:
   explicit JsonReport(std::string bench_name)
@@ -123,8 +125,8 @@ class JsonReport {
   ~JsonReport() { Write(); }
 
   void Add(std::string name,
-           std::vector<std::pair<std::string, double>> params, double wall_ms,
-           int64_t bytes_shipped = 0) {
+           std::vector<std::pair<std::string, double>> params,
+           std::optional<double> wall_ms, int64_t bytes_shipped = 0) {
     records_.push_back(
         Record{std::move(name), std::move(params), wall_ms, bytes_shipped});
   }
@@ -152,8 +154,12 @@ class JsonReport {
         std::fprintf(f, "%s\"%s\": %g", p == 0 ? "" : ", ",
                      r.params[p].first.c_str(), r.params[p].second);
       }
-      std::fprintf(f, "}, \"wall_ms\": %.3f, \"bytes_shipped\": %lld}",
-                   r.wall_ms, static_cast<long long>(r.bytes_shipped));
+      std::fprintf(f, "}");
+      if (r.wall_ms.has_value()) {
+        std::fprintf(f, ", \"wall_ms\": %.3f", *r.wall_ms);
+      }
+      std::fprintf(f, ", \"bytes_shipped\": %lld}",
+                   static_cast<long long>(r.bytes_shipped));
     }
     std::fprintf(f, "\n]}\n");
     std::fclose(f);
@@ -164,7 +170,7 @@ class JsonReport {
   struct Record {
     std::string name;
     std::vector<std::pair<std::string, double>> params;
-    double wall_ms;
+    std::optional<double> wall_ms;
     int64_t bytes_shipped;
   };
   std::string bench_name_;

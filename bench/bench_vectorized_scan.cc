@@ -4,7 +4,7 @@
 // (the row-at-a-time Value path) and once with options.vectorize = 1 (the
 // columnar batch path) — on an int64-heavy synthetic detail table. Besides
 // the rows/s series it checks the byte-identity guarantee (both runs must
-// serialize to the same SKL1 bytes) and that the toggle actually took
+// serialize to the same SKL2 bytes) and that the toggle actually took
 // effect (via the ScanCounters each evaluation reports), then writes the
 // series to BENCH_vectorized_scan.json. A final "group_by" case times the
 // columnar-fed HashGroupBy (src/engine/operators.cc) against a

@@ -1,10 +1,13 @@
-// Wire-format ablation: SKL1 vs SKL2 vs SKL2+delta on the paper's Fig. 2
-// (group-reduction) and Fig. 5 (combined/coalescing) workloads. Reports
-// total simulated bytes shipped per configuration; raw encode/decode
-// throughput of the serializer on an X-shaped and a reply-shaped relation;
-// the encode-only win of the columnar-fed SKL2 encoder over the row-path
-// reference; and the bytes of an X view whose AVG columns ship raw or as
-// their (sum, count) carriers. Writes BENCH_wire_format.json.
+// Wire-format ablation: SKL2 vs SKL2+delta on the paper's Fig. 2
+// (group-reduction) and Fig. 5 (combined/coalescing) workloads, beside the
+// full-ship SKL1 bytes of the same query, which the SKL2+delta run's
+// BytesBaselineSkl1() prices message by message. Reports total simulated
+// bytes shipped per configuration; raw encode/decode throughput on an
+// X-shaped relation in SKL1 (the tests' encoder, the library's decoder) and
+// SKL2, and on a reply-shaped one; the encode-only win of the columnar-fed
+// SKL2 encoder over the row-path reference; and the bytes of an X view
+// whose AVG columns ship raw or as their (sum, count) carriers. Writes
+// BENCH_wire_format.json.
 //
 //   ./bench_wire_format [--quick]
 //
@@ -23,6 +26,7 @@
 #include "agg/aggregate.h"
 #include "bench_util.h"
 #include "common/random.h"
+#include "skl1_oracle.h"
 #include "storage/serializer.h"
 
 namespace {
@@ -44,14 +48,12 @@ WarehouseSpec DefaultSpec() {
 
 struct WireMode {
   const char* name;
-  WireFormat format;
   bool delta;
 };
 
 const WireMode kModes[] = {
-    {"skl1", WireFormat::kSkl1, false},
-    {"skl2", WireFormat::kSkl2, false},
-    {"skl2+delta", WireFormat::kSkl2, true},
+    {"skl2", false},
+    {"skl2+delta", true},
 };
 
 struct Workload {
@@ -67,7 +69,6 @@ std::vector<Workload> Workloads() {
 
 NetworkConfig ModeConfig(const WireMode& mode) {
   NetworkConfig net;
-  net.wire_format = mode.format;
   net.delta_shipping = mode.delta;
   return net;
 }
@@ -90,7 +91,7 @@ void BM_WireFormatQuery(benchmark::State& state) {
   state.SetLabel(std::string(workload.name) + "/" + mode.name);
 }
 BENCHMARK(BM_WireFormatQuery)
-    ->ArgsProduct({{0, 1, 2}, {0, 1, 2}})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
@@ -171,13 +172,17 @@ XView XViewTable(int64_t rows) {
   return view;
 }
 
+/// Encodes `t` in SKL1 (the tests' encoder) or SKL2.
+std::string Encode(const Table& t, bool skl1) {
+  return skl1 ? EncodeSkl1(t) : Serializer::SerializeTable(t);
+}
+
 void BM_EncodeDecode(benchmark::State& state) {
-  const WireFormat format =
-      state.range(0) == 0 ? WireFormat::kSkl1 : WireFormat::kSkl2;
+  const bool skl1 = state.range(0) == 0;
   const Table t = XShapedTable(6400);
   std::string bytes;
   for (auto _ : state) {
-    bytes = Serializer::SerializeTable(t, format);
+    bytes = Encode(t, skl1);
     auto decoded = Serializer::DeserializeTable(bytes);
     if (!decoded.ok()) std::abort();
     benchmark::DoNotOptimize(decoded);
@@ -185,7 +190,7 @@ void BM_EncodeDecode(benchmark::State& state) {
   state.counters["wire_bytes"] = static_cast<double>(bytes.size());
   state.SetBytesProcessed(static_cast<int64_t>(bytes.size()) *
                           static_cast<int64_t>(state.iterations()));
-  state.SetLabel(WireFormatName(format));
+  state.SetLabel(skl1 ? "SKL1" : "SKL2");
 }
 BENCHMARK(BM_EncodeDecode)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
@@ -197,22 +202,34 @@ void PrintTableAndReport() {
   std::printf("%-24s %-12s %14s %12s %9s\n", "workload", "format",
               "bytes_shipped", "saved", "vs SKL1");
   for (const Workload& workload : Workloads()) {
+    std::vector<QueryResult> results;
     for (const WireMode& mode : kModes) {
       warehouse.set_network_config(ModeConfig(mode));
-      QueryResult result = bench::MustExecute(warehouse, workload.query,
-                                              OptimizerOptions::None());
+      results.push_back(bench::MustExecute(warehouse, workload.query,
+                                           OptimizerOptions::None()));
+    }
+    // SKL1 is no run of its own: full SKL1 shipping costs the SKL2+delta
+    // run's BytesBaselineSkl1(), and no modelled time stands behind it.
+    const size_t skl1 = results.back().metrics.BytesBaselineSkl1();
+    std::printf("%-24s %-12s %14zu %12s %8.2fx\n", workload.name, "skl1",
+                skl1, "-", 1.0);
+    report.Add(std::string(workload.name) + "/skl1",
+               {{"sites", 8}, {"delta", 0}, {"baseline_of_skl2_delta", 1}},
+               std::nullopt, static_cast<int64_t>(skl1));
+    for (size_t m = 0; m < results.size(); ++m) {
+      const WireMode& mode = kModes[m];
+      const ExecutionMetrics& metrics = results[m].metrics;
       std::printf("%-24s %-12s %14zu %12zu %8.2fx\n", workload.name,
-                  mode.name, result.metrics.TotalBytes(),
-                  result.metrics.BytesSavedByDelta(),
-                  result.metrics.CompressionRatio());
+                  mode.name, metrics.TotalBytes(), metrics.BytesSavedByDelta(),
+                  metrics.CompressionRatio());
       report.Add(std::string(workload.name) + "/" + mode.name,
                  {{"sites", 8},
                   {"delta", mode.delta ? 1.0 : 0.0},
                   {"saved_bytes",
-                   static_cast<double>(result.metrics.BytesSavedByDelta())},
-                  {"vs_skl1", result.metrics.CompressionRatio()}},
-                 result.metrics.ResponseSeconds() * 1000.0,
-                 static_cast<int64_t>(result.metrics.TotalBytes()));
+                   static_cast<double>(metrics.BytesSavedByDelta())},
+                  {"vs_skl1", metrics.CompressionRatio()}},
+                 metrics.ResponseSeconds() * 1000.0,
+                 static_cast<int64_t>(metrics.TotalBytes()));
     }
   }
 
@@ -220,11 +237,11 @@ void PrintTableAndReport() {
   const int64_t x_rows = g_quick ? 1600 : 6400;
   const int iters = g_quick ? 5 : 50;
   const Table t = XShapedTable(x_rows);
-  for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
+  for (const bool skl1 : {true, false}) {
     const auto start = std::chrono::steady_clock::now();
     size_t wire = 0;
     for (int i = 0; i < iters; ++i) {
-      const std::string bytes = Serializer::SerializeTable(t, format);
+      const std::string bytes = Encode(t, skl1);
       auto decoded = Serializer::DeserializeTable(bytes);
       if (!decoded.ok()) std::abort();
       wire = bytes.size();
@@ -234,7 +251,7 @@ void PrintTableAndReport() {
             std::chrono::steady_clock::now() - start)
             .count() /
         iters;
-    report.Add(std::string("encode+decode/") + WireFormatName(format),
+    report.Add(std::string("encode+decode/") + (skl1 ? "SKL1" : "SKL2"),
                {{"rows", static_cast<double>(x_rows)}}, ms,
                static_cast<int64_t>(wire));
   }
@@ -251,9 +268,8 @@ void PrintTableAndReport() {
       const auto start = std::chrono::steady_clock::now();
       for (int i = 0; i < enc_iters; ++i) {
         bytes[columnar] =
-            columnar
-                ? Serializer::SerializeTable(t, WireFormat::kSkl2)
-                : Serializer::SerializeTableRowPath(t, WireFormat::kSkl2);
+            columnar ? Serializer::SerializeTable(t)
+                     : Serializer::SerializeTableRowPath(t);
       }
       ms[columnar] = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
@@ -283,7 +299,7 @@ void PrintTableAndReport() {
     const auto start = std::chrono::steady_clock::now();
     std::string bytes;
     for (int i = 0; i < iters; ++i) {
-      bytes = Serializer::SerializeTable(h, WireFormat::kSkl2);
+      bytes = Serializer::SerializeTable(h);
       auto decoded = Serializer::DeserializeTable(bytes);
       if (!decoded.ok()) std::abort();
     }
@@ -291,7 +307,7 @@ void PrintTableAndReport() {
                           std::chrono::steady_clock::now() - start)
                           .count() /
                       iters;
-    if (bytes != Serializer::SerializeTableRowPath(h, WireFormat::kSkl2)) {
+    if (bytes != Serializer::SerializeTableRowPath(h)) {
       std::fprintf(stderr,
                    "FAIL: reply-shaped SKL2 differs between encoder paths\n");
       std::abort();
@@ -314,8 +330,7 @@ void PrintTableAndReport() {
   {
     const int64_t view_rows = 3000;
     const XView view = XViewTable(view_rows);
-    const std::string expected =
-        Serializer::SerializeTable(view.table, WireFormat::kSkl1);
+    const std::string expected = EncodeSkl1(view.table);
     for (int with_carriers = 0; with_carriers <= 1; ++with_carriers) {
       const std::span<const QuotientCarriers> carriers =
           with_carriers ? std::span<const QuotientCarriers>(view.carriers)
@@ -323,8 +338,7 @@ void PrintTableAndReport() {
       std::string bytes;
       const auto start = std::chrono::steady_clock::now();
       for (int i = 0; i < iters; ++i) {
-        bytes =
-            Serializer::SerializeTable(view.table, WireFormat::kSkl2, carriers);
+        bytes = Serializer::SerializeTable(view.table, carriers);
         auto decoded = Serializer::DeserializeTable(bytes);
         if (!decoded.ok()) std::abort();
       }
@@ -332,16 +346,13 @@ void PrintTableAndReport() {
                             std::chrono::steady_clock::now() - start)
                             .count() /
                         iters;
-      if (bytes != Serializer::SerializeTableRowPath(
-                       view.table, WireFormat::kSkl2, carriers)) {
+      if (bytes != Serializer::SerializeTableRowPath(view.table, carriers)) {
         std::fprintf(stderr,
                      "FAIL: X-view SKL2 differs between encoder paths\n");
         std::abort();
       }
       auto decoded = Serializer::DeserializeTable(bytes);
-      if (!decoded.ok() ||
-          Serializer::SerializeTable(*decoded, WireFormat::kSkl1) !=
-              expected) {
+      if (!decoded.ok() || EncodeSkl1(*decoded) != expected) {
         std::fprintf(stderr, "FAIL: the X view decoded %s differs from it\n",
                      with_carriers ? "from its carriers" : "raw");
         std::abort();

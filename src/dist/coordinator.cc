@@ -1,7 +1,6 @@
 #include "dist/coordinator.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -15,7 +14,6 @@
 #include "expr/evaluator.h"
 #include "obs/trace.h"
 #include "storage/serializer.h"
-#include "storage/wire_format.h"
 
 namespace skalla {
 
@@ -77,15 +75,6 @@ std::vector<DownMessage> ControlMessages(const TreeTopology& tree,
   return down_of;
 }
 
-/// The SKLD delta bases of one query: what each tree node last received of
-/// X, by node id. Nodes with equal generation tags hold identical bases, so
-/// an equal view over an equal tag encodes to the same bytes.
-struct DeltaBases {
-  std::vector<std::optional<Table>>* tables;
-  std::vector<size_t> gen;  ///< 0 = no base; a fresh encoding gets next_gen
-  size_t next_gen;
-};
-
 /// The carriers of `view`'s fields among X's `x_carriers`, at X's rows
 /// `rows` (all of X's rows when null): a view keeps an AVG column's exact
 /// carriers through the row filter and the column pruning.
@@ -117,29 +106,31 @@ std::vector<QuotientCarriers> ViewCarriers(
 /// Phase A of an X round: each active node's view of X — the rows its
 /// subtree's ship `predicates` keep (Theorem 4: a leaf's own predicate, an
 /// aggregator's the OR of its leaves', all of X if any leaf has none or
-/// keeps every row), column-pruned — as an SKLD delta against its base
-/// when strictly smaller, the full payload attached as the retry fallback
-/// (docs/wire-format.md). `x_carriers` are X's AVG carriers
+/// keeps every row), column-pruned — as an SKLD delta against its base in
+/// `bases` when strictly smaller, the full payload attached as the retry
+/// fallback (docs/wire-format.md). `x_carriers` are X's AVG carriers
 /// (SubResultFold::FinalizeInto), which each view's SKL2 encoding may ship
-/// in place of the AVG column. Equal views over equal bases are encoded
-/// once. Returns each node's message and fills the node-sized `view_of`;
-/// `views` owns the decoded views, which is what each node holds after the
-/// round.
+/// in place of the AVG column. Nodes with the same filter and the same base
+/// object share one encoding and one view. Returns each node's message and
+/// fills the node-sized `view_of` with what the shipped bytes decode to,
+/// which then becomes each node's base.
 Result<std::vector<DownMessage>> ShipViews(
     const Table& x, const std::vector<QuotientCarriers>& x_carriers,
     const std::vector<std::string>& ship_cols,
     const std::vector<ExprPtr>& predicates, const TreeTopology& tree,
-    const std::vector<bool>& active, WireFormat wire_format,
-    bool delta_enabled, DeltaBases* bases,
-    std::vector<const Table*>* view_of, std::deque<Table>* views) {
+    const std::vector<bool>& active, bool delta_enabled,
+    std::vector<std::shared_ptr<const Table>>* bases,
+    std::vector<std::shared_ptr<const Table>>* view_of) {
   const size_t num_nodes = tree.nodes.size();
   std::vector<DownMessage> down_of(num_nodes);
   // Leaves whose predicates a node's view ORs; empty = all of X.
   std::vector<std::vector<int>> filter(num_nodes);
   // keeps[v][r]: leaf v's ship predicate keeps X's row r.
   std::vector<std::vector<bool>> keeps(num_nodes);
-  // (filter, base generation) -> the node that holds that encoding.
-  std::map<std::pair<std::vector<int>, size_t>, size_t> encoded;
+  // (filter, base) -> the node that holds that encoding. The old bases stay
+  // in `bases` until every node is encoded, so no base address is reused
+  // within the loop.
+  std::map<std::pair<std::vector<int>, const Table*>, size_t> encoded;
   for (size_t v = 0; v < num_nodes; ++v) {
     if (!active[v]) continue;
     const TreeTopology::Node& node = tree.nodes[v];
@@ -169,16 +160,14 @@ Result<std::vector<DownMessage>> ShipViews(
       }
       if (everything) filter[v].clear();
     }
-    std::optional<Table>& cached = (*bases->tables)[v];
+    const Table* base = delta_enabled ? (*bases)[v].get() : nullptr;
     DownMessage& msg = down_of[v];
     const auto [it, fresh] =
-        encoded.emplace(std::make_pair(filter[v], bases->gen[v]), v);
+        encoded.emplace(std::make_pair(filter[v], base), v);
     if (!fresh) {
       // The same view over the same base: the same bytes.
-      const size_t u = it->second;
-      msg = down_of[u];
-      (*view_of)[v] = (*view_of)[u];
-      bases->gen[v] = bases->gen[u];
+      msg = down_of[it->second];
+      (*view_of)[v] = (*view_of)[it->second];
     } else {
       const Table* to_ship = &x;
       Table reduced;
@@ -205,14 +194,13 @@ Result<std::vector<DownMessage>> ShipViews(
       const std::vector<QuotientCarriers> carriers =
           ViewCarriers(x.schema(), x_carriers, to_ship->schema(),
                        filter[v].empty() ? nullptr : &kept);
-      std::string full_payload =
-          Serializer::SerializeTable(*to_ship, wire_format, carriers);
+      std::string full_payload = Serializer::SerializeTable(*to_ship, carriers);
       std::string payload;
       size_t fallback = 0;
       std::string label = "X fragment";
-      if (delta_enabled && cached.has_value()) {
+      if (base != nullptr) {
         std::string delta =
-            Serializer::SerializeDelta(*cached, *to_ship, carriers);
+            Serializer::SerializeDelta(*base, *to_ship, carriers);
         if (delta.size() < full_payload.size()) {
           payload = std::move(delta);
           fallback = full_payload.size();
@@ -222,18 +210,17 @@ Result<std::vector<DownMessage>> ShipViews(
       if (fallback == 0) payload = std::move(full_payload);
       msg = DownMessage{kCoordinatorId, payload.size(), to_ship->num_rows(),
                         std::move(label), fallback,
-                        Serializer::WireSize(*to_ship, WireFormat::kSkl1)};
+                        Serializer::Skl1Size(*to_ship)};
       // The node's view is what the shipped bytes decode to — against its
       // base for a delta, standalone otherwise.
-      SKALLA_ASSIGN_OR_RETURN(
-          Table decoded,
-          Serializer::DecodeShipment(cached ? &*cached : nullptr, payload));
-      views->push_back(std::move(decoded));
-      (*view_of)[v] = &views->back();
-      bases->gen[v] = bases->next_gen++;
+      SKALLA_ASSIGN_OR_RETURN(Table decoded,
+                              Serializer::DecodeShipment(base, payload));
+      (*view_of)[v] = std::make_shared<const Table>(std::move(decoded));
     }
     msg.from = ParentEndpoint(tree, static_cast<int>(v));
-    cached = *(*view_of)[v];
+  }
+  for (size_t v = 0; v < num_nodes; ++v) {
+    if (active[v]) (*bases)[v] = (*view_of)[v];
   }
   return down_of;
 }
@@ -275,8 +262,8 @@ void ShipToAggregators(SimNetwork* net, const TreeTopology& tree,
 Result<std::vector<Inbound>> CombineUp(
     SimNetwork* net, const TreeTopology& tree, const std::vector<bool>& active,
     std::vector<std::vector<Inbound>> inbox, const std::string& label,
-    WireFormat wire_format, int num_key, const std::vector<SubSlot>& slots,
-    int sub_width, RoundMetrics* rm) {
+    int num_key, const std::vector<SubSlot>& slots, int sub_width,
+    RoundMetrics* rm) {
   obs::ScopedSpan up_span(tree.num_levels > 2 ? "round.propagate_up" : nullptr,
                           obs::kTrackCoordinator);
   std::vector<double> inbound_sec(tree.nodes.size(), 0.0);
@@ -302,14 +289,13 @@ Result<std::vector<Inbound>> CombineUp(
       const Table combined = fold.Emit(std::move(schema));
       const double merge_sec = merge_sw.ElapsedSeconds();
       level_merge_cpu = std::max(level_merge_cpu, merge_sec);
-      std::string payload = Serializer::SerializeTable(combined, wire_format);
+      std::string payload = Serializer::SerializeTable(combined);
       const TransferOutcome out = net->Transfer(
           EncodeAggregatorId(v), ParentEndpoint(tree, v), payload.size(),
           combined.num_rows(), label, 0, TransferDirection::kToCoordinator);
       rm->bytes_to_coord += payload.size();
       rm->groups_to_coord += combined.num_rows();
-      rm->bytes_baseline_skl1 +=
-          Serializer::WireSize(combined, WireFormat::kSkl1);
+      rm->bytes_baseline_skl1 += Serializer::Skl1Size(combined);
       const size_t parent =
           static_cast<size_t>(tree.nodes[static_cast<size_t>(v)].parent);
       level_comm = std::max(level_comm, inbound_sec[parent] += out.seconds);
@@ -447,26 +433,16 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
   // the rest of the query.
   SiteRoster roster(sites_, replicas_);
   const RetryPolicy& retry = network_.config().retry;
-  const WireFormat wire_format = network_.config().wire_format;
-  // Delta shipping needs the columnar codec for its sections; with SKL1
-  // selected every ship is a full payload.
-  const bool delta_enabled = network_.config().delta_shipping &&
-                             wire_format == WireFormat::kSkl2;
   // What each tree node last received of X (fused rounds ship only a plan
   // and leave it untouched). Deltas in later rounds are encoded against
   // this, mirroring the node's cached copy. With an attached external
   // cache the mirror survives the query, so the next query's first ship
   // can already go out as a delta.
-  std::vector<std::optional<Table>> private_ship_cache;
-  std::vector<std::optional<Table>>& ship_cache =
+  std::vector<std::shared_ptr<const Table>> private_ship_cache;
+  std::vector<std::shared_ptr<const Table>>& ship_cache =
       external_ship_cache_ != nullptr ? *external_ship_cache_
                                       : private_ship_cache;
   ship_cache.resize(topology_.nodes.size());
-  DeltaBases bases{&ship_cache, std::vector<size_t>(ship_cache.size()),
-                   ship_cache.size() + 1};
-  for (size_t v = 0; v < ship_cache.size(); ++v) {
-    if (ship_cache[v].has_value()) bases.gen[v] = v + 1;
-  }
 
   SKALLA_ASSIGN_OR_RETURN(SchemaMap schemas, CollectSchemas(plan));
   const GmdjExpr expr = plan.ToExpr();
@@ -577,8 +553,7 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     //      retry driver's job; a retried attempt re-sends the identical
     //      fragment, which is what makes rounds idempotent. ----
     std::vector<DownMessage> down_of;
-    std::vector<const Table*> view_of(topology_.nodes.size(), nullptr);
-    std::deque<Table> views;
+    std::vector<std::shared_ptr<const Table>> view_of(topology_.nodes.size());
     if (plan_only) {
       down_of = ControlMessages(topology_, active,
                                 base ? "base query plan" : "fused plan");
@@ -587,8 +562,9 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       Stopwatch prepare_sw;
       SKALLA_ASSIGN_OR_RETURN(
           down_of, ShipViews(x, x_carriers, round.ship_cols, predicates,
-                             topology_, active, wire_format, delta_enabled,
-                             &bases, &view_of, &views));
+                             topology_, active,
+                             network_.config().delta_shipping, &ship_cache,
+                             &view_of));
       coord_cpu += prepare_sw.ElapsedSeconds();
       if (prepare_span.armed()) {
         prepare_span.set_detail(std::to_string(participants.size()) +
@@ -597,7 +573,8 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     }
     std::vector<int> drive_participants = participants;
     std::vector<DownMessage> down;
-    std::vector<const Table*> slot_views;
+    // Each slot holds its view for the whole wave.
+    std::vector<std::shared_ptr<const Table>> slot_views;
     for (int s : participants) {
       down.push_back(down_of[static_cast<size_t>(s)]);
       slot_views.push_back(view_of[static_cast<size_t>(s)]);
@@ -679,7 +656,7 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
                     SiteEvalReport* report) -> Result<Table> {
       if (base) return site->EvalBase(plan.base, &report->cpu_sec);
       SiteRoundInput input;
-      input.x = slot_views[static_cast<size_t>(p)];
+      input.x = slot_views[static_cast<size_t>(p)].get();
       input.base = fused_base_round ? &plan.base : nullptr;
       input.ops = &round.ops;
       input.key_attrs = &plan.key_attrs;
@@ -695,7 +672,7 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
         std::vector<std::string> replies,
         DriveRoundWithRetries(&network_, retry, &rm, &roster,
                               drive_participants, down, reply_label, eval,
-                              parallel_sites_, wire_format));
+                              parallel_sites_));
     std::vector<std::vector<Inbound>> inbox(topology_.nodes.size());
     for (size_t p = 0; p < replies.size(); ++p) {
       inbox[static_cast<size_t>(NodeOfEndpoint(topology_, down[p].from))]
@@ -704,7 +681,7 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     SKALLA_ASSIGN_OR_RETURN(
         std::vector<Inbound> inbound,
         CombineUp(&network_, topology_, active, std::move(inbox), reply_label,
-                  wire_format, num_key, slots, sub_width, &rm));
+                  num_key, slots, sub_width, &rm));
 
     // Feed the measured per-slot wall times back to the detector (primary
     // slots only — a helper's timing belongs to the replica's hardware,

@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,7 +160,7 @@ class Coordinator {
   /// bytes on the wire change. The caller owns synchronization: the cache
   /// must not be used by two executions at once, and must be cleared when
   /// site data mutates under a different coordinator.
-  void set_ship_cache(std::vector<std::optional<Table>>* cache) {
+  void set_ship_cache(std::vector<std::shared_ptr<const Table>>* cache) {
     external_ship_cache_ = cache;
   }
 
@@ -200,7 +199,7 @@ class Coordinator {
   RoundObserver round_observer_;
   const Table* resume_x_ = nullptr;
   size_t resume_rounds_ = 0;
-  std::vector<std::optional<Table>>* external_ship_cache_ = nullptr;
+  std::vector<std::shared_ptr<const Table>>* external_ship_cache_ = nullptr;
   SkewDetector* skew_detector_ = nullptr;
 };
 

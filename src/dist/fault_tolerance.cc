@@ -68,7 +68,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     SimNetwork* net, const RetryPolicy& retry, RoundMetrics* rm,
     SiteRoster* roster, const std::vector<int>& participants,
     const std::vector<DownMessage>& down, const std::string& reply_label,
-    const SiteEvalFn& eval, bool parallel, WireFormat reply_format) {
+    const SiteEvalFn& eval, bool parallel) {
   obs::ScopedSpan drive_span("round.drive", obs::kTrackCoordinator);
   if (drive_span.armed()) drive_span.set_detail(rm->label);
   {
@@ -211,8 +211,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       rm->morsels_scalar += scan.morsels_scalar;
       // Non-fault evaluation errors are logic bugs, not outages: propagate.
       SKALLA_ASSIGN_OR_RETURN(Table reply_table, std::move(outcomes[p]));
-      std::string payload =
-          Serializer::SerializeTable(reply_table, reply_format);
+      std::string payload = Serializer::SerializeTable(reply_table);
       const TransferOutcome out = net->Transfer(
           site->id(), down[p].from, payload.size(), reply_table.num_rows(),
           reply_label, attempt, TransferDirection::kToCoordinator);
@@ -230,8 +229,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         shipped_total.Add(payload.size());
         SiteBytesCounter(sid, /*to_site=*/false).Add(payload.size());
       }
-      rm->bytes_baseline_skl1 +=
-          Serializer::WireSize(reply_table, WireFormat::kSkl1);
+      rm->bytes_baseline_skl1 += Serializer::Skl1Size(reply_table);
       if (attempt > 0) {
         rm->bytes_retransmitted += payload.size();
         rm->groups_retry_to_coord += reply_table.num_rows();

@@ -67,9 +67,9 @@ struct DownMessage {
   /// which also covers a replica's first contact after failover.
   size_t fallback_bytes = 0;
 
-  /// SKL1 full-ship equivalent of the payload, for compression-ratio
-  /// accounting (RoundMetrics::bytes_baseline_skl1). 0 means the message
-  /// is a control message counted at face value.
+  /// SKL1 full-ship equivalent of the payload (Serializer::Skl1Size), for
+  /// compression-ratio accounting (RoundMetrics::bytes_baseline_skl1). 0
+  /// means the message is a control message counted at face value.
   size_t baseline_bytes = 0;
 
   /// This slot exists only because of a skew-rebalancing split (the helper
@@ -106,15 +106,13 @@ using SiteEvalFn =
 /// and groups are also counted as real traffic in the round totals. Each
 /// slot also gets its own rm->site_loads row, and every evaluated attempt's
 /// scan counts are added to the round's.
-/// Replies travel in `reply_format`; their SKL1-equivalent size is folded
-/// into the round's bytes_baseline_skl1 alongside each DownMessage's
-/// baseline_bytes.
+/// Each reply's SKL1 size is folded into the round's bytes_baseline_skl1
+/// alongside each DownMessage's baseline_bytes.
 Result<std::vector<std::string>> DriveRoundWithRetries(
     SimNetwork* net, const RetryPolicy& retry, RoundMetrics* rm,
     SiteRoster* roster, const std::vector<int>& participants,
     const std::vector<DownMessage>& down, const std::string& reply_label,
-    const SiteEvalFn& eval, bool parallel,
-    WireFormat reply_format = WireFormat::kSkl2);
+    const SiteEvalFn& eval, bool parallel);
 
 }  // namespace skalla
 

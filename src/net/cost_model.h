@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <string>
 
-#include "storage/wire_format.h"
-
 namespace skalla {
 
 /// \brief Retry behavior of the coordinators when a site misses a round.
@@ -81,16 +79,11 @@ struct NetworkConfig {
   /// How the coordinators retry per-site round work under faults.
   RetryPolicy retry;
 
-  /// Wire format for every relation payload (storage/wire_format.h).
-  /// Defaults to SKL2 (columnar).
-  WireFormat wire_format = WireFormat::kSkl2;
-
   /// Cross-round delta shipping of the base-result structure X: the
   /// coordinator caches what each site last received and ships only
-  /// appended rows/columns (SKLD payloads, docs/wire-format.md). Only
-  /// engages with the SKL2 format; retried waves always fall back to a
-  /// full payload because a failed exchange leaves the receiver's cache
-  /// state unknowable.
+  /// appended rows/columns (SKLD payloads, docs/wire-format.md). Retried
+  /// waves always fall back to a full payload because a failed exchange
+  /// leaves the receiver's cache state unknowable.
   bool delta_shipping = true;
 
   /// Simulated seconds for one message of `bytes` payload.

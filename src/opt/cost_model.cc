@@ -15,14 +15,7 @@ Result<RelationStats> ProfileRelation(const Table& table,
   RelationStats stats;
   stats.rows = table.num_rows();
   for (const std::string& attr : attrs) {
-    SKALLA_ASSIGN_OR_RETURN(int idx, table.schema().MustIndexOf(attr));
-    double width_sum = 0;
-    for (int64_t r = 0; r < table.num_rows(); ++r) {
-      width_sum += static_cast<double>(table.Get(r, idx).SerializedSize());
-    }
-    stats.avg_widths[attr] =
-        table.num_rows() == 0 ? 0.0
-                              : width_sum / static_cast<double>(table.num_rows());
+    SKALLA_RETURN_NOT_OK(table.schema().MustIndexOf(attr).status());
     // The attribute's distinct values (grouped through GroupMap) in the
     // ascending key order every site derives its base groups in, so X and
     // every reply carry one sorted key per group: the measured SKL2 width
@@ -35,8 +28,7 @@ Result<RelationStats> ProfileRelation(const Table& table,
     stats.avg_widths_skl2[attr] =
         sorted.num_rows() == 0
             ? 0.0
-            : static_cast<double>(
-                  Serializer::TablePayloadSize(sorted, WireFormat::kSkl2)) /
+            : static_cast<double>(Serializer::TablePayloadSize(sorted)) /
                   static_cast<double>(sorted.num_rows());
   }
   return stats;
@@ -54,9 +46,6 @@ std::string CostBreakdown::ToString() const {
 }
 
 namespace {
-
-/// SKL1 width of one numeric aggregate column (tag + 8 bytes).
-constexpr double kAggColBytes = 9.0;
 
 /// SKL2 width of one numeric aggregate column per group, measured on the
 /// cost_model_test workload (8 sites): replies arrive in key order with
@@ -120,15 +109,6 @@ Result<double> CostEstimator::EstimateSiteSeconds(
   return per_round * static_cast<double>(std::max(1, rounds));
 }
 
-double CostEstimator::AggColBytes() const {
-  return net_.wire_format == WireFormat::kSkl1 ? kAggColBytes
-                                               : kAggColBytesSkl2;
-}
-
-bool CostEstimator::DeltaShippingActive() const {
-  return net_.delta_shipping && net_.wire_format == WireFormat::kSkl2;
-}
-
 bool CostEstimator::KeysContainPartitionAttribute(
     const DistributedPlan& plan) const {
   if (site_infos_.empty()) return false;
@@ -167,21 +147,15 @@ Result<double> CostEstimator::XRowWidth(const DistributedPlan& plan,
     return Status::NotFound("no statistics for relation '" +
                             plan.base.source_table + "'");
   }
-  const bool columnar = net_.wire_format == WireFormat::kSkl2;
   double width = 0;
   for (const std::string& attr : plan.key_attrs) {
-    auto w = it->second.avg_widths.find(attr);
-    if (w == it->second.avg_widths.end()) {
+    auto w = it->second.avg_widths_skl2.find(attr);
+    if (w == it->second.avg_widths_skl2.end()) {
       return Status::NotFound("no width statistic for '" + attr + "'");
     }
-    // Prefer the measured columnar width under SKL2; stats profiled
-    // without it fall back to the row-format width (an overestimate).
-    auto w2 = it->second.avg_widths_skl2.find(attr);
-    width += (columnar && w2 != it->second.avg_widths_skl2.end())
-                 ? w2->second
-                 : w->second;
+    width += w->second;
   }
-  return width + AggColBytes() * agg_cols;
+  return width + kAggColBytesSkl2 * agg_cols;
 }
 
 Result<CostBreakdown> CostEstimator::EstimateFlat(
@@ -224,7 +198,7 @@ Result<CostBreakdown> CostEstimator::EstimateFlat(
     SKALLA_ASSIGN_OR_RETURN(double x_width,
                             XRowWidth(plan, completed_agg_cols));
     SKALLA_ASSIGN_OR_RETURN(double key_width, XRowWidth(plan, 0));
-    const double h_width = key_width + AggColBytes() * round_sub_cols;
+    const double h_width = key_width + kAggColBytesSkl2 * round_sub_cols;
 
     if (fused) {
       cost.bytes_down += s * 512.0;
@@ -235,13 +209,13 @@ Result<CostBreakdown> CostEstimator::EstimateFlat(
           (round.flags.aware_group_reduction && partitioned)
               ? cost.groups
               : s * cost.groups;
-      if (DeltaShippingActive() && prev_shipped_agg_cols >= 0) {
+      if (net_.delta_shipping && prev_shipped_agg_cols >= 0) {
         // Later rounds delta-ship only the aggregate columns appended
         // since the site's cached copy of X.
         const double appended =
             static_cast<double>(completed_agg_cols - prev_shipped_agg_cols);
         cost.bytes_down +=
-            down_groups * AggColBytes() * appended + s * kTableHeaderBytes;
+            down_groups * kAggColBytesSkl2 * appended + s * kTableHeaderBytes;
       } else {
         cost.bytes_down += down_groups * x_width + s * kTableHeaderBytes;
       }
@@ -326,7 +300,7 @@ Result<CostBreakdown> CostEstimator::EstimateTree(const DistributedPlan& plan,
     SKALLA_ASSIGN_OR_RETURN(double x_width,
                             XRowWidth(plan, completed_agg_cols));
     SKALLA_ASSIGN_OR_RETURN(double key_width, XRowWidth(plan, 0));
-    const double h_width = key_width + AggColBytes() * round_sub_cols;
+    const double h_width = key_width + kAggColBytesSkl2 * round_sub_cols;
 
     if (!fused) {
       // Broadcast of the full X along every edge; per level the busiest
@@ -334,10 +308,10 @@ Result<CostBreakdown> CostEstimator::EstimateTree(const DistributedPlan& plan,
       // last round's X, so later broadcasts carry only the aggregate
       // columns appended since then.
       double x_bytes = cost.groups * x_width + kTableHeaderBytes;
-      if (DeltaShippingActive() && prev_shipped_agg_cols >= 0) {
+      if (net_.delta_shipping && prev_shipped_agg_cols >= 0) {
         const double appended =
             static_cast<double>(completed_agg_cols - prev_shipped_agg_cols);
-        x_bytes = cost.groups * AggColBytes() * appended + kTableHeaderBytes;
+        x_bytes = cost.groups * kAggColBytesSkl2 * appended + kTableHeaderBytes;
       }
       prev_shipped_agg_cols = completed_agg_cols;
       const double edges =

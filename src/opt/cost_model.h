@@ -21,14 +21,10 @@ struct RelationStats {
   /// Distinct-value counts per profiled attribute, grouped as GroupMap
   /// groups keys.
   std::map<std::string, int64_t> distinct_counts;
-  /// Average serialized width (bytes) per profiled attribute in the
-  /// row-oriented SKL1 format (per-value tag + payload).
-  std::map<std::string, double> avg_widths;
-  /// Columnar (SKL2) width per distinct value of each profiled attribute:
-  /// the measured payload of the attribute's distinct values as one column
-  /// in ascending key order — the order base groups ship in — divided by
-  /// their count. A dense integer key range packs to a few bytes in all;
-  /// the estimator picks this map or avg_widths by the wire format.
+  /// SKL2 width per distinct value of each profiled attribute: the
+  /// measured payload of the attribute's distinct values as one column in
+  /// ascending key order — the order base groups ship in — divided by
+  /// their count. A dense integer key range packs to a few bytes in all.
   std::map<std::string, double> avg_widths_skl2;
 };
 
@@ -120,17 +116,9 @@ class CostEstimator {
   /// True if any plan key attribute is a partition attribute.
   bool KeysContainPartitionAttribute(const DistributedPlan& plan) const;
 
-  /// Average serialized row width of the base-result structure after the
-  /// given number of completed aggregate columns, in the configured wire
-  /// format.
+  /// Average SKL2 row width of the base-result structure after the given
+  /// number of completed aggregate columns.
   Result<double> XRowWidth(const DistributedPlan& plan, int agg_cols) const;
-
-  /// Per-value width of one aggregate column in the configured format.
-  double AggColBytes() const;
-
-  /// True when the coordinators will delta-ship X across rounds under the
-  /// configured NetworkConfig.
-  bool DeltaShippingActive() const;
 
   int num_sites_;
   NetworkConfig net_;

@@ -156,7 +156,7 @@ class Server {
   /// the exclusive warehouse lock. Never affects response bytes, only
   /// bytes shipped (DESIGN.md invariant 10).
   std::mutex ship_cache_mu_;
-  std::vector<std::optional<Table>> ship_cache_;
+  std::vector<std::shared_ptr<const Table>> ship_cache_;
 
   /// Serializes Warehouse::EstimateCost calls made before admission: the
   /// estimate runs under the shared warehouse lock (no mutation races) but

@@ -15,9 +15,11 @@ namespace skalla {
 ///   <dir>/MANIFEST            site count + per-site partition metadata
 ///   <dir>/site<N>/<table>.skl binary fragments (storage/serializer.h)
 ///
-/// The binary relation format is byte-exact and round-trips NULLs and
-/// types; the manifest is a line-oriented text format (see the .cc for the
-/// grammar). Overwrites existing files; the directory must exist.
+/// Fragments are written as SKL2; LoadWarehouse also reads the SKL1
+/// fragments earlier versions wrote under the same manifest. Both formats
+/// are byte-exact and round-trip NULLs and types; the manifest is a
+/// line-oriented text format (see the .cc for the grammar). Overwrites
+/// existing files; the directory must exist.
 Status SaveWarehouse(const Warehouse& warehouse, const std::string& dir);
 
 /// Loads a warehouse previously written by SaveWarehouse. Site count,

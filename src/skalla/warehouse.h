@@ -4,7 +4,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,7 +61,7 @@ struct ExecHooks {
   /// Cross-query SKLD delta-base cache (borrowed, may be null); see
   /// Coordinator::set_ship_cache. The caller serializes access and clears
   /// the cache when site data mutates.
-  std::vector<std::optional<Table>>* ship_cache = nullptr;
+  std::vector<std::shared_ptr<const Table>>* ship_cache = nullptr;
 };
 
 /// \brief The Skalla distributed data warehouse facade.

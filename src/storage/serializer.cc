@@ -107,7 +107,7 @@ Result<uint64_t> ReadVarint(Reader* reader) {
 }
 
 // ---------------------------------------------------------------------------
-// SKL1 per-value codec.
+// Per-value codec: an SKL1 row's cells and an SKL2 mixed section's.
 
 void PutValue(std::string* out, const Value& v) {
   PutU8(out, static_cast<uint8_t>(v.type()));
@@ -1250,22 +1250,16 @@ const QuotientCarriers* CarriersOf(std::span<const QuotientCarriers> carriers,
   return nullptr;
 }
 
-/// The encoding alone, without a span or metric, so WireSize can measure
-/// through it. `columnar_feed` reads usable columns from the snapshot.
-std::string EncodeTable(const Table& table, Serializer::Format format,
-                        bool columnar_feed,
+/// The SKL2 encoding alone, without a span or metric, so WireSize can
+/// measure through it. `columnar_feed` reads usable columns from the
+/// snapshot.
+std::string EncodeTable(const Table& table, bool columnar_feed,
                         std::span<const QuotientCarriers> carriers) {
   std::string out;
-  PutFixed(&out, format == Serializer::Format::kSkl1 ? kMagicSkl1 : kMagicSkl2);
+  PutFixed(&out, kMagicSkl2);
   PutSchema(&out, table.schema());
   const int64_t nrows = table.num_rows();
   PutFixed(&out, static_cast<uint64_t>(nrows));
-  if (format == Serializer::Format::kSkl1) {
-    for (const Row& row : table.rows()) {
-      for (const Value& v : row) PutValue(&out, v);
-    }
-    return out;
-  }
   const std::shared_ptr<const ColumnarTable> view =
       columnar_feed && nrows > 0 ? table.columnar() : nullptr;
   PutSections(&out,
@@ -1284,29 +1278,22 @@ std::string EncodeTable(const Table& table, Serializer::Format format,
   return out;
 }
 
-std::string SerializeTableImpl(const Table& table, Serializer::Format format,
-                               bool columnar_feed,
+std::string SerializeTableImpl(const Table& table, bool columnar_feed,
                                std::span<const QuotientCarriers> carriers) {
   obs::ScopedSpan span("serialize");
   static obs::Histogram& encode_seconds = obs::GetHistogram(
       "skalla_storage_encode_seconds", obs::HistogramLayout::LatencySeconds());
   obs::ScopedHistogramTimer timer(&encode_seconds);
-  std::string out = EncodeTable(table, format, columnar_feed, carriers);
+  std::string out = EncodeTable(table, columnar_feed, carriers);
   if (span.armed()) {
-    span.set_detail(
-        (format == Serializer::Format::kSkl1 ? "SKL1 " : "SKL2 ") +
-        std::to_string(table.num_rows()) + " rows " +
-        std::to_string(out.size()) + "B");
+    span.set_detail("SKL2 " + std::to_string(table.num_rows()) + " rows " +
+                    std::to_string(out.size()) + "B");
   }
   if (obs::MetricsEnabled()) {
-    static obs::Histogram& skl1_bytes =
-        obs::GetHistogram("skalla_storage_wire_bytes{format=\"SKL1\"}",
-                          obs::HistogramLayout::Bytes());
     static obs::Histogram& skl2_bytes =
         obs::GetHistogram("skalla_storage_wire_bytes{format=\"SKL2\"}",
                           obs::HistogramLayout::Bytes());
-    (format == Serializer::Format::kSkl1 ? skl1_bytes : skl2_bytes)
-        .Observe(static_cast<double>(out.size()));
+    skl2_bytes.Observe(static_cast<double>(out.size()));
   }
   return out;
 }
@@ -1314,15 +1301,13 @@ std::string SerializeTableImpl(const Table& table, Serializer::Format format,
 }  // namespace
 
 std::string Serializer::SerializeTable(
-    const Table& table, Format format,
-    std::span<const QuotientCarriers> carriers) {
-  return SerializeTableImpl(table, format, /*columnar_feed=*/true, carriers);
+    const Table& table, std::span<const QuotientCarriers> carriers) {
+  return SerializeTableImpl(table, /*columnar_feed=*/true, carriers);
 }
 
 std::string Serializer::SerializeTableRowPath(
-    const Table& table, Format format,
-    std::span<const QuotientCarriers> carriers) {
-  return SerializeTableImpl(table, format, /*columnar_feed=*/false, carriers);
+    const Table& table, std::span<const QuotientCarriers> carriers) {
+  return SerializeTableImpl(table, /*columnar_feed=*/false, carriers);
 }
 
 Result<Table> Serializer::DeserializeTable(std::string_view bytes) {
@@ -1342,19 +1327,20 @@ Result<DecodedColumns> Serializer::DecodeColumns(std::string_view bytes) {
   return DecodeFullTable(bytes);
 }
 
-size_t Serializer::WireSize(const Table& table, Format format) {
-  if (format == Format::kSkl2) {
-    return EncodeTable(table, format, /*columnar_feed=*/true, {}).size();
-  }
+size_t Serializer::WireSize(const Table& table) {
+  return EncodeTable(table, /*columnar_feed=*/true, {}).size();
+}
+
+size_t Serializer::TablePayloadSize(const Table& table) {
+  return WireSize(table) - HeaderSize(table);
+}
+
+size_t Serializer::Skl1Size(const Table& table) {
   size_t size = HeaderSize(table);
   for (const Row& row : table.rows()) {
     for (const Value& v : row) size += v.SerializedSize();
   }
   return size;
-}
-
-size_t Serializer::TablePayloadSize(const Table& table, Format format) {
-  return WireSize(table, format) - HeaderSize(table);
 }
 
 std::string Serializer::SerializeDelta(

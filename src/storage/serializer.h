@@ -9,7 +9,6 @@
 
 #include "common/result.h"
 #include "storage/table.h"
-#include "storage/wire_format.h"
 
 namespace skalla {
 
@@ -38,12 +37,12 @@ struct QuotientCarriers {
 /// \brief Byte-exact binary relation formats (see docs/wire-format.md).
 ///
 /// Every relation shipped over the simulated network (net/sim_network.h) is
-/// encoded with this serializer; the length of the produced string is the
-/// byte count charged by the cost model. Two self-describing formats share
-/// a common header and are distinguished by magic, so the decoder accepts
-/// either regardless of the configured default:
+/// encoded with this serializer as SKL2; the length of the produced string
+/// is the byte count charged by the cost model. The decoder also reads
+/// SKL1, the row-oriented format the first warehouse files were written in.
+/// Both share a common header and are distinguished by magic:
 ///
-/// SKL1 (row-oriented, little-endian):
+/// SKL1 (row-oriented, little-endian; decoded, sized, never encoded):
 ///   magic  u32 'SKL1'
 ///   schema u32 nfields; per field: u8 type, u32 name_len, name bytes
 ///   rows   u64 nrows; per value: u8 type tag, payload
@@ -74,28 +73,24 @@ struct QuotientCarriers {
 /// rows only.
 class Serializer {
  public:
-  /// Full-table format selector; see storage/wire_format.h.
-  using Format = WireFormat;
-
-  /// Encodes a table to its wire form in the given format. SKL2 columns
-  /// are fed from the table's cached columnar snapshot when the column is
-  /// `usable` (Table::columnar) — same bytes, no per-cell boxing; see
-  /// docs/wire-format.md. SKL2 may ship a double column named by
-  /// `carriers` as its QuotientCarriers; the decoded table is the same.
+  /// Encodes a table to its SKL2 wire form. Columns are fed from the
+  /// table's cached columnar snapshot when the column is `usable`
+  /// (Table::columnar) — same bytes, no per-cell boxing; see
+  /// docs/wire-format.md. A double column named by `carriers` may ship as
+  /// its QuotientCarriers; the decoded table is the same.
   static std::string SerializeTable(
-      const Table& table, Format format = WireFormat::kSkl2,
-      std::span<const QuotientCarriers> carriers = {});
+      const Table& table, std::span<const QuotientCarriers> carriers = {});
 
   /// Reference encoder that ignores the columnar snapshot and boxes every
-  /// cell through Table::Get — the pre-columnar row path, kept callable so
-  /// tests and benchmarks can pin SerializeTable's byte-identity (and
-  /// measure the columnar feed's win). Produces identical bytes to
-  /// SerializeTable for every table and format.
+  /// cell through Table::Get — the row path that SKLD sub-ranges and
+  /// type-deviant columns take, kept callable over a whole table so tests
+  /// and benchmarks can pin SerializeTable's byte-identity (and measure the
+  /// columnar feed's win). Produces identical bytes to SerializeTable for
+  /// every table.
   static std::string SerializeTableRowPath(
-      const Table& table, Format format = WireFormat::kSkl2,
-      std::span<const QuotientCarriers> carriers = {});
+      const Table& table, std::span<const QuotientCarriers> carriers = {});
 
-  /// Decodes a wire-form table (either format, by magic); fails with
+  /// Decodes a wire-form table (SKL1 or SKL2, by magic); fails with
   /// IoError on malformed input. SKLD payloads are rejected here — they
   /// need a base table, use DecodeShipment().
   static Result<Table> DeserializeTable(std::string_view bytes);
@@ -106,15 +101,19 @@ class Serializer {
   /// accept and reject exactly the same payloads with the same status.
   static Result<DecodedColumns> DecodeColumns(std::string_view bytes);
 
-  /// Exact wire size: WireSize(t, f) == SerializeTable(t, f).size() for
-  /// every t and f. For SKL2 this is the length of the encoding itself
-  /// (without the encode span and metrics); SKL1 sums per-value sizes.
-  static size_t WireSize(const Table& table,
-                         Format format = WireFormat::kSkl2);
+  /// Exact wire size: WireSize(t) == SerializeTable(t).size() for every t;
+  /// the length of the encoding itself, without the encode span and
+  /// metrics.
+  static size_t WireSize(const Table& table);
 
   /// Bytes after the common header (magic + schema + nrows); this is what
-  /// Table::SerializedSize(format) reports. Zero for an empty table.
-  static size_t TablePayloadSize(const Table& table, Format format);
+  /// Table::SerializedSize reports. Zero for an empty table.
+  static size_t TablePayloadSize(const Table& table);
+
+  /// The size `table` would take as an SKL1 payload: the header plus
+  /// Value::SerializedSize of every cell. It prices the full-ship SKL1
+  /// baseline of RoundMetrics::bytes_baseline_skl1 without encoding.
+  static size_t Skl1Size(const Table& table);
 
   /// Encodes `table` as a delta against `base` (SKLD). The receiver must
   /// hold a bit-exact copy of `base` (enforced via a content hash). Columns

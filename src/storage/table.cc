@@ -52,8 +52,8 @@ void Table::SortAllColumns() {
   std::sort(rows_.begin(), rows_.end(), RowLess);
 }
 
-size_t Table::SerializedSize(WireFormat format) const {
-  return Serializer::TablePayloadSize(*this, format);
+size_t Table::SerializedSize() const {
+  return Serializer::TablePayloadSize(*this);
 }
 
 std::string Table::ToString(int64_t max_rows) const {

@@ -10,7 +10,6 @@
 #include "common/result.h"
 #include "storage/row.h"
 #include "storage/schema.h"
-#include "storage/wire_format.h"
 
 namespace skalla {
 
@@ -77,10 +76,9 @@ class Table {
   /// Sort by all columns; used to compare relations as multisets in tests.
   void SortAllColumns();
 
-  /// Payload bytes of the table under the given wire format (exact: the
-  /// serializer's output minus its fixed magic/schema/nrows header). With
-  /// no argument, reports the process-default format. Zero when empty.
-  size_t SerializedSize(WireFormat format = WireFormat::kSkl2) const;
+  /// Payload bytes of the table's SKL2 wire form (exact: the serializer's
+  /// output minus its fixed magic/schema/nrows header). Zero when empty.
+  size_t SerializedSize() const;
 
   /// Renders the first `max_rows` rows as an aligned ASCII table.
   std::string ToString(int64_t max_rows = 20) const;

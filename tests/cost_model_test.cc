@@ -20,8 +20,16 @@ TEST(ProfileRelationTest, CountsAndWidths) {
   EXPECT_EQ(stats.distinct_counts["g"], 3);
   EXPECT_EQ(stats.distinct_counts["h"], 3);
   EXPECT_EQ(stats.distinct_counts["s"], 3);
-  EXPECT_DOUBLE_EQ(stats.avg_widths["g"], 9.0);       // int64 = tag + 8
-  EXPECT_DOUBLE_EQ(stats.avg_widths["s"], 1 + 4 + 1);  // 1-char strings
+  // Each width is the SKL2 payload of the attribute's distinct values in
+  // key order, per value.
+  Table g(MakeSchema({{"g", ValueType::kInt64}}));
+  for (int64_t v = 1; v <= 3; ++v) g.AddRow({Value(v)});
+  Table str(MakeSchema({{"s", ValueType::kString}}));
+  for (const char* v : {"a", "b", "c"}) str.AddRow({Value(v)});
+  EXPECT_DOUBLE_EQ(stats.avg_widths_skl2["g"],
+                   static_cast<double>(g.SerializedSize()) / 3);
+  EXPECT_DOUBLE_EQ(stats.avg_widths_skl2["s"],
+                   static_cast<double>(str.SerializedSize()) / 3);
 }
 
 TEST(ProfileRelationTest, KeyWidthIsMeasuredInKeyOrder) {
@@ -44,13 +52,10 @@ TEST(ProfileRelationTest, KeyWidthIsMeasuredInKeyOrder) {
   EXPECT_EQ(stats.distinct_counts["k"], 3000);
   EXPECT_DOUBLE_EQ(
       stats.avg_widths_skl2["k"],
-      static_cast<double>(
-          Serializer::TablePayloadSize(sorted, WireFormat::kSkl2)) /
-          3000.0);
+      static_cast<double>(Serializer::TablePayloadSize(sorted)) / 3000.0);
   EXPECT_LT(stats.avg_widths_skl2["k"], 0.01);
   // In table order the same column costs over a byte a row.
-  EXPECT_GT(static_cast<double>(
-                Serializer::TablePayloadSize(shuffled, WireFormat::kSkl2)) /
+  EXPECT_GT(static_cast<double>(Serializer::TablePayloadSize(shuffled)) /
                 static_cast<double>(shuffled.num_rows()),
             1.0);
 }

@@ -27,11 +27,6 @@
 namespace skalla {
 namespace {
 
-/// Serialized wire form: byte-exact equality, including row order.
-std::string TableBytes(const Table& table) {
-  return Serializer::SerializeTable(table);
-}
-
 Table SmallTpcr(uint64_t seed = 31) {
   TpcConfig config;
   config.num_rows = 1500;
@@ -225,7 +220,6 @@ TEST_F(FaultInjectionTest, DroppedDeltaShipmentFallsBackToFullPayload) {
 
   // Reference: no faults, delta shipping off.
   NetworkConfig full_net;
-  full_net.wire_format = WireFormat::kSkl2;
   full_net.delta_shipping = false;
   wh.set_network_config(full_net);
   ASSERT_OK_AND_ASSIGN(QueryResult reference_flat, wh.ExecutePlan(plan));
@@ -234,7 +228,6 @@ TEST_F(FaultInjectionTest, DroppedDeltaShipmentFallsBackToFullPayload) {
   // Delta shipping on; round 2 is the first round that ships X as a delta
   // against the round-1 cache. Lose its down-message to site 1 mid-round.
   NetworkConfig delta_net;
-  delta_net.wire_format = WireFormat::kSkl2;
   delta_net.delta_shipping = true;
   wh.set_network_config(delta_net);
   FaultInjector injector(/*seed=*/5);

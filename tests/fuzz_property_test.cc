@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "gmdj/local_eval.h"
 #include "skalla/warehouse.h"
+#include "skl1_oracle.h"
 #include "storage/serializer.h"
 #include "test_util.h"
 #include "tpc/partitioner.h"
@@ -506,8 +507,7 @@ TEST_P(FuzzVectorizeTest, VectorizedScanIsByteIdenticalToScalar) {
       options.vectorize = true;
       ASSERT_OK_AND_ASSIGN(Table vectorized,
                            EvalGmdjOp(base, detail, op, options));
-      EXPECT_EQ(Serializer::SerializeTable(vectorized, WireFormat::kSkl1),
-                Serializer::SerializeTable(scalar, WireFormat::kSkl1))
+      EXPECT_EQ(EncodeSkl1(vectorized), EncodeSkl1(scalar))
           << "threads=" << threads
           << " mode=" << (mode == AggMode::kFinal ? "final" : "sub");
     }
@@ -519,10 +519,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzVectorizeTest, ::testing::Range(0, 48));
 // ---------------------------------------------------------------------------
 // Wire-format round-trip properties: arbitrary tables — including NaN/±inf
 // doubles, -0.0, empty and multi-KB strings, and all-null columns — must
-// survive both SKL1 and SKL2 bit-exactly, and an SKLD delta against an
-// arbitrary row-prefix base must always decode back to the original.
-// Bit-exactness is asserted on the canonical SKL1 byte string (Value
-// equality would treat NaN as unequal to itself).
+// survive SKL2 and the SKL1 decoder (fed by the tests' SKL1 encoder)
+// bit-exactly, and an SKLD delta against an arbitrary row-prefix base must
+// always decode back to the original. Bit-exactness is asserted on the
+// canonical SKL1 byte string (Value equality would treat NaN as unequal to
+// itself).
 // ---------------------------------------------------------------------------
 
 Value ExtremeValue(Rng* rng, ValueType type) {
@@ -591,17 +592,17 @@ TEST_P(WireFormatFuzzTest, BothFormatsRoundTripBitExactly) {
     t.AddRow(std::move(row));
   }
 
-  const std::string canonical =
-      Serializer::SerializeTable(t, WireFormat::kSkl1);
+  const std::string canonical = EncodeSkl1(t);
   const uint64_t hash = Serializer::ContentHash(t);
+  EXPECT_EQ(canonical.size(), Serializer::Skl1Size(t));
+  const std::string skl2 = Serializer::SerializeTable(t);
+  EXPECT_EQ(skl2.size(), Serializer::WireSize(t));
 
-  for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
-    SCOPED_TRACE(WireFormatName(format));
-    const std::string bytes = Serializer::SerializeTable(t, format);
-    EXPECT_EQ(bytes.size(), Serializer::WireSize(t, format));
+  for (const bool skl1 : {true, false}) {
+    SCOPED_TRACE(skl1 ? "SKL1" : "SKL2");
+    const std::string& bytes = skl1 ? canonical : skl2;
     ASSERT_OK_AND_ASSIGN(Table decoded, Serializer::DeserializeTable(bytes));
-    EXPECT_EQ(Serializer::SerializeTable(decoded, WireFormat::kSkl1),
-              canonical);
+    EXPECT_EQ(EncodeSkl1(decoded), canonical);
     EXPECT_EQ(Serializer::ContentHash(decoded), hash);
   }
 
@@ -617,8 +618,7 @@ TEST_P(WireFormatFuzzTest, BothFormatsRoundTripBitExactly) {
   const std::string delta = Serializer::SerializeDelta(base, t);
   ASSERT_OK_AND_ASSIGN(Table patched,
                        Serializer::DecodeShipment(&base, delta));
-  EXPECT_EQ(Serializer::SerializeTable(patched, WireFormat::kSkl1),
-            canonical);
+  EXPECT_EQ(EncodeSkl1(patched), canonical);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFormatFuzzTest, ::testing::Range(0, 40));

@@ -14,9 +14,9 @@
 #include "expr/parser.h"
 #include "gmdj/central_eval.h"
 #include "gmdj/gmdj.h"
+#include "skl1_oracle.h"
 #include "storage/catalog.h"
 #include "storage/columnar.h"
-#include "storage/serializer.h"
 #include "test_util.h"
 
 namespace skalla {
@@ -350,9 +350,8 @@ void ExpectMatchesReference(const Table& base, const Table& detail,
     options.num_threads = 1;
     options.vectorize = vectorize;
     ASSERT_OK_AND_ASSIGN(Table actual, EvalGmdjOp(base, detail, op, options));
-    EXPECT_EQ(Serializer::SerializeTable(actual, WireFormat::kSkl1),
-              Serializer::SerializeTable(Table(actual.schema_ptr(), expected),
-                                         WireFormat::kSkl1))
+    EXPECT_EQ(EncodeSkl1(actual),
+              EncodeSkl1(Table(actual.schema_ptr(), expected)))
         << "vectorize " << vectorize;
   }
 }
@@ -597,9 +596,6 @@ TEST(CentralEvalTest, BaseQueryComesBackInKeyOrder) {
            {Value(0x1p62), Value("m")}}) {     // 12: row 11's group
     t.AddRow(row);
   }
-  auto skl1 = [](const Table& table) {
-    return Serializer::SerializeTable(table, WireFormat::kSkl1);
-  };
   BaseQuery base;
   base.source_table = "T";
   base.project_cols = {"a", "b"};
@@ -609,13 +605,14 @@ TEST(CentralEvalTest, BaseQueryComesBackInKeyOrder) {
     for (int64_t id : ids) rows.push_back(t.row(id));
     return Table(t.schema_ptr(), std::move(rows));
   };
-  EXPECT_EQ(skl1(b), skl1(rows_of({2, 3, 5, 0, 7, 6, 11, 10, 1, 4, 8})));
+  EXPECT_EQ(EncodeSkl1(b),
+            EncodeSkl1(rows_of({2, 3, 5, 0, 7, 6, 11, 10, 1, 4, 8})));
   // Without DISTINCT every row stays: int64 3 ties with 3.0 after it, and
   // double 2^62 sorts before 2^62 + 1, which it equals only as a double.
   base.distinct = false;
   ASSERT_OK_AND_ASSIGN(Table bag, EvalBaseQuery(base, t));
-  EXPECT_EQ(skl1(bag),
-            skl1(rows_of({2, 3, 5, 0, 9, 7, 6, 12, 11, 10, 1, 4, 8})));
+  EXPECT_EQ(EncodeSkl1(bag),
+            EncodeSkl1(rows_of({2, 3, 5, 0, 9, 7, 6, 12, 11, 10, 1, 4, 8})));
 }
 
 // ---------------------------------------------------------------------------

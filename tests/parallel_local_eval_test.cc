@@ -42,11 +42,6 @@ ExprPtr MustParse(const std::string& text) {
   return *result;
 }
 
-/// Serialized wire form: byte-exact equality, including row order.
-std::string TableBytes(const Table& table) {
-  return Serializer::SerializeTable(table);
-}
-
 // ---------------------------------------------------------------------------
 // ThreadPool.
 // ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
+#include "skl1_oracle.h"
 #include "storage/csv.h"
 #include "test_util.h"
 
@@ -115,12 +119,18 @@ TEST(SerializerTest, RandomizedRoundTripProperty) {
   }
 }
 
+/// `t` in both formats the decoder reads, by name: SKL1 from the tests'
+/// encoder, SKL2 from the library's.
+std::vector<std::pair<std::string, std::string>> BothFormats(const Table& t) {
+  return {{"SKL1", EncodeSkl1(t)}, {"SKL2", Serializer::SerializeTable(t)}};
+}
+
 TEST(SerializerTest, BothFormatsRoundTripExplicitly) {
   const Table t = MakeTinyTable();
-  for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
-    SCOPED_TRACE(WireFormatName(format));
-    const std::string bytes = Serializer::SerializeTable(t, format);
-    EXPECT_EQ(bytes.size(), Serializer::WireSize(t, format));
+  EXPECT_EQ(EncodeSkl1(t).size(), Serializer::Skl1Size(t));
+  EXPECT_EQ(Serializer::SerializeTable(t).size(), Serializer::WireSize(t));
+  for (const auto& [format, bytes] : BothFormats(t)) {
+    SCOPED_TRACE(format);
     ASSERT_OK_AND_ASSIGN(Table decoded, Serializer::DeserializeTable(bytes));
     ExpectSameRows(decoded, t);
   }
@@ -163,8 +173,8 @@ void ExpectIoError(const Result<Table>& result, const char* substring) {
 }
 
 TEST(SerializerMalformedTest, BadMagicBothFormats) {
-  for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
-    std::string bytes = Serializer::SerializeTable(MakeTinyTable(), format);
+  for (auto [format, bytes] : BothFormats(MakeTinyTable())) {
+    SCOPED_TRACE(format);
     bytes[0] = 'X';
     ExpectIoError(DecodeBoth(bytes), "magic");
   }
@@ -180,7 +190,7 @@ TEST(SerializerMalformedTest, TruncatedNullBitmap) {
       t.AddRow({Value(i)});
     }
   }
-  const std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  const std::string bytes = Serializer::SerializeTable(t);
   // Cut inside the 2-byte bitmap that follows the column tag.
   const std::string_view cut =
       std::string_view(bytes).substr(0, kSkl2OneColHeader + 2);
@@ -190,7 +200,7 @@ TEST(SerializerMalformedTest, TruncatedNullBitmap) {
 TEST(SerializerMalformedTest, OverflowingVarint) {
   Table t(MakeSchema({{"a", ValueType::kInt64}}));
   t.AddRow({Value(int64_t{5})});
-  std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  std::string bytes = Serializer::SerializeTable(t);
   // Replace the single-byte varint delta with ten 0xff continuation bytes:
   // more than 64 bits of payload must be rejected, not wrapped.
   bytes.resize(kSkl2OneColHeader + 1);  // keep the null-free tag
@@ -201,7 +211,7 @@ TEST(SerializerMalformedTest, OverflowingVarint) {
 TEST(SerializerMalformedTest, TruncatedVarint) {
   Table t(MakeSchema({{"a", ValueType::kInt64}}));
   t.AddRow({Value(int64_t{5})});
-  std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  std::string bytes = Serializer::SerializeTable(t);
   bytes.resize(kSkl2OneColHeader + 1);  // keep the null-free tag
   bytes.push_back('\x80');  // continuation bit set, then EOF
   ExpectIoError(DecodeBoth(bytes), "varint");
@@ -211,7 +221,7 @@ TEST(SerializerMalformedTest, OutOfRangeDictionaryCode) {
   Table t(MakeSchema({{"s", ValueType::kString}}));
   t.AddRow({Value("x")});
   t.AddRow({Value("y")});
-  std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  std::string bytes = Serializer::SerializeTable(t);
   // The last byte is row 2's dictionary code; the dictionary has 2 entries.
   bytes.back() = '\x07';
   ExpectIoError(DecodeBoth(bytes), "dictionary");
@@ -220,7 +230,7 @@ TEST(SerializerMalformedTest, OutOfRangeDictionaryCode) {
 TEST(SerializerMalformedTest, UnknownColumnCodec) {
   Table t(MakeSchema({{"a", ValueType::kInt64}}));
   t.AddRow({Value(int64_t{5})});
-  std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  std::string bytes = Serializer::SerializeTable(t);
   bytes[kSkl2OneColHeader] = '\x63';
   ExpectIoError(DecodeBoth(bytes), "codec");
 }
@@ -230,7 +240,7 @@ TEST(SerializerMalformedTest, UnknownColumnCodec) {
 std::string Skl2Payload(SchemaPtr schema, uint64_t nrows,
                         const std::string& sections) {
   std::string bytes =
-      Serializer::SerializeTable(Table(std::move(schema)), WireFormat::kSkl2);
+      Serializer::SerializeTable(Table(std::move(schema)));
   std::memcpy(bytes.data() + bytes.size() - 8, &nrows, 8);
   return bytes + sections;
 }
@@ -297,7 +307,7 @@ TEST(SerializerMalformedTest, DeltaRepeatAcrossRowCountsRejected) {
 TEST(SerializerMalformedTest, IntegralSectionVarintsChecked) {
   Table t(MakeSchema({{"d", ValueType::kDouble}}));
   t.AddRow({Value(5.0)});
-  std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  std::string bytes = Serializer::SerializeTable(t);
   ASSERT_EQ(bytes.substr(kSkl2OneColHeader), std::string("\x85\x0a", 2));
   bytes.resize(kSkl2OneColHeader + 1);
   ExpectIoError(DecodeBoth(bytes), "varint");
@@ -313,7 +323,7 @@ TEST(SerializerMalformedTest, NullFreeFlagOnlyOnBitmapCodecs) {
   mixed.AddRow({Value(int64_t{1})});
   mixed.AddRow({Value("x")});
   for (const Table* t : {&all_null, &mixed}) {
-    std::string bytes = Serializer::SerializeTable(*t, WireFormat::kSkl2);
+    std::string bytes = Serializer::SerializeTable(*t);
     ASSERT_LE(static_cast<uint8_t>(bytes[kSkl2OneColHeader]), 0x04);
     bytes[kSkl2OneColHeader] |= '\x80';
     ExpectIoError(DecodeBoth(bytes), "null-free");
@@ -325,7 +335,7 @@ TEST(SerializerMalformedTest, NullFreeFlagOnlyOnBitmapCodecs) {
 TEST(SerializerMalformedTest, UnknownCodecFlagBitsAndCodecsRejected) {
   Table t(MakeSchema({{"a", ValueType::kInt64}}));
   t.AddRow({Value(int64_t{5})});
-  const std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  const std::string bytes = Serializer::SerializeTable(t);
   ASSERT_EQ(static_cast<uint8_t>(bytes[kSkl2OneColHeader]), 0x81);
   // Bits 4 and 5 are reserved, with or without the packed bit 6, and
   // codecs 8-15 are unassigned.
@@ -414,7 +424,7 @@ TEST(SerializerMalformedTest, PackedTruncationsRejectedCleanly) {
     t.AddRow({Value(1 + (i * 7) % 30), Value(100 + 3 * i),
               i % 4 == 0 ? Value::Null() : Value(static_cast<double>(i % 9))});
   }
-  const std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  const std::string bytes = Serializer::SerializeTable(t);
   ASSERT_OK(DecodeBoth(bytes).status());
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     auto result = DecodeBoth(std::string_view(bytes).substr(0, cut));
@@ -532,9 +542,8 @@ TEST(SerializerMalformedTest, AbsurdRowCountRejectedBeforeAllocating) {
   // claimed count against the remaining payload before reserving.
   Table t(MakeSchema({{"a", ValueType::kInt64}}));
   t.AddRow({Value(int64_t{5})});
-  for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
-    SCOPED_TRACE(WireFormatName(format));
-    std::string bytes = Serializer::SerializeTable(t, format);
+  for (auto [format, bytes] : BothFormats(t)) {
+    SCOPED_TRACE(format);
     for (size_t i = kSkl2OneColHeader - 8; i < kSkl2OneColHeader; ++i) {
       bytes[i] = '\xff';
     }
@@ -554,13 +563,11 @@ TEST(SerializerMalformedTest, EveryTruncationRejectedCleanlyBothFormats) {
     t.AddRow({Value(int64_t{-9}), Value(-0.0), Value("hello")});
     return t;
   }();
-  for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
-    const std::string bytes = Serializer::SerializeTable(zoo, format);
+  for (const auto& [format, bytes] : BothFormats(zoo)) {
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
       auto result =
           DecodeBoth(std::string_view(bytes).substr(0, cut));
-      ASSERT_FALSE(result.ok())
-          << WireFormatName(format) << " cut at " << cut;
+      ASSERT_FALSE(result.ok()) << format << " cut at " << cut;
       EXPECT_EQ(result.status().code(), StatusCode::kIoError);
     }
   }

@@ -31,11 +31,6 @@
 namespace skalla {
 namespace {
 
-/// Serialized wire form: byte-exact equality, including row order.
-std::string TableBytes(const Table& table) {
-  return Serializer::SerializeTable(table);
-}
-
 // ---------------------------------------------------------------------------
 // SkewDetector unit tests.
 // ---------------------------------------------------------------------------
@@ -385,7 +380,7 @@ std::unique_ptr<Warehouse> SkewedWarehouse(const Table& tpcr,
   return wh;
 }
 
-TEST(RebalanceIdentityTest, MatrixOfTopologiesThreadsAndWireFormats) {
+TEST(RebalanceIdentityTest, MatrixOfTopologiesAndThreads) {
   const Table tpcr = SkewedTpcr();
   // ClerkKey is NOT a partition attribute, so the plan keeps a non-fused
   // shipped round the rebalancer can split (grouping on the partition
@@ -405,36 +400,30 @@ TEST(RebalanceIdentityTest, MatrixOfTopologiesThreadsAndWireFormats) {
   int flat_splits = 0;
   for (const bool tree : {false, true}) {
     for (const int threads : {1, 4}) {
-      for (const WireFormat wire : {WireFormat::kSkl1, WireFormat::kSkl2}) {
-        SCOPED_TRACE(std::string(tree ? "tree" : "flat") + "/threads=" +
-                     std::to_string(threads) + "/" + WireFormatName(wire));
-        auto wh = SkewedWarehouse(tpcr, /*rebalance=*/true);
-        NetworkConfig net = wh->network_config();
-        net.wire_format = wire;
-        wh->set_network_config(net);
-        wh->set_local_threads(threads);
-        ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
-                             wh->Plan(query, OptimizerOptions::All()));
-        for (int iter = 0; iter < 2; ++iter) {  // repeat with warm rates
-          auto result = tree ? wh->ExecutePlanTree(plan, /*fan_in=*/2)
-                             : wh->ExecutePlan(plan);
-          ASSERT_OK(result.status());
-          EXPECT_EQ(TableBytes(result->table), oracle_bytes);
-          total_splits += result->metrics.RebalanceSplits();
-          if (!tree) {
-            // The helper slot (id 4, after the four primaries) is a row of
-            // its own, and the rows still sum to the flat plan's totals.
-            ExpectSiteLoadsSumToTotals(result->metrics);
-            const StragglerReport load =
-                BuildStragglerReport(result->metrics);
-            const bool split = result->metrics.RebalanceSplits() > 0;
-            ASSERT_EQ(load.sites.size(), split ? 5u : 4u);
-            if (split) {
-              EXPECT_EQ(load.sites.back().site, 4);
-              EXPECT_GT(load.sites.back().bytes_in, 0u);
-              EXPECT_GT(load.sites.back().groups_out, 0);
-              flat_splits += result->metrics.RebalanceSplits();
-            }
+      SCOPED_TRACE(std::string(tree ? "tree" : "flat") + "/threads=" +
+                   std::to_string(threads));
+      auto wh = SkewedWarehouse(tpcr, /*rebalance=*/true);
+      wh->set_local_threads(threads);
+      ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                           wh->Plan(query, OptimizerOptions::All()));
+      for (int iter = 0; iter < 2; ++iter) {  // repeat with warm rates
+        auto result = tree ? wh->ExecutePlanTree(plan, /*fan_in=*/2)
+                           : wh->ExecutePlan(plan);
+        ASSERT_OK(result.status());
+        EXPECT_EQ(TableBytes(result->table), oracle_bytes);
+        total_splits += result->metrics.RebalanceSplits();
+        if (!tree) {
+          // The helper slot (id 4, after the four primaries) is a row of
+          // its own, and the rows still sum to the flat plan's totals.
+          ExpectSiteLoadsSumToTotals(result->metrics);
+          const StragglerReport load = BuildStragglerReport(result->metrics);
+          const bool split = result->metrics.RebalanceSplits() > 0;
+          ASSERT_EQ(load.sites.size(), split ? 5u : 4u);
+          if (split) {
+            EXPECT_EQ(load.sites.back().site, 4);
+            EXPECT_GT(load.sites.back().bytes_in, 0u);
+            EXPECT_GT(load.sites.back().groups_out, 0);
+            flat_splits += result->metrics.RebalanceSplits();
           }
         }
       }

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "dist/metrics.h"
 #include "gmdj/gmdj.h"
+#include "storage/serializer.h"
 #include "storage/table.h"
 
 namespace skalla {
@@ -41,6 +42,12 @@ inline void ExpectSameRows(const Table& actual, const Table& expected) {
       << "actual:\n"
       << actual.ToString(50) << "expected:\n"
       << expected.ToString(50);
+}
+
+/// A table's SKL2 wire form: tables compared through it are byte-exactly
+/// equal, including row order.
+inline std::string TableBytes(const Table& table) {
+  return Serializer::SerializeTable(table);
 }
 
 /// Per-site load conservation of a flat plan: the query's per-site rows

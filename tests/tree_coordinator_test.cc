@@ -13,11 +13,6 @@
 namespace skalla {
 namespace {
 
-/// Serialized wire form: byte-exact equality, including row order.
-std::string TableBytes(const Table& table) {
-  return Serializer::SerializeTable(table);
-}
-
 std::vector<Site*> SitesOf(Warehouse* wh) {
   std::vector<Site*> sites;
   for (int i = 0; i < wh->num_sites(); ++i) sites.push_back(&wh->site(i));

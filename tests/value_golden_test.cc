@@ -1,7 +1,9 @@
 // Golden values of Value's hash, order, equality, rendering and sizes, and
 // of the SKL1/SKL2/SKLD bytes and ContentHash of a mixed table, captured
 // from the std::variant-based Value this cell layout replaced. They pin
-// that the cell's layout changes no hash, no order and no byte.
+// that the cell's layout changes no hash, no order and no byte. The SKL1
+// bytes, which only the tests' encoder (skl1_oracle.h) writes now, pin that
+// encoder and Serializer::Skl1Size too.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "common/hash_util.h"
+#include "skl1_oracle.h"
 #include "storage/schema.h"
 #include "storage/serializer.h"
 #include "storage/table.h"
@@ -263,14 +266,15 @@ TEST(ValueGoldenTest, MebibyteString) {
 
 TEST(ValueGoldenTest, TableBytesAndContentHash) {
   const Table t = GoldenTable();
-  const std::string skl1 = Serializer::SerializeTable(t, WireFormat::kSkl1);
-  const std::string skl2 = Serializer::SerializeTable(t, WireFormat::kSkl2);
+  const std::string skl1 = EncodeSkl1(t);
+  const std::string skl2 = Serializer::SerializeTable(t);
   Table base = GoldenTable();
   for (int64_t r = 0; r < base.num_rows(); r += 5) {
     base.mutable_row(r)[1] = Value(-1.5);
   }
   const std::string skld = Serializer::SerializeDelta(base, t);
   EXPECT_EQ(skl1.size(), size_t{3661});
+  EXPECT_EQ(Serializer::Skl1Size(t), size_t{3661});
   EXPECT_EQ(HashBytes(skl1), 0x053cc01ead439fb6ULL);
   EXPECT_EQ(skl2.size(), size_t{1802});
   EXPECT_EQ(HashBytes(skl2), 0xaa6cf07c0c41ac55ULL);

@@ -19,8 +19,8 @@
 #include "expr/expr.h"
 #include "gmdj/gmdj.h"
 #include "gmdj/local_eval.h"
+#include "skl1_oracle.h"
 #include "storage/columnar.h"
-#include "storage/serializer.h"
 #include "storage/table.h"
 #include "test_util.h"
 
@@ -44,9 +44,7 @@ std::string Bits(const Value& v) {
   return "v:" + v.ToString();
 }
 
-std::string TableBits(const Table& t) {
-  return Serializer::SerializeTable(t, WireFormat::kSkl1);
-}
+std::string TableBits(const Table& t) { return EncodeSkl1(t); }
 
 // ---------------------------------------------------------------------------
 // ColumnarTable

@@ -1,15 +1,16 @@
 // Wire-format suite (ctest label "wire"): SKL2 columnar codecs, SKLD
-// delta shipping, byte-exact size accounting, and end-to-end result
-// identity across formats. Runs as its own binary (skalla_wire_tests) so
-// it can be exercised in isolation, e.g. under -DSKALLA_SANITIZE=address.
-
-#include "storage/wire_format.h"
+// delta shipping, byte-exact size accounting, end-to-end result identity
+// with and without deltas, and warehouse files in the SKL1 format the
+// library still decodes. Runs as its own binary (skalla_wire_tests) so it
+// can be exercised in isolation, e.g. under -DSKALLA_SANITIZE=address.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <optional>
 #include <span>
@@ -23,8 +24,10 @@
 #include "dist/coordinator.h"
 #include "engine/operators.h"
 #include "obs/metrics.h"
+#include "skalla/persistence.h"
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
+#include "skl1_oracle.h"
 #include "storage/serializer.h"
 #include "test_util.h"
 #include "tpc/dbgen.h"
@@ -32,22 +35,9 @@
 namespace skalla {
 namespace {
 
-std::string TableBytes(const Table& t) {
-  return Serializer::SerializeTable(t);
-}
-
 // ---------------------------------------------------------------------------
-// Format plumbing.
-// ---------------------------------------------------------------------------
-
-TEST(WireFormatTest, ParseAndName) {
-  EXPECT_STREQ(WireFormatName(WireFormat::kSkl1), "SKL1");
-  EXPECT_STREQ(WireFormatName(WireFormat::kSkl2), "SKL2");
-}
-
-// ---------------------------------------------------------------------------
-// Size accounting: WireSize and Table::SerializedSize must be byte-exact
-// for both formats, on hand-built and randomized tables.
+// Size accounting: WireSize, Table::SerializedSize and Skl1Size must be
+// byte-exact, on hand-built and randomized tables.
 // ---------------------------------------------------------------------------
 
 /// A table exercising every codec: delta-friendly ints, raw doubles with
@@ -76,22 +66,17 @@ Table CodecZoo() {
 
 void ExpectExactSizes(const Table& t) {
   // Bit-exact round-trip witness (Value equality would reject NaN == NaN).
-  const std::string canonical =
-      Serializer::SerializeTable(t, WireFormat::kSkl1);
-  for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
-    SCOPED_TRACE(WireFormatName(format));
-    const std::string bytes = Serializer::SerializeTable(t, format);
-    EXPECT_EQ(Serializer::WireSize(t, format), bytes.size());
-    // Table::SerializedSize is the payload after the common header, and the
-    // header's size equals the wire size of an empty table over the same
-    // schema.
-    Table empty(t.schema_ptr());
-    EXPECT_EQ(t.SerializedSize(format),
-              bytes.size() - Serializer::WireSize(empty, format));
-    ASSERT_OK_AND_ASSIGN(Table decoded, Serializer::DeserializeTable(bytes));
-    EXPECT_EQ(Serializer::SerializeTable(decoded, WireFormat::kSkl1),
-              canonical);
-  }
+  const std::string canonical = EncodeSkl1(t);
+  EXPECT_EQ(Serializer::Skl1Size(t), canonical.size());
+  const std::string bytes = Serializer::SerializeTable(t);
+  EXPECT_EQ(Serializer::WireSize(t), bytes.size());
+  // Table::SerializedSize is the payload after the common header, and the
+  // header's size equals the wire size of an empty table over the same
+  // schema.
+  Table empty(t.schema_ptr());
+  EXPECT_EQ(t.SerializedSize(), bytes.size() - Serializer::WireSize(empty));
+  ASSERT_OK_AND_ASSIGN(Table decoded, Serializer::DeserializeTable(bytes));
+  EXPECT_EQ(EncodeSkl1(decoded), canonical);
 }
 
 TEST(WireFormatTest, ExactSizesOnCodecZoo) { ExpectExactSizes(CodecZoo()); }
@@ -101,9 +86,8 @@ TEST(WireFormatTest, ExactSizesOnTinyAndEmptyTables) {
   Table empty(MakeSchema({{"a", ValueType::kInt64},
                           {"s", ValueType::kString}}));
   ExpectExactSizes(empty);
-  // An empty table has no payload in either format.
-  EXPECT_EQ(empty.SerializedSize(WireFormat::kSkl1), 0u);
-  EXPECT_EQ(empty.SerializedSize(WireFormat::kSkl2), 0u);
+  // An empty table has no payload.
+  EXPECT_EQ(empty.SerializedSize(), 0u);
 }
 
 TEST(WireFormatTest, ExactSizesOnRandomTables) {
@@ -137,9 +121,8 @@ TEST(WireFormatTest, SizingRecordsNoEncodeMetrics) {
       obs::HistogramLayout::Bytes());
   const Table t = CodecZoo();
   const uint64_t before = skl2_bytes.Count();
-  EXPECT_EQ(Serializer::WireSize(t, WireFormat::kSkl2),
-            Serializer::SerializeTable(t, WireFormat::kSkl2).size());
-  EXPECT_GT(t.SerializedSize(WireFormat::kSkl2), 0u);
+  EXPECT_EQ(Serializer::WireSize(t), Serializer::SerializeTable(t).size());
+  EXPECT_GT(t.SerializedSize(), 0u);
   EXPECT_EQ(skl2_bytes.Count(), before + 1);
 }
 
@@ -150,8 +133,7 @@ TEST(WireFormatTest, Skl2IsSmallerOnRepetitiveData) {
   Table t(MakeSchema({{"k", ValueType::kInt64}, {"s", ValueType::kString}}));
   const char* names[] = {"pending", "shipped", "billed"};
   for (int64_t i = 0; i < 500; ++i) t.AddRow({Value(i), Value(names[i % 3])});
-  EXPECT_LT(Serializer::WireSize(t, WireFormat::kSkl2),
-            Serializer::WireSize(t, WireFormat::kSkl1) / 4);
+  EXPECT_LT(Serializer::WireSize(t), Serializer::Skl1Size(t) / 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -169,9 +151,8 @@ constexpr uint8_t kTagNullFree = 0x80;
 
 /// The SKL2 column sections of `t`: its payload after the common header.
 std::string Sections(const Table& t) {
-  const std::string bytes = Serializer::SerializeTable(t, WireFormat::kSkl2);
-  return bytes.substr(
-      Serializer::WireSize(Table(t.schema_ptr()), WireFormat::kSkl2));
+  const std::string bytes = Serializer::SerializeTable(t);
+  return bytes.substr(Serializer::WireSize(Table(t.schema_ptr())));
 }
 
 uint8_t Tag(const std::string& sections, size_t offset = 0) {
@@ -272,8 +253,8 @@ TEST(WireCodecTest, RepeatDeclinesWhenNotSmaller) {
 // ---------------------------------------------------------------------------
 
 void ExpectPathsAgree(const Table& t) {
-  EXPECT_EQ(Serializer::SerializeTable(t, WireFormat::kSkl2),
-            Serializer::SerializeTableRowPath(t, WireFormat::kSkl2));
+  EXPECT_EQ(Serializer::SerializeTable(t),
+            Serializer::SerializeTableRowPath(t));
 }
 
 const char* const kWords[] = {"alpha", "", "beta", "gamma"};
@@ -621,17 +602,13 @@ AvgTable RandomAvgs(Rng* rng, int64_t groups, bool doubles,
 /// The AVG column's section of `t` encoded with `carriers`.
 std::string AvgSection(const Table& t,
                        std::span<const QuotientCarriers> carriers) {
-  const std::string bytes =
-      Serializer::SerializeTable(t, WireFormat::kSkl2, carriers);
-  const std::string key_only = Serializer::SerializeTable(
-      *Project(t, {"k"}), WireFormat::kSkl2);
+  const std::string bytes = Serializer::SerializeTable(t, carriers);
+  const std::string key_only = Serializer::SerializeTable(*Project(t, {"k"}));
   // The header differs only in the second field; the key section follows
   // it in both.
-  const size_t header =
-      Serializer::WireSize(Table(t.schema_ptr()), WireFormat::kSkl2);
+  const size_t header = Serializer::WireSize(Table(t.schema_ptr()));
   const size_t key_header =
-      Serializer::WireSize(Table(MakeSchema({{"k", ValueType::kInt64}})),
-                           WireFormat::kSkl2);
+      Serializer::WireSize(Table(MakeSchema({{"k", ValueType::kInt64}})));
   return bytes.substr(header + (key_only.size() - key_header));
 }
 
@@ -639,10 +616,8 @@ std::string AvgSection(const Table& t,
 /// to `t` bit for bit — through DeserializeTable and DecodeColumns.
 void ExpectCarriersRoundTrip(const Table& t,
                              std::span<const QuotientCarriers> carriers) {
-  const std::string bytes =
-      Serializer::SerializeTable(t, WireFormat::kSkl2, carriers);
-  EXPECT_EQ(bytes,
-            Serializer::SerializeTableRowPath(t, WireFormat::kSkl2, carriers));
+  const std::string bytes = Serializer::SerializeTable(t, carriers);
+  EXPECT_EQ(bytes, Serializer::SerializeTableRowPath(t, carriers));
   ASSERT_OK_AND_ASSIGN(Table rows, Serializer::DeserializeTable(bytes));
   EXPECT_EQ(Serializer::ContentHash(rows), Serializer::ContentHash(t));
   ASSERT_OK_AND_ASSIGN(DecodedColumns columns,
@@ -660,8 +635,7 @@ void ExpectCarriersRoundTrip(const Table& t,
     }
   }
   // The decode re-encodes, without carriers, to the raw encoding.
-  EXPECT_EQ(Serializer::SerializeTable(rows, WireFormat::kSkl2),
-            Serializer::SerializeTable(t, WireFormat::kSkl2));
+  EXPECT_EQ(Serializer::SerializeTable(rows), Serializer::SerializeTable(t));
 }
 
 TEST(WireQuotientTest, AvgOverInt64ShipsAsCarriers) {
@@ -860,8 +834,7 @@ TEST(WireDeltaTest, AppendedColumnShipsOnlyTheNewColumn) {
   const Table base = BaseX();
   const Table next = ExtendedX();
   const std::string delta = Serializer::SerializeDelta(base, next);
-  const std::string full =
-      Serializer::SerializeTable(next, WireFormat::kSkl2);
+  const std::string full = Serializer::SerializeTable(next);
   EXPECT_LT(delta.size(), full.size());
   // The delta carries only the appended o1 column (plus a bounded
   // preamble) — the unchanged k and c columns are never re-shipped.
@@ -869,8 +842,7 @@ TEST(WireDeltaTest, AppendedColumnShipsOnlyTheNewColumn) {
   for (int64_t i = 0; i < 100; ++i) {
     o1_only.AddRow({Value(static_cast<double>(i) / 2)});
   }
-  EXPECT_LT(delta.size(),
-            o1_only.SerializedSize(WireFormat::kSkl2) + 128);
+  EXPECT_LT(delta.size(), o1_only.SerializedSize() + 128);
   ASSERT_OK_AND_ASSIGN(Table decoded, Serializer::DecodeShipment(&base, delta));
   EXPECT_EQ(TableBytes(decoded), TableBytes(next));
 }
@@ -884,8 +856,7 @@ TEST(WireDeltaTest, AppendedRowsShipOnlyTheSuffix) {
   Table next = base;
   for (int64_t i = 100; i < 110; ++i) next.AddRow(row(i));
   const std::string delta = Serializer::SerializeDelta(base, next);
-  const std::string full =
-      Serializer::SerializeTable(next, WireFormat::kSkl2);
+  const std::string full = Serializer::SerializeTable(next);
   EXPECT_LT(delta.size(), full.size() / 2);
   ASSERT_OK_AND_ASSIGN(Table decoded, Serializer::DecodeShipment(&base, delta));
   EXPECT_EQ(TableBytes(decoded), TableBytes(next));
@@ -960,8 +931,7 @@ TEST(WireDeltaTest, FullPayloadDecodesWithOrWithoutCache) {
   // cache state is unknown; it must decode standalone and also when the
   // receiver still holds an older (now superseded) base.
   const Table next = ExtendedX();
-  const std::string full =
-      Serializer::SerializeTable(next, WireFormat::kSkl2);
+  const std::string full = Serializer::SerializeTable(next);
   ASSERT_OK_AND_ASSIGN(Table standalone,
                        Serializer::DecodeShipment(nullptr, full));
   EXPECT_EQ(TableBytes(standalone), TableBytes(next));
@@ -984,9 +954,10 @@ TEST(WireDeltaTest, ContentHashIsBitExact) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: every format/delta configuration returns byte-identical
-// results, delta shipping cuts total traffic >= 2x on the Fig. 2 workload,
-// and the metrics equal the simulated network's records exactly.
+// End-to-end: every delta, parallel and topology configuration returns
+// byte-identical results, delta shipping cuts total traffic >= 2x against
+// full SKL1 shipping on the Fig. 2 workload, and the metrics equal the
+// simulated network's records exactly.
 // ---------------------------------------------------------------------------
 
 class WireEndToEndTest : public ::testing::Test {
@@ -1001,9 +972,8 @@ class WireEndToEndTest : public ::testing::Test {
                               {"CustKey", "ClerkKey"}));
   }
 
-  static NetworkConfig Config(WireFormat format, bool delta) {
+  static NetworkConfig Config(bool delta) {
     NetworkConfig net;
-    net.wire_format = format;
     net.delta_shipping = delta;
     return net;
   }
@@ -1018,14 +988,16 @@ TEST_F(WireEndToEndTest, ResultsAreByteIdenticalAcrossFormats) {
         queries::CoalescingQuery("ClerkKey")}) {
     ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
                          wh.Plan(query, OptimizerOptions::None()));
-    wh.set_network_config(Config(WireFormat::kSkl1, false));
+    // The reference ships every X in full, serially and flat.
+    wh.set_network_config(Config(false));
     ASSERT_OK_AND_ASSIGN(QueryResult reference, wh.ExecutePlan(plan));
     const std::string expected = TableBytes(reference.table);
 
     for (const bool delta : {false, true}) {
       for (const bool parallel : {false, true}) {
-        SCOPED_TRACE(delta ? "skl2+delta" : "skl2");
-        wh.set_network_config(Config(WireFormat::kSkl2, delta));
+        SCOPED_TRACE(std::string(delta ? "skl2+delta" : "skl2") +
+                     (parallel ? " parallel" : " serial"));
+        wh.set_network_config(Config(delta));
         wh.set_parallel_site_execution(parallel);
         ASSERT_OK_AND_ASSIGN(QueryResult flat, wh.ExecutePlan(plan));
         EXPECT_EQ(TableBytes(flat.table), expected);
@@ -1038,6 +1010,8 @@ TEST_F(WireEndToEndTest, ResultsAreByteIdenticalAcrossFormats) {
 }
 
 TEST_F(WireEndToEndTest, DeltaShippingCutsTrafficAtLeastTwofold) {
+  // Against full SKL1 shipping, which BytesBaselineSkl1() prices exactly
+  // (Skl1BaselineEqualsSkl1RunBytes).
   Warehouse wh(8);
   Load(&wh);
   ASSERT_OK_AND_ASSIGN(
@@ -1045,66 +1019,61 @@ TEST_F(WireEndToEndTest, DeltaShippingCutsTrafficAtLeastTwofold) {
       wh.Plan(queries::GroupReductionQuery("CustKey"),
               OptimizerOptions::None()));
 
-  wh.set_network_config(Config(WireFormat::kSkl1, false));
-  ASSERT_OK_AND_ASSIGN(QueryResult skl1, wh.ExecutePlan(plan));
+  wh.set_network_config(Config(true));
+  ASSERT_OK_AND_ASSIGN(QueryResult delta, wh.ExecutePlan(plan));
+  wh.set_network_config(Config(false));
+  ASSERT_OK_AND_ASSIGN(QueryResult full, wh.ExecutePlan(plan));
 
-  wh.set_network_config(Config(WireFormat::kSkl2, true));
-  ASSERT_OK_AND_ASSIGN(QueryResult skl2_delta, wh.ExecutePlan(plan));
+  EXPECT_EQ(TableBytes(delta.table), TableBytes(full.table));
+  EXPECT_GE(delta.metrics.BytesBaselineSkl1(), 2 * delta.metrics.TotalBytes())
+      << "SKL1 " << delta.metrics.BytesBaselineSkl1() << " vs SKL2+delta "
+      << delta.metrics.TotalBytes();
 
-  EXPECT_EQ(TableBytes(skl2_delta.table), TableBytes(skl1.table));
-  EXPECT_GE(skl1.metrics.TotalBytes(), 2 * skl2_delta.metrics.TotalBytes())
-      << "SKL1 " << skl1.metrics.TotalBytes() << " vs SKL2+delta "
-      << skl2_delta.metrics.TotalBytes();
+  // The counters: savings recorded, the ratio above 2.
+  EXPECT_GT(delta.metrics.BytesSavedByDelta(), 0u);
+  EXPECT_GE(delta.metrics.CompressionRatio(), 2.0);
 
-  // The new counters: savings recorded, baseline consistent, ratio > 1.
-  EXPECT_GT(skl2_delta.metrics.BytesSavedByDelta(), 0u);
-  EXPECT_GE(skl2_delta.metrics.BytesBaselineSkl1(),
-            skl2_delta.metrics.TotalBytes());
-  EXPECT_GT(skl2_delta.metrics.CompressionRatio(), 1.0);
-
-  // SKL1 full-ship is its own baseline.
-  EXPECT_EQ(skl1.metrics.BytesSavedByDelta(), 0u);
-  EXPECT_DOUBLE_EQ(skl1.metrics.CompressionRatio(), 1.0);
+  // Without deltas nothing is saved, against the same baseline.
+  EXPECT_EQ(full.metrics.BytesSavedByDelta(), 0u);
+  EXPECT_EQ(full.metrics.BytesBaselineSkl1(),
+            delta.metrics.BytesBaselineSkl1());
+  EXPECT_LT(delta.metrics.TotalBytes(), full.metrics.TotalBytes());
 
   // The same holds on the aggregation tree.
-  wh.set_network_config(Config(WireFormat::kSkl1, false));
-  ASSERT_OK_AND_ASSIGN(QueryResult tree_skl1, wh.ExecutePlanTree(plan, 2));
-  wh.set_network_config(Config(WireFormat::kSkl2, true));
+  wh.set_network_config(Config(true));
   ASSERT_OK_AND_ASSIGN(QueryResult tree_delta, wh.ExecutePlanTree(plan, 2));
-  EXPECT_EQ(TableBytes(tree_delta.table), TableBytes(tree_skl1.table));
-  EXPECT_GE(tree_skl1.metrics.TotalBytes(),
+  EXPECT_EQ(TableBytes(tree_delta.table), TableBytes(full.table));
+  EXPECT_GE(tree_delta.metrics.BytesBaselineSkl1(),
             2 * tree_delta.metrics.TotalBytes());
   EXPECT_GT(tree_delta.metrics.BytesSavedByDelta(), 0u);
 }
 
 TEST_F(WireEndToEndTest, Skl1BaselineEqualsSkl1RunBytes) {
   // BytesBaselineSkl1() is what every message of the query would cost as a
-  // full SKL1 payload: exactly the bytes an SKL1 run ships, whatever the
-  // SKL2 run saves with deltas, flat and on the tree.
+  // full SKL1 payload: exactly the bytes each query shipped, flat and on
+  // the fan-in-2 tree, when NetworkConfig could still select SKL1 (the
+  // recorded numbers), whatever the run saves with deltas.
+  struct Case {
+    GmdjExpr query;
+    size_t flat;
+    size_t tree;
+  };
+  const Case cases[] = {
+      {queries::GroupReductionQuery("CustKey"), 604811, 1082953},
+      {queries::CombinedQuery("CustKey"), 1071315, 1907145},
+      {queries::CoalescingQuery("ClerkKey"), 42432, 75006}};
   Warehouse wh(8);
   Load(&wh);
-  for (const GmdjExpr& query :
-       {queries::GroupReductionQuery("CustKey"),
-        queries::CombinedQuery("CustKey"),
-        queries::CoalescingQuery("ClerkKey")}) {
+  for (const Case& c : cases) {
     ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
-                         wh.Plan(query, OptimizerOptions::None()));
-    for (const int fan_in : {0, 2}) {
-      auto run = [&](const NetworkConfig& net) {
-        wh.set_network_config(net);
-        return fan_in == 0 ? wh.ExecutePlan(plan)
-                           : wh.ExecutePlanTree(plan, fan_in);
-      };
-      ASSERT_OK_AND_ASSIGN(QueryResult skl1,
-                           run(Config(WireFormat::kSkl1, false)));
-      for (const bool delta : {false, true}) {
-        SCOPED_TRACE(std::string(fan_in == 0 ? "flat" : "tree") +
-                     (delta ? " skl2+delta" : " skl2"));
-        ASSERT_OK_AND_ASSIGN(QueryResult skl2,
-                             run(Config(WireFormat::kSkl2, delta)));
-        EXPECT_EQ(skl2.metrics.BytesBaselineSkl1(),
-                  skl1.metrics.TotalBytes());
-      }
+                         wh.Plan(c.query, OptimizerOptions::None()));
+    for (const bool delta : {false, true}) {
+      SCOPED_TRACE(delta ? "skl2+delta" : "skl2");
+      wh.set_network_config(Config(delta));
+      ASSERT_OK_AND_ASSIGN(QueryResult flat, wh.ExecutePlan(plan));
+      EXPECT_EQ(flat.metrics.BytesBaselineSkl1(), c.flat);
+      ASSERT_OK_AND_ASSIGN(QueryResult tree, wh.ExecutePlanTree(plan, 2));
+      EXPECT_EQ(tree.metrics.BytesBaselineSkl1(), c.tree);
     }
   }
 }
@@ -1119,7 +1088,7 @@ TEST_F(WireEndToEndTest, FusedRoundRepliesStayUnderTenBytesPerGroup) {
   // integral codec, 11.2 without repeats and 17.0 with neither.
   Warehouse wh(8);
   Load(&wh);
-  wh.set_network_config(Config(WireFormat::kSkl2, true));
+  wh.set_network_config(Config(true));
   ASSERT_OK_AND_ASSIGN(
       DistributedPlan plan,
       wh.Plan(queries::GroupReductionQuery("CustKey"),
@@ -1137,8 +1106,10 @@ TEST_F(WireEndToEndTest, FusedRoundRepliesStayUnderTenBytesPerGroup) {
 }
 
 TEST_F(WireEndToEndTest, AvgCarriersLeaveResultsUnchanged) {
-  // SKL1 never ships carriers: every SKL2 plan — Theorem-4 reduced and
-  // column-pruned views under All(), deltas, trees — must give its bytes.
+  // Every plan — Theorem-4 reduced and column-pruned views under All(),
+  // deltas, trees — gives the bytes of the serial flat run without deltas,
+  // and that run holds the rows of the centralized evaluation, which ships
+  // nothing and so no carriers.
   Warehouse wh(8);
   Load(&wh);
   for (const GmdjExpr& query :
@@ -1147,18 +1118,20 @@ TEST_F(WireEndToEndTest, AvgCarriersLeaveResultsUnchanged) {
         queries::SyncReductionQuery("CustKey"),
         queries::CombinedQuery("CustKey"),
         queries::MultiFeatureQuery("ClerkKey")}) {
+    ASSERT_OK_AND_ASSIGN(Table central, wh.ExecuteCentralized(query));
     for (const bool all : {false, true}) {
       ASSERT_OK_AND_ASSIGN(
           DistributedPlan plan,
           wh.Plan(query,
                   all ? OptimizerOptions::All() : OptimizerOptions::None()));
-      wh.set_network_config(Config(WireFormat::kSkl1, false));
+      wh.set_network_config(Config(false));
       ASSERT_OK_AND_ASSIGN(QueryResult reference, wh.ExecutePlan(plan));
+      ExpectSameRows(reference.table, central);
       const std::string expected = TableBytes(reference.table);
       for (const bool delta : {false, true}) {
         SCOPED_TRACE(std::string(all ? "All()" : "None()") +
                      (delta ? " skl2+delta" : " skl2"));
-        wh.set_network_config(Config(WireFormat::kSkl2, delta));
+        wh.set_network_config(Config(delta));
         ASSERT_OK_AND_ASSIGN(QueryResult flat, wh.ExecutePlan(plan));
         EXPECT_EQ(TableBytes(flat.table), expected);
         ASSERT_OK_AND_ASSIGN(QueryResult tree, wh.ExecutePlanTree(plan, 2));
@@ -1181,7 +1154,7 @@ TEST_F(WireEndToEndTest, XViewsShipAvgsAsCarriersAndAResumedXRaw) {
                                OptimizerOptions::None()));
   ASSERT_EQ(plan.rounds.size(), 2u);
 
-  Coordinator fresh(sites, Config(WireFormat::kSkl2, false));
+  Coordinator fresh(sites, Config(false));
   std::optional<Table> x1;
   fresh.set_round_observer([&x1](size_t ops_done, const Table& x) {
     if (ops_done == 1) x1 = x;
@@ -1197,7 +1170,7 @@ TEST_F(WireEndToEndTest, XViewsShipAvgsAsCarriersAndAResumedXRaw) {
   EXPECT_LT(carrier_views * 2, raw_views)
       << carrier_views << " vs " << raw_views;
 
-  Coordinator resumed(sites, Config(WireFormat::kSkl2, false));
+  Coordinator resumed(sites, Config(false));
   resumed.set_resume(&*x1, 1);
   ExecutionMetrics resumed_metrics;
   ASSERT_OK_AND_ASSIGN(Table resumed_table,
@@ -1231,24 +1204,86 @@ TEST_F(WireEndToEndTest, MetricsEqualNetworkBytesUnderDelta) {
         DistributedPlan plan,
         wh.Plan(queries::CombinedQuery("CustKey"),
                 all ? OptimizerOptions::All() : OptimizerOptions::None()));
-    for (const WireFormat format : {WireFormat::kSkl1, WireFormat::kSkl2}) {
-      for (const bool delta : {false, true}) {
-        SCOPED_TRACE(std::string(all ? "All() " : "None() ") +
-                     WireFormatName(format) + (delta ? "+delta" : ""));
-        Coordinator flat(sites, Config(format, delta));
-        ExecutionMetrics flat_metrics;
-        ASSERT_OK_AND_ASSIGN(Table flat_table,
-                             flat.Execute(plan, &flat_metrics));
-        EXPECT_GT(flat_table.num_rows(), 0);
-        ExpectBytesMatchNetwork(flat_metrics, flat.network());
+    for (const bool delta : {false, true}) {
+      SCOPED_TRACE(std::string(all ? "All() " : "None() ") +
+                   (delta ? "skl2+delta" : "skl2"));
+      Coordinator flat(sites, Config(delta));
+      ExecutionMetrics flat_metrics;
+      ASSERT_OK_AND_ASSIGN(Table flat_table,
+                           flat.Execute(plan, &flat_metrics));
+      EXPECT_GT(flat_table.num_rows(), 0);
+      ExpectBytesMatchNetwork(flat_metrics, flat.network());
 
-        Coordinator tree(sites, /*fan_in=*/2, Config(format, delta));
-        ExecutionMetrics tree_metrics;
-        ASSERT_OK_AND_ASSIGN(Table tree_table,
-                             tree.Execute(plan, &tree_metrics));
-        EXPECT_EQ(TableBytes(tree_table), TableBytes(flat_table));
-        ExpectBytesMatchNetwork(tree_metrics, tree.network());
-      }
+      Coordinator tree(sites, /*fan_in=*/2, Config(delta));
+      ExecutionMetrics tree_metrics;
+      ASSERT_OK_AND_ASSIGN(Table tree_table,
+                           tree.Execute(plan, &tree_metrics));
+      EXPECT_EQ(TableBytes(tree_table), TableBytes(flat_table));
+      ExpectBytesMatchNetwork(tree_metrics, tree.network());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seed-era warehouse files: SaveWarehouse once wrote every fragment as SKL1
+// under the same manifest, so LoadWarehouse must still read them and give
+// the same answers.
+// ---------------------------------------------------------------------------
+
+TEST(WireSkl1FileTest, Skl1FragmentsLoadToByteIdenticalAnswers) {
+  Warehouse original(4);
+  TpcConfig config;
+  config.num_rows = 4000;
+  config.num_customers = 300;
+  config.num_clerks = 40;
+  config.seed = 7;
+  ASSERT_OK(original.LoadByRange("TPCR", GenerateTpcr(config), "NationKey", 0,
+                                 24, {"CustKey", "ClerkKey"}));
+  const std::string dir = ::testing::TempDir() + "/skalla_wh_skl1";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_OK(SaveWarehouse(original, dir));
+
+  // Rewrite each fragment file as its SKL1 encoding.
+  int rewritten = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.path().extension() != ".skl") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    in.close();
+    ASSERT_OK_AND_ASSIGN(Table fragment, Serializer::DeserializeTable(bytes));
+    ASSERT_EQ(bytes, Serializer::SerializeTable(fragment));  // saved as SKL2
+    std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+        << EncodeSkl1(fragment);
+    ++rewritten;
+  }
+  EXPECT_EQ(rewritten, original.num_sites());
+
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Warehouse> restored,
+                       LoadWarehouse(dir));
+  ASSERT_EQ(restored->num_sites(), original.num_sites());
+  for (int s = 0; s < original.num_sites(); ++s) {
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> a,
+                         original.site(s).catalog().GetTable("TPCR"));
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> b,
+                         restored->site(s).catalog().GetTable("TPCR"));
+    EXPECT_EQ(EncodeSkl1(*b), EncodeSkl1(*a)) << "site " << s;
+  }
+  for (const GmdjExpr& query :
+       {queries::GroupReductionQuery("CustKey"),
+        queries::CoalescingQuery("ClerkKey"),
+        queries::SyncReductionQuery("CustKey"),
+        queries::CombinedQuery("CustKey"),
+        queries::MultiFeatureQuery("ClerkKey")}) {
+    for (const bool all : {false, true}) {
+      const OptimizerOptions options =
+          all ? OptimizerOptions::All() : OptimizerOptions::None();
+      ASSERT_OK_AND_ASSIGN(QueryResult expected,
+                           original.Execute(query, options));
+      ASSERT_OK_AND_ASSIGN(QueryResult actual,
+                           restored->Execute(query, options));
+      EXPECT_EQ(TableBytes(actual.table), TableBytes(expected.table));
     }
   }
 }
