@@ -152,7 +152,9 @@ class Coordinator {
   /// Shares the SKLD delta-base cache across queries (borrowed; may be
   /// null to keep the default per-query cache). The cache mirrors what
   /// each topology node (leaf or aggregator, by node id) last received of
-  /// X and is resized to the node count; with delta shipping enabled,
+  /// X — the node's decoded view itself, one object for the nodes that
+  /// received the same view — and is resized to the node count; with
+  /// delta shipping enabled,
   /// consecutive queries over slowly-changing base structures then ship
   /// deltas from the first round instead of re-priming per query. Query
   /// *results* are unaffected — the decoded site view always equals the
