@@ -418,6 +418,17 @@ Result<SchemaMap> Coordinator::CollectSchemas(
 
 Result<Table> Coordinator::Execute(const DistributedPlan& plan,
                                    ExecutionMetrics* metrics) {
+  ExecutionMetrics local_metrics;
+  Result<Table> result = Run(plan, &local_metrics);
+  // Success, a typed failure (with the failing round's partial counts) and
+  // cancellation all publish the rounds that ran, once.
+  PublishExecutionMetrics(local_metrics);
+  if (metrics != nullptr) *metrics = std::move(local_metrics);
+  return result;
+}
+
+Result<Table> Coordinator::Run(const DistributedPlan& plan,
+                               ExecutionMetrics* metrics) {
   if (sites_.empty()) {
     return Status::InvalidArgument("coordinator has no sites");
   }
@@ -428,7 +439,6 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
                           " site(s)");
   }
   network_.Reset();
-  ExecutionMetrics local_metrics;
   // Which physical site serves each slot; failover swaps are sticky for
   // the rest of the query.
   SiteRoster roster(sites_, replicas_);
@@ -517,7 +527,9 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     if (round_span.armed() && !base) {
       round_span.set_detail("round " + std::to_string(r + 1));
     }
-    RoundMetrics rm;
+    // The round's record is in the query's from the start, so a round that
+    // fails keeps what it counted.
+    RoundMetrics& rm = metrics->rounds.emplace_back();
     rm.streaming = network_.config().streaming_sync;
     rm.label = base ? "base query" : name;
     if (round.ops.size() > 1) {
@@ -727,7 +739,6 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     }
 
     rm.coord_cpu_sec += coord_cpu;
-    local_metrics.rounds.push_back(std::move(rm));
 
     ops_done += round.ops.size();
     if (!base && round_observer_) round_observer_(ops_done, x);
@@ -745,8 +756,8 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
       if (having.EvalBool(&row, nullptr)) filtered.AddRow(row);
     }
     x = std::move(filtered);
-    if (!local_metrics.rounds.empty()) {
-      local_metrics.rounds.back().coord_cpu_sec += having_sw.ElapsedSeconds();
+    if (!metrics->rounds.empty()) {
+      metrics->rounds.back().coord_cpu_sec += having_sw.ElapsedSeconds();
     }
   }
 
@@ -758,7 +769,6 @@ Result<Table> Coordinator::Execute(const DistributedPlan& plan,
     x = Limit(x, plan.limit);
   }
 
-  if (metrics != nullptr) *metrics = std::move(local_metrics);
   return x;
 }
 

@@ -85,7 +85,10 @@ class Coordinator {
               NetworkConfig config = NetworkConfig());
 
   /// Executes a distributed plan and returns the finalized base-result
-  /// structure (= the query answer). Fills `metrics` when non-null.
+  /// structure (= the query answer). Fills `metrics` when non-null — on
+  /// failure too, with the rounds run so far — and publishes the same
+  /// record to the metrics registry (PublishExecutionMetrics) on every
+  /// exit.
   Result<Table> Execute(const DistributedPlan& plan,
                         ExecutionMetrics* metrics);
 
@@ -190,6 +193,9 @@ class Coordinator {
  private:
   /// kCancelled when the attached cancel flag is set.
   Status CheckCancelled() const;
+
+  /// Execute's body; appends each round's record as the round starts.
+  Result<Table> Run(const DistributedPlan& plan, ExecutionMetrics* metrics);
 
   std::vector<Site*> sites_;
   std::map<int, Site*> replicas_;

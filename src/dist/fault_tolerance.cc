@@ -4,7 +4,6 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/partition_info.h"
 #include "storage/serializer.h"
@@ -44,24 +43,6 @@ namespace {
 
 enum class FailureKind { kNone, kUnreachable, kTimeout };
 
-// Per-site registry instruments of the wave driver — the continuous skew
-// signal a METRICS scrape watches (the per-query equivalent lives in
-// RoundMetrics; the skew detector learns from the latter). The per-site
-// lookup builds a labeled name, so it is gated behind MetricsEnabled() at
-// the call sites; this is per attempt per round, far off the row-at-a-time
-// hot path.
-obs::Histogram& SiteRoundHistogram(int sid) {
-  return obs::GetHistogram(
-      "skalla_dist_site_round_seconds{site=\"" + std::to_string(sid) + "\"}",
-      obs::HistogramLayout::LatencySeconds());
-}
-
-obs::Counter& SiteBytesCounter(int sid, bool to_site) {
-  return obs::GetCounter("skalla_dist_site_bytes_total{dir=\"" +
-                         std::string(to_site ? "in" : "out") + "\",site=\"" +
-                         std::to_string(sid) + "\"}");
-}
-
 }  // namespace
 
 Result<std::vector<std::string>> DriveRoundWithRetries(
@@ -71,11 +52,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     const SiteEvalFn& eval, bool parallel) {
   obs::ScopedSpan drive_span("round.drive", obs::kTrackCoordinator);
   if (drive_span.armed()) drive_span.set_detail(rm->label);
-  {
-    static obs::Counter& rounds_total =
-        obs::GetCounter("skalla_dist_rounds_total");
-    rounds_total.Increment();
-  }
   const size_t n = participants.size();
   // Per-slot wall timings for the skew detector.
   if (rm->site_seconds.size() < n) rm->site_seconds.resize(n, 0.0);
@@ -99,16 +75,12 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     std::vector<size_t> eligible;
     std::vector<double> down_sec(n, 0.0);
     for (size_t p : pending) {
-      const int sid = participants[p];
-      Site* site = roster->active(sid);
+      Site* site = roster->active(participants[p]);
       SiteLoad& load = rm->site_loads[p];
       load.attempts++;
       if (attempt > 0) {
         rm->retries++;
         load.retries++;
-        static obs::Counter& retries_total =
-            obs::GetCounter("skalla_dist_retries_total");
-        retries_total.Increment();
         charge[p] += retry.BackoffSeconds(attempt);
       }
       const DownMessage& msg = down[p];
@@ -130,19 +102,10 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         rm->bytes_rebalance += send_bytes;
         rm->groups_rebalance_to_sites += msg.rows;
       }
-      if (obs::MetricsEnabled()) {
-        static obs::Counter& shipped_total =
-            obs::GetCounter("skalla_dist_bytes_shipped_total");
-        shipped_total.Add(send_bytes);
-        SiteBytesCounter(sid, /*to_site=*/true).Add(send_bytes);
-      }
       rm->bytes_baseline_skl1 +=
           msg.baseline_bytes > 0 ? msg.baseline_bytes : send_bytes;
       if (attempt == 0 && msg.fallback_bytes > msg.bytes) {
         rm->bytes_saved_by_delta += msg.fallback_bytes - msg.bytes;
-        static obs::Counter& delta_saved_total =
-            obs::GetCounter("skalla_dist_bytes_saved_by_delta_total");
-        delta_saved_total.Add(msg.fallback_bytes - msg.bytes);
       }
       if (attempt > 0) {
         rm->bytes_retransmitted += send_bytes;
@@ -153,9 +116,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         // by an immediate negative acknowledgement).
         rm->drops++;
         load.drops++;
-        static obs::Counter& drops_total =
-            obs::GetCounter("skalla_dist_drops_total");
-        drops_total.Increment();
         last_failure[p] = FailureKind::kUnreachable;
         charge[p] += retry.deadline_enabled() ? retry.DeadlineSeconds(attempt)
                                               : out.seconds;
@@ -223,12 +183,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         rm->bytes_rebalance += payload.size();
         rm->groups_rebalance_to_coord += reply_table.num_rows();
       }
-      if (obs::MetricsEnabled()) {
-        static obs::Counter& shipped_total =
-            obs::GetCounter("skalla_dist_bytes_shipped_total");
-        shipped_total.Add(payload.size());
-        SiteBytesCounter(sid, /*to_site=*/false).Add(payload.size());
-      }
       rm->bytes_baseline_skl1 += Serializer::Skl1Size(reply_table);
       if (attempt > 0) {
         rm->bytes_retransmitted += payload.size();
@@ -238,12 +192,8 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       if (!out.delivered) {
         rm->drops++;
         load.drops++;
-        static obs::Counter& drops_total =
-            obs::GetCounter("skalla_dist_drops_total");
-        drops_total.Increment();
         rm->site_cpu_sum_sec += cpu;  // the site did do the work
         load.cpu_sec += cpu;
-        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
         last_failure[p] = FailureKind::kUnreachable;
         // The coordinator waited through the whole exchange before giving
         // up on the reply.
@@ -255,12 +205,8 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       if (retry.deadline_enabled() && attempt_sec > deadline) {
         rm->timeouts++;
         load.timeouts++;
-        static obs::Counter& timeouts_total =
-            obs::GetCounter("skalla_dist_timeouts_total");
-        timeouts_total.Increment();
         rm->site_cpu_sum_sec += cpu;
         load.cpu_sec += cpu;
-        if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
         last_failure[p] = FailureKind::kTimeout;
         charge[p] += deadline;
         continue;
@@ -278,7 +224,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       rm->site_cpu_sum_sec += cpu;
       load.cpu_sec += cpu;
       rm->site_seconds[p] = cpu;
-      if (obs::MetricsEnabled()) SiteRoundHistogram(sid).Observe(cpu);
       replies[p] = std::move(payload);
       done[p] = true;
     }
@@ -315,9 +260,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
         }
         rm->failovers++;
         rm->site_loads[p].failovers++;
-        static obs::Counter& failovers_total =
-            obs::GetCounter("skalla_dist_failovers_total");
-        failovers_total.Increment();
         budget[p] += attempts_per_budget;
       }
       next_pending.push_back(p);

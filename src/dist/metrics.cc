@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "common/string_util.h"
+#include "obs/metrics.h"
 
 namespace skalla {
 
@@ -221,6 +223,40 @@ std::string ExecutionMetrics::ToString() const {
         r.site_cpu_max_sec, r.coord_cpu_sec, r.comm_sec);
   }
   return os.str();
+}
+
+void PublishExecutionMetrics(const ExecutionMetrics& metrics) {
+  if (!obs::MetricsEnabled()) return;
+  const std::pair<const char*, int64_t> totals[] = {
+      {"skalla_dist_rounds_total", metrics.NumRounds()},
+      {"skalla_dist_retries_total", metrics.Retries()},
+      {"skalla_dist_timeouts_total", metrics.Timeouts()},
+      {"skalla_dist_drops_total", metrics.Drops()},
+      {"skalla_dist_failovers_total", metrics.Failovers()},
+      {"skalla_dist_bytes_shipped_total",
+       static_cast<int64_t>(metrics.TotalBytes())},
+      {"skalla_dist_bytes_saved_by_delta_total",
+       static_cast<int64_t>(metrics.BytesSavedByDelta())},
+      {"skalla_gmdj_rows_scanned_total", metrics.DetailRowsScanned()},
+      {"skalla_gmdj_rows_matched_total", metrics.DetailRowsMatched()},
+  };
+  for (const auto& [name, value] : totals) {
+    obs::GetCounter(name).Add(static_cast<uint64_t>(value));
+  }
+  for (const RoundMetrics& r : metrics.rounds) {
+    for (const SiteLoad& load : r.site_loads) {
+      const std::string site = std::to_string(load.site);
+      obs::GetHistogram("skalla_dist_site_round_seconds{site=\"" + site + "\"}",
+                        obs::HistogramLayout::LatencySeconds())
+          .Observe(load.cpu_sec);
+      obs::GetCounter("skalla_dist_site_bytes_total{dir=\"in\",site=\"" +
+                      site + "\"}")
+          .Add(load.bytes_in);
+      obs::GetCounter("skalla_dist_site_bytes_total{dir=\"out\",site=\"" +
+                      site + "\"}")
+          .Add(load.bytes_out);
+    }
+  }
 }
 
 namespace {

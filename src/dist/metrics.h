@@ -151,6 +151,13 @@ struct ExecutionMetrics {
   std::string ToString() const;
 };
 
+/// Adds one query's record to the metrics registry's `skalla_dist_*` and
+/// `skalla_gmdj_rows_*` instruments, one round-seconds observation and the
+/// bytes of each SiteLoad row included. Coordinator::Execute calls it once
+/// on every exit, so registry totals are the sum of the queries' records
+/// (DESIGN.md invariant 13). A no-op while the registry is disabled.
+void PublishExecutionMetrics(const ExecutionMetrics& metrics);
+
 /// Straggler/skew summary across sites: how unevenly CPU and bytes are
 /// distributed, and which site is the bottleneck (cf. Beame/Koutris/Suciu,
 /// "Skew in Parallel Query Processing": per-worker imbalance, not totals,

@@ -80,16 +80,17 @@ Result<Table> Site::EvalRound(const SiteRoundInput& input,
   const std::vector<GmdjOp>& ops = *input.ops;
   const std::vector<std::string>& key_attrs = *input.key_attrs;
 
-  // Local base-values relation (Prop. 2 path) or the shipped fragment.
-  Table visible;
+  // Local base-values relation (Prop. 2 path) or the shipped fragment. A
+  // single operator reads it in place (slots may share one view); a chain
+  // folds each operator's aggregates into a copy of its own.
+  Table derived;
   if (input.base != nullptr) {
     SKALLA_ASSIGN_OR_RETURN(std::shared_ptr<const Table> source,
                             catalog_.GetTable(input.base->source_table));
-    SKALLA_ASSIGN_OR_RETURN(visible, EvalBaseQuery(*input.base, *source));
-  } else {
-    SKALLA_CHECK(input.x != nullptr);
-    visible = *input.x;
+    SKALLA_ASSIGN_OR_RETURN(derived, EvalBaseQuery(*input.base, *source));
   }
+  SKALLA_CHECK(input.base != nullptr || input.x != nullptr);
+  const Table& base_rel = input.base != nullptr ? derived : *input.x;
 
   // Single-operator round: evaluate straight into shippable H form.
   if (ops.size() == 1) {
@@ -107,7 +108,8 @@ Result<Table> Site::EvalRound(const SiteRoundInput& input,
     options.scan_lo = input.detail_lo;
     options.scan_hi = input.detail_hi;
     SKALLA_ASSIGN_OR_RETURN(
-        Table h, EvalGmdjOp(visible, *detail, ops[0], options, &report->scan));
+        Table h,
+        EvalGmdjOp(base_rel, *detail, ops[0], options, &report->scan));
     report->cpu_sec = sw.ElapsedSeconds() / compute_scale_;
     return h;
   }
@@ -115,6 +117,8 @@ Result<Table> Site::EvalRound(const SiteRoundInput& input,
   // Synchronization-reduced chain: evaluate every operator locally,
   // finalizing each operator's aggregates for use by later θs while
   // accumulating the shippable sub-aggregate columns.
+  Table visible =
+      input.base != nullptr ? std::move(derived) : Table(*input.x);
   SKALLA_ASSIGN_OR_RETURN(Table subs, Project(visible, key_attrs));
   for (const GmdjOp& op : ops) {
     SKALLA_ASSIGN_OR_RETURN(std::shared_ptr<const Table> detail,

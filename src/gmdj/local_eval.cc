@@ -598,27 +598,19 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
       num_morsels = (scan_rows + morsel - 1) / morsel;
     }
 
-    // Adds one scan's statistics to the call's counts and their registry
-    // mirrors (per morsel, on the calling thread, so well off the per-row
-    // path).
+    // Adds one scan's statistics to the call's counts and its selectivity
+    // to the registry (per morsel, on the calling thread, so well off the
+    // per-row path). The counts reach the registry with the query's
+    // ExecutionMetrics (PublishExecutionMetrics).
     auto flush_stats = [&counts](const MorselStats& s) {
       counts.rows_scanned += s.rows;
       counts.rows_matched += s.matched;
       ++(s.vectorized ? counts.morsels_vectorized : counts.morsels_scalar);
-      if (obs::MetricsEnabled()) {
-        static obs::Counter& rows_scanned =
-            obs::GetCounter("skalla_gmdj_rows_scanned_total");
-        static obs::Counter& rows_matched =
-            obs::GetCounter("skalla_gmdj_rows_matched_total");
-        rows_scanned.Add(static_cast<uint64_t>(s.rows));
-        rows_matched.Add(static_cast<uint64_t>(s.matched));
-        if (s.rows > 0) {
-          static obs::Histogram& selectivity =
-              obs::GetHistogram("skalla_gmdj_morsel_selectivity",
-                                obs::HistogramLayout::Ratio());
-          selectivity.Observe(static_cast<double>(s.matched) /
-                              static_cast<double>(s.rows));
-        }
+      if (s.rows > 0 && obs::MetricsEnabled()) {
+        static obs::Histogram& selectivity = obs::GetHistogram(
+            "skalla_gmdj_morsel_selectivity", obs::HistogramLayout::Ratio());
+        selectivity.Observe(static_cast<double>(s.matched) /
+                            static_cast<double>(s.rows));
       }
     };
 

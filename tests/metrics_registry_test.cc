@@ -1,21 +1,27 @@
-// Metrics-registry correctness (ISSUE 9): exact totals under concurrent
-// hammering (run under TSan via the "metrics" ctest label), disabled-mode
-// no-op semantics, exposition/JSONL formats, the STATS additive contract,
-// and the PROFILE verb's round-trip equality with the query's own
-// ExecutionMetrics.
+// Metrics-registry correctness: exact totals under concurrent hammering
+// (run under TSan via the "metrics" ctest label), disabled-mode no-op
+// semantics, exposition/JSONL formats, the STATS additive contract, the
+// PROFILE verb's round-trip equality with the query's own
+// ExecutionMetrics, and the registry's distributed instruments moving by
+// exactly the sum of the queries' records (DESIGN.md invariant 13) on
+// success, failure and cancellation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/fault_injector.h"
 #include "obs/metrics.h"
 #include "server/server.h"
+#include "skalla/queries.h"
 #include "sql/olap_parser.h"
 #include "test_util.h"
 #include "tpc/dbgen.h"
@@ -319,6 +325,252 @@ TEST(MetricsServingTest, ProfileReportsCacheHitProvenance) {
                        client.Call(std::string("PROFILE ") + kChain));
   EXPECT_NE(profile.find("result cache hit"), std::string::npos);
   EXPECT_EQ(profile.find("=== rounds ==="), std::string::npos);
+}
+
+// ---- Registry = Σ per-query records (DESIGN.md invariant 13) -------------
+
+/// The registry's distributed and scan instruments: a counter's value or a
+/// histogram's observation count by name, and each histogram's sum.
+struct DistReading {
+  std::map<std::string, uint64_t> counts;
+  std::map<std::string, double> sums;
+};
+
+DistReading ReadDistInstruments() {
+  DistReading reading;
+  for (const obs::MetricValue& v : obs::SnapshotMetrics()) {
+    if (v.name.rfind("skalla_dist_", 0) != 0 &&
+        v.name.rfind("skalla_gmdj_rows_", 0) != 0) {
+      continue;
+    }
+    if (v.kind == obs::MetricKind::kHistogram) {
+      reading.counts[v.name] = v.hist_count;
+      reading.sums[v.name] = v.hist_sum;
+    } else {
+      reading.counts[v.name] = v.counter_value;
+    }
+  }
+  return reading;
+}
+
+/// How far instrument `name` moved from `before` to `after` (a name never
+/// published reads 0).
+uint64_t Moved(const DistReading& before, const DistReading& after,
+               const std::string& name) {
+  const auto count = [&name](const DistReading& reading) -> uint64_t {
+    const auto it = reading.counts.find(name);
+    return it == reading.counts.end() ? 0 : it->second;
+  };
+  return count(after) - count(before);
+}
+
+/// What the registry must gain from `queries`, summed over their records:
+/// the instrument counts, and the round-seconds sums in *sums.
+std::map<std::string, uint64_t> SumOfRecords(
+    const std::vector<ExecutionMetrics>& queries,
+    std::map<std::string, double>* sums) {
+  std::map<std::string, uint64_t> want;
+  for (const ExecutionMetrics& m : queries) {
+    want["skalla_dist_rounds_total"] += static_cast<uint64_t>(m.NumRounds());
+    want["skalla_dist_retries_total"] += static_cast<uint64_t>(m.Retries());
+    want["skalla_dist_timeouts_total"] += static_cast<uint64_t>(m.Timeouts());
+    want["skalla_dist_drops_total"] += static_cast<uint64_t>(m.Drops());
+    want["skalla_dist_failovers_total"] +=
+        static_cast<uint64_t>(m.Failovers());
+    want["skalla_dist_bytes_shipped_total"] += m.TotalBytes();
+    want["skalla_dist_bytes_saved_by_delta_total"] += m.BytesSavedByDelta();
+    want["skalla_gmdj_rows_scanned_total"] +=
+        static_cast<uint64_t>(m.DetailRowsScanned());
+    want["skalla_gmdj_rows_matched_total"] +=
+        static_cast<uint64_t>(m.DetailRowsMatched());
+    for (const RoundMetrics& r : m.rounds) {
+      for (const SiteLoad& load : r.site_loads) {
+        const std::string site = std::to_string(load.site);
+        const std::string seconds =
+            "skalla_dist_site_round_seconds{site=\"" + site + "\"}";
+        want[seconds] += 1;
+        (*sums)[seconds] += load.cpu_sec;
+        want["skalla_dist_site_bytes_total{dir=\"in\",site=\"" + site +
+             "\"}"] += load.bytes_in;
+        want["skalla_dist_site_bytes_total{dir=\"out\",site=\"" + site +
+             "\"}"] += load.bytes_out;
+      }
+    }
+  }
+  return want;
+}
+
+/// Asserts that every distributed and scan instrument moved from `before`
+/// by exactly the sum of `queries`' records — none more, none less — and,
+/// when `check_sums`, that each round-seconds histogram's sum did too.
+void ExpectRegistryMovedBy(const DistReading& before,
+                           const std::vector<ExecutionMetrics>& queries,
+                           bool check_sums = true) {
+  const DistReading after = ReadDistInstruments();
+  std::map<std::string, double> want_sums;
+  const std::map<std::string, uint64_t> want =
+      SumOfRecords(queries, &want_sums);
+  for (const auto& published : after.counts) {
+    const std::string& name = published.first;
+    const auto expected = want.find(name);
+    EXPECT_EQ(Moved(before, after, name),
+              expected == want.end() ? 0 : expected->second)
+        << name;
+  }
+  for (const auto& expected : want) {
+    EXPECT_EQ(after.counts.count(expected.first), 1u)
+        << expected.first << " is not published";
+  }
+  if (!check_sums) return;
+  for (const auto& [name, sum] : want_sums) {
+    const auto was = before.sums.find(name);
+    const auto now = after.sums.find(name);
+    ASSERT_NE(now, after.sums.end()) << name;
+    EXPECT_NEAR(now->second - (was == before.sums.end() ? 0 : was->second),
+                sum, 1e-9)
+        << name;
+  }
+}
+
+void LoadSmallTpcr(Warehouse* wh) {
+  TpcConfig config;
+  config.num_rows = 1500;
+  config.num_customers = 120;
+  config.seed = 31;
+  ASSERT_OK(wh->LoadByRange("TPCR", GenerateTpcr(config), "NationKey", 0, 24,
+                            {"CustKey"}));
+}
+
+/// The paper's four queries, flat and on a fan-in-2 tree, under None() and
+/// All(), with delta shipping on and a recoverable schedule: site 1 dies
+/// and fails over to its replica, and two later messages are lost once.
+void ExpectPaperQueriesPublishTheirRecords(bool parallel_sites) {
+  NetworkConfig net;
+  net.delta_shipping = true;
+  Warehouse wh(4, net);
+  LoadSmallTpcr(&wh);
+  wh.set_parallel_site_execution(parallel_sites);
+  ASSERT_OK(wh.AddReplica(/*site_id=*/1).status());
+  FaultInjector injector(/*seed=*/11);
+  injector.KillSite(/*site=*/1);
+  injector.DropOnce(/*site=*/2, /*round=*/1, TransferDirection::kToCoordinator);
+  injector.DropOnce(/*site=*/3, /*round=*/1, TransferDirection::kToSite);
+  wh.set_fault_injector(&injector);
+
+  const std::vector<GmdjExpr> paper = {
+      queries::GroupReductionQuery("CustKey"),
+      queries::CoalescingQuery("CustKey"),
+      queries::SyncReductionQuery("CustKey"),
+      queries::CombinedQuery("CustKey")};
+  for (const bool tree : {false, true}) {
+    SCOPED_TRACE(tree ? "fan-in-2 tree" : "flat");
+    const DistReading before = ReadDistInstruments();
+    std::vector<ExecutionMetrics> records;
+    for (const OptimizerOptions& options :
+         {OptimizerOptions::None(), OptimizerOptions::All()}) {
+      for (const GmdjExpr& query : paper) {
+        ASSERT_OK_AND_ASSIGN(DistributedPlan plan, wh.Plan(query, options));
+        ASSERT_OK_AND_ASSIGN(QueryResult result,
+                             tree ? wh.ExecutePlanTree(plan, 2)
+                                  : wh.ExecutePlan(plan));
+        records.push_back(std::move(result.metrics));
+      }
+    }
+    // The schedule is exercised, not vacuous.
+    int drops = 0;
+    int failovers = 0;
+    size_t saved = 0;
+    for (const ExecutionMetrics& m : records) {
+      drops += m.Drops();
+      failovers += m.Failovers();
+      saved += m.BytesSavedByDelta();
+    }
+    EXPECT_GT(drops, 0);
+    EXPECT_EQ(failovers, static_cast<int>(records.size()));
+    EXPECT_GT(saved, 0u);
+    ExpectRegistryMovedBy(before, records);
+  }
+}
+
+TEST(RegistryPublishTest, PaperQueriesPublishExactlyTheirRecords) {
+  EnabledGuard enabled;
+  ExpectPaperQueriesPublishTheirRecords(/*parallel_sites=*/false);
+}
+
+// The same with site tasks on the shared pool: the publisher runs on the
+// coordinator thread beside them (TSan, "metrics" label).
+TEST(RegistryPublishTest, ParallelSitesPublishExactlyTheirRecords) {
+  EnabledGuard enabled;
+  ExpectPaperQueriesPublishTheirRecords(/*parallel_sites=*/true);
+}
+
+// A killed site with no replica fails the query with kUnavailable; the
+// failing round's partial record is published, so the registry's drops and
+// retries move by exactly the injector's lost messages.
+TEST(RegistryPublishTest, KilledSiteWithoutReplicaPublishesItsFaults) {
+  EnabledGuard enabled;
+  Warehouse wh(4);
+  LoadSmallTpcr(&wh);
+  ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                       wh.Plan(queries::GroupReductionQuery("CustKey"),
+                               OptimizerOptions::None()));
+  FaultInjector injector(/*seed=*/5);
+  injector.KillSite(/*site=*/2);
+  wh.set_fault_injector(&injector);
+
+  const DistReading before = ReadDistInstruments();
+  auto result = wh.ExecutePlan(plan);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+
+  uint64_t lost = 0;
+  uint64_t retried = 0;
+  for (const FaultEvent& event : injector.events()) {
+    if (event.kind != FaultKind::kDrop && event.kind != FaultKind::kSiteDown) {
+      continue;
+    }
+    ++lost;
+    if (event.attempt > 0) ++retried;
+  }
+  EXPECT_EQ(lost, 3u);  // the slot's three-attempt budget
+  EXPECT_EQ(retried, 2u);
+  const DistReading after = ReadDistInstruments();
+  EXPECT_EQ(Moved(before, after, "skalla_dist_drops_total"), lost);
+  EXPECT_EQ(Moved(before, after, "skalla_dist_retries_total"), retried);
+  EXPECT_EQ(Moved(before, after, "skalla_dist_failovers_total"), 0u);
+  EXPECT_EQ(Moved(before, after, "skalla_dist_rounds_total"), 1u);
+}
+
+// A query cancelled at the boundary after its first round publishes that
+// round, as an uncancelled run records it, and nothing more.
+TEST(RegistryPublishTest, CancelledQueryPublishesOnlyItsFirstRound) {
+  EnabledGuard enabled;
+  Warehouse wh(4);
+  LoadSmallTpcr(&wh);
+  // ClerkKey is no partition attribute, so the second operator keeps its
+  // own round; the base query is fused into the first, so the round
+  // observer runs right after the query's first round.
+  ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                       wh.Plan(queries::GroupReductionQuery("ClerkKey"),
+                               OptimizerOptions::All()));
+  ASSERT_TRUE(plan.fuse_base);
+  ASSERT_OK_AND_ASSIGN(QueryResult full, wh.ExecutePlan(plan));
+  ASSERT_GE(full.metrics.NumRounds(), 2);
+  ExecutionMetrics first_round;
+  first_round.rounds.push_back(full.metrics.rounds.front());
+
+  std::atomic<bool> cancel{false};
+  ExecHooks hooks;
+  hooks.cancel = &cancel;
+  hooks.round_observer = [&cancel](size_t, const Table&) {
+    cancel.store(true);
+  };
+  const DistReading before = ReadDistInstruments();
+  auto cancelled = wh.ExecutePlan(plan, hooks);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  // Site seconds differ between runs; their observation counts do not.
+  ExpectRegistryMovedBy(before, {first_round}, /*check_sums=*/false);
 }
 
 }  // namespace
