@@ -9,6 +9,10 @@
 //    (mallinfo2), dictionaries and allocator headers included.
 //  - RSS growth (VmRSS) while olap_highcard's 8 x 25k warehouse is
 //    generated, loaded, and answers each paper query once.
+//  - Heap in use (mallinfo2) that generating the source relation and
+//    loading the warehouse add. The warehouse keeps one copy of each
+//    relation, its site fragments, so the binary exits nonzero when the
+//    load adds more than kMaxLoadOverSource times the source's heap.
 //
 // Writes BENCH_storage_footprint.json.
 //
@@ -39,6 +43,13 @@ using bench::JsonReport;
 
 /// The cell Value replaced, for the reference column of the ledger.
 using VariantCell = std::variant<std::monostate, int64_t, double, std::string>;
+
+/// Loading may add at most this multiple of the source relation's heap:
+/// one copy (the fragments) plus slack for per-fragment row vectors.
+constexpr double kMaxLoadOverSource = 1.25;
+
+/// Heap figures are in MiB, as VmRSS's are.
+constexpr double kMiB = 1024.0 * 1024.0;
 
 /// malloc_usable_size of a fresh block of `n` bytes; glibc's depends on
 /// the request size only, so one probe per size stands for every block.
@@ -204,8 +215,10 @@ int main(int argc, char** argv) {
   JsonReport report("storage_footprint");
 
   const double rss_start = RssMb();
+  const size_t heap_start = HeapInUse();
   const Table tpcr = GenerateTpcr(config);
   const double rss_source = RssMb();
+  const double heap_source = static_cast<double>(HeapInUse() - heap_start);
   const double rows = static_cast<double>(tpcr.num_rows());
 
   // ---- bytes per row of the boxed relation, by column kind ----
@@ -236,9 +249,11 @@ int main(int argc, char** argv) {
              0);
   view.reset();
 
-  // ---- RSS growth: load olap_highcard's warehouse, then its first
-  // queries (columnar snapshots and relation statistics build here) ----
+  // ---- RSS and heap growth: load olap_highcard's warehouse, then its
+  // first queries (columnar snapshots and relation statistics build
+  // here) ----
   const double rss_before_load = RssMb();
+  const size_t heap_before_load = HeapInUse();
   Warehouse warehouse(spec.sites);
   const Status loaded =
       warehouse.LoadByRange("TPCR", tpcr, "NationKey", 0,
@@ -248,6 +263,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double rss_loaded = RssMb();
+  const double heap_load =
+      static_cast<double>(HeapInUse() - heap_before_load);
   for (GmdjExpr (*make)(const std::string&) :
        {queries::GroupReductionQuery, queries::CoalescingQuery,
         queries::SyncReductionQuery, queries::CombinedQuery,
@@ -267,5 +284,25 @@ int main(int argc, char** argv) {
               {"load", rss_loaded - rss_before_load},
               {"first_queries", rss_queried - rss_loaded}},
              0);
+
+  const double load_over_source = heap_load / heap_source;
+  std::printf("heap in use: +%.1f MB generating the source, +%.1f MB "
+              "loading (%.2fx the source; limit %.2fx)\n",
+              heap_source / kMiB, heap_load / kMiB, load_over_source,
+              kMaxLoadOverSource);
+  report.Add("heap_growth_mb",
+             {{"rows", rows},
+              {"source", heap_source / kMiB},
+              {"load", heap_load / kMiB},
+              {"load_over_source", load_over_source},
+              {"limit", kMaxLoadOverSource}},
+             0);
+  if (load_over_source > kMaxLoadOverSource) {
+    std::fprintf(stderr,
+                 "FAIL: loading added %.2fx the source relation's heap "
+                 "(limit %.2fx): it holds a relation more than once\n",
+                 load_over_source, kMaxLoadOverSource);
+    return 1;
+  }
   return 0;
 }

@@ -22,6 +22,7 @@
 //     EXTEND COUNT(*) AS big WHERE Quantity > aq
 
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -82,11 +83,17 @@ class Shell {
         std::cout << "no warehouse loaded\n";
         return true;
       }
-      for (const std::string& name :
-           warehouse_->central_catalog().TableNames()) {
-        auto table = warehouse_->central_catalog().GetTable(name);
-        std::cout << "  " << name << " (" << (*table)->num_rows()
-                  << " rows, " << warehouse_->num_sites() << " fragments)\n";
+      // Each relation's rows, summed over its site fragments.
+      std::map<std::string, int64_t> rows;
+      for (int i = 0; i < warehouse_->num_sites(); ++i) {
+        const Catalog& catalog = warehouse_->site(i).catalog();
+        for (const std::string& name : catalog.TableNames()) {
+          rows[name] += (*catalog.GetTable(name))->num_rows();
+        }
+      }
+      for (const auto& [name, num_rows] : rows) {
+        std::cout << "  " << name << " (" << num_rows << " rows, "
+                  << warehouse_->num_sites() << " fragments)\n";
       }
       return true;
     }

@@ -318,8 +318,9 @@ Result<CubeExecution> GroupingSetsDistributed(
     const OptimizerOptions& options) {
   SKALLA_RETURN_NOT_OK(ValidateSpec(spec));
   SKALLA_RETURN_NOT_OK(ValidateMasks(spec, masks));
+  if (warehouse.num_sites() == 0) return Status::NotFound("no sites");
   SKALLA_ASSIGN_OR_RETURN(std::shared_ptr<const Table> source,
-                          warehouse.central_catalog().GetTable(spec.table));
+                          warehouse.site(0).catalog().GetTable(spec.table));
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr out_schema,
                           CubeSchema(spec, source->schema()));
 

@@ -112,6 +112,7 @@ Result<Table> EvalGmdjExprCentralized(const GmdjExpr& expr,
     LocalGmdjOptions options;
     options.mode = AggMode::kFinal;
     options.num_threads = num_threads;
+    options.vectorize = false;  // the oracle shares no kernel with sites
     SKALLA_ASSIGN_OR_RETURN(x, EvalGmdjOp(x, *detail, op, options));
   }
   if (expr.having != nullptr) {

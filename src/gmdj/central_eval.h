@@ -22,9 +22,9 @@ Result<Table> EvalBaseQuery(const BaseQuery& base, const Table& source);
 /// distributed evaluator: by Theorems 1, 3, 4, 5 every distributed plan
 /// must produce exactly this result.
 ///
-/// `num_threads` is forwarded to the morsel-driven local evaluator
-/// (LocalGmdjOptions::num_threads; 0 = the SKALLA_THREADS default, 1 =
-/// sequential).
+/// Scans run scalar (LocalGmdjOptions::vectorize = false), sharing no typed
+/// kernel with the site scans they check; `num_threads` is forwarded to the
+/// morsel-driven evaluator (0 = the SKALLA_THREADS default, 1 = sequential).
 Result<Table> EvalGmdjExprCentralized(const GmdjExpr& expr,
                                       const Catalog& catalog,
                                       int num_threads = 0);

@@ -371,8 +371,9 @@ Result<std::string> Server::HandleMutate(const Command& cmd) {
   if (span.armed()) span.set_detail(cmd.mutate_table);
   std::unique_lock<std::shared_mutex> write_lock(warehouse_mu_);
 
+  if (warehouse_->num_sites() == 0) return Status::NotFound("no sites");
   Result<std::shared_ptr<const Table>> table =
-      warehouse_->central_catalog().GetTable(cmd.mutate_table);
+      warehouse_->site(0).catalog().GetTable(cmd.mutate_table);
   if (!table.ok()) return table.status();
 
   // Reuse the CSV reader for value parsing/quoting: one header line (the

@@ -23,8 +23,8 @@ namespace skalla {
 Status SaveWarehouse(const Warehouse& warehouse, const std::string& dir);
 
 /// Loads a warehouse previously written by SaveWarehouse. Site count,
-/// fragments, partition metadata, and the central union catalog are
-/// restored; queries behave identically on the restored instance.
+/// fragments and partition metadata are restored; queries behave
+/// identically on the restored instance.
 Result<std::unique_ptr<Warehouse>> LoadWarehouse(const std::string& dir);
 
 }  // namespace skalla

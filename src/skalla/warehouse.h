@@ -77,9 +77,8 @@ struct ExecHooks {
 ///   std::cout << result->table.ToString() << result->metrics.ToString();
 /// \endcode
 ///
-/// The warehouse also keeps the union of every loaded relation in a central
-/// catalog so that any query can be cross-checked against the centralized
-/// reference evaluator (ExecuteCentralized).
+/// Each relation lives only in its site fragments (which replicas share);
+/// central_catalog() derives the union ExecuteCentralized checks against.
 class Warehouse {
  public:
   explicit Warehouse(int num_sites, NetworkConfig net = NetworkConfig());
@@ -90,7 +89,6 @@ class Warehouse {
 
   /// Registers a pre-partitioned relation: fragment i goes to site i, whose
   /// partition metadata is extended with the fragment's PartitionInfo.
-  /// The central catalog receives the union of the fragments.
   Status LoadPartitioned(const std::string& name, PartitionedData data);
 
   /// Partitions `table` by contiguous ranges of `attr` (making it a
@@ -154,16 +152,16 @@ class Warehouse {
   Result<QueryResult> ExecuteAuto(const GmdjExpr& expr,
                                   int* chosen_fan_in = nullptr);
 
-  /// Centralized reference evaluation over the unioned relations.
+  /// Scalar reference evaluation over central_catalog()'s unions.
   Result<Table> ExecuteCentralized(const GmdjExpr& expr) const;
 
   /// Appends one row to a loaded relation, routing it to the unique site
   /// whose partition predicate φ_i may contain it (every attribute with a
   /// declared domain at that site must admit the row's value — rejecting
-  /// rows no φ covers keeps the Sect.-4 optimizations sound). The site
-  /// fragment, any registered replica of that site, and the central
-  /// catalog are all updated copy-on-write: in-flight readers holding the
-  /// old shared_ptr keep a consistent snapshot, and the fresh Table starts
+  /// rows no φ covers keeps the Sect.-4 optimizations sound). The site's
+  /// fragment is replaced copy-on-write by one grown Table, with the row at
+  /// its end, which that site's replica then shares: readers holding the
+  /// old shared_ptr keep a consistent snapshot, and the grown Table starts
   /// with an empty columnar cache (the columnar view's invalidation
   /// contract). The relation's ExecuteAuto statistics cache is dropped.
   ///
@@ -172,8 +170,9 @@ class Warehouse {
   /// (docs/server.md).
   Status AppendRow(const std::string& table, const Row& row);
 
-  /// The union catalog (for reference evaluation and inspection).
-  const Catalog& central_catalog() const { return central_; }
+  /// Every relation's fragments unioned in site order, built on each call:
+  /// it copies every row (for reference evaluation and inspection).
+  Catalog central_catalog() const;
 
   /// Partition metadata of every site (φ_1 … φ_n).
   std::vector<PartitionInfo> SiteInfos() const;
@@ -189,8 +188,8 @@ class Warehouse {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   FaultInjector* fault_injector() const { return injector_; }
 
-  /// Creates a failover replica of `site_id`: a fresh site holding a copy
-  /// of every local partition and of φ_i, with its own site id
+  /// Creates a failover replica of `site_id`: a fresh site sharing every
+  /// local partition's Table and holding a copy of φ_i, with its own site id
   /// (num_sites + k, so fault schedules against the primary do not follow
   /// the replica). Returns the replica so tests can perturb it; the
   /// warehouse keeps ownership. At most one replica per primary.
@@ -239,7 +238,6 @@ class Warehouse {
   /// Failover replicas keyed by primary site id (owned here, registered
   /// with each coordinator at execution time).
   std::map<int, std::unique_ptr<Site>> replicas_;
-  Catalog central_;
   NetworkConfig net_;
   FaultInjector* injector_ = nullptr;
   bool parallel_sites_ = false;

@@ -13,9 +13,9 @@ namespace skalla {
 
 /// \brief A named collection of tables.
 ///
-/// Each Skalla site holds a Catalog of its local partitions; the coordinator
-/// holds one for any coordinator-resident relations. Tables are stored by
-/// shared pointer so that large relations can be shared without copying.
+/// Each Skalla site holds a Catalog of its local partitions, which a replica
+/// shares; Warehouse::central_catalog() builds one of unioned relations per
+/// call. Tables are held by shared pointer, so sharing copies no rows.
 class Catalog {
  public:
   Catalog() = default;

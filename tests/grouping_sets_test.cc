@@ -59,6 +59,19 @@ TEST(GroupingSetsTest, InvalidMasks) {
   EXPECT_FALSE(GroupingSetsCentralized(TinySpec(), source, {1, 1}).ok());
 }
 
+TEST(GroupingSetsTest, DistributedOverAMissingRelationIsNotFound) {
+  Warehouse no_sites(0);
+  Warehouse no_relations(2);
+  for (Warehouse* wh : {&no_sites, &no_relations}) {
+    auto result = GroupingSetsDistributed(*wh, TinySpec(), {1, 3},
+                                          CubeStrategy::kPerGroupingSet,
+                                          OptimizerOptions::All());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kNotFound)
+        << wh->num_sites() << " sites";
+  }
+}
+
 class GroupingSetsDistributedTest
     : public ::testing::TestWithParam<CubeStrategy> {
  protected:

@@ -247,6 +247,17 @@ TEST(ServerHostileInputTest, QueryOnEmptyWarehouseIsTyped) {
   EXPECT_NE(reply.status().code(), StatusCode::kInternal);
 }
 
+TEST(ServerHostileInputTest, MutateOfAMissingRelationIsNotFound) {
+  for (int sites : {0, 2}) {
+    Server srv(sites);
+    Client client(&srv);
+    auto reply = client.Call("MUTATE TPCR APPEND 1,2,3");
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().code(), StatusCode::kNotFound)
+        << sites << " sites";
+  }
+}
+
 TEST(ServerHostileInputTest, Int64OverflowIsNotACrash) {
   Server srv(2);
   Client client(&srv);

@@ -148,6 +148,136 @@ TEST(WarehouseTest, ResultSchemaMatchesExpressionSchema) {
             "avg2:double");
 }
 
+TEST(WarehouseTest, CentralCatalogOfAWarehouseWithNoRelationsIsEmpty) {
+  Warehouse wh(3);
+  EXPECT_TRUE(wh.central_catalog().TableNames().empty());
+}
+
+TEST(WarehouseTest, AWarehouseWithoutSitesHoldsNoRelation) {
+  Warehouse wh(0);
+  EXPECT_TRUE(wh.central_catalog().TableNames().empty());
+  EXPECT_EQ(wh.AppendRow("TPCR", Row{}).code(), StatusCode::kNotFound);
+}
+
+/// Every site's fragment of `name`, held so that a replaced fragment stays
+/// alive and its address cannot be reused by a new table.
+std::vector<std::shared_ptr<const Table>> Fragments(
+    const Warehouse& wh, const std::string& name = "TPCR") {
+  std::vector<std::shared_ptr<const Table>> fragments;
+  for (int i = 0; i < wh.num_sites(); ++i) {
+    fragments.push_back(wh.site(i).catalog().GetTable(name).ValueOrDie());
+  }
+  return fragments;
+}
+
+/// The site AppendRow routes to below: site 2 holds NationKeys 14..20.
+constexpr int kTarget = 2;
+
+class AppendRowTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_OK(wh_.LoadByRange("TPCR", SmallTpcr(), "NationKey", 0, 24,
+                              {"CustKey"}));
+    before_ = Fragments(wh_);
+    ASSERT_GT(before_[kTarget]->num_rows(), 0);
+    row_ = before_[kTarget]->row(0);
+  }
+
+  /// row_ with one cell replaced.
+  Row With(const std::string& column, Value value) const {
+    Row row = row_;
+    row[static_cast<size_t>(
+        before_[0]->schema().MustIndexOf(column).ValueOrDie())] =
+        std::move(value);
+    return row;
+  }
+
+  Warehouse wh_{4};
+  std::vector<std::shared_ptr<const Table>> before_;
+  Row row_;
+};
+
+TEST_F(AppendRowTest, ValidRowGrowsExactlyOneFragment) {
+  ASSERT_OK(wh_.AppendRow("TPCR", row_));
+  const std::vector<std::shared_ptr<const Table>> after = Fragments(wh_);
+  for (int i = 0; i < wh_.num_sites(); ++i) {
+    if (i == kTarget) continue;
+    EXPECT_EQ(after[i], before_[i]) << "site " << i;
+  }
+  const Table& grown = *after[kTarget];
+  ASSERT_EQ(grown.num_rows(), before_[kTarget]->num_rows() + 1);
+  EXPECT_EQ(grown.row(grown.num_rows() - 1), row_);
+  for (int64_t r = 0; r < before_[kTarget]->num_rows(); ++r) {
+    ASSERT_EQ(grown.row(r), before_[kTarget]->row(r)) << "row " << r;
+  }
+}
+
+TEST_F(AppendRowTest, ReplicaHoldsThePrimarysGrownTable) {
+  ASSERT_OK_AND_ASSIGN(Site * replica, wh_.AddReplica(kTarget));
+  ASSERT_OK(wh_.AppendRow("TPCR", row_));
+  ASSERT_OK(wh_.AppendRow("TPCR", With("Quantity", Value(int64_t{7}))));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> mirrored,
+                       replica->catalog().GetTable("TPCR"));
+  const std::shared_ptr<const Table> primary = Fragments(wh_)[kTarget];
+  EXPECT_EQ(mirrored.get(), primary.get());
+  EXPECT_EQ(primary->num_rows(), before_[kTarget]->num_rows() + 2);
+}
+
+TEST_F(AppendRowTest, ReadersKeepTheirSnapshot) {
+  const int64_t rows = before_[kTarget]->num_rows();
+  const std::string bytes = TableBytes(*before_[kTarget]);
+  ASSERT_OK(wh_.AppendRow("TPCR", row_));
+  EXPECT_EQ(before_[kTarget]->num_rows(), rows);
+  EXPECT_EQ(TableBytes(*before_[kTarget]), bytes);
+}
+
+TEST_F(AppendRowTest, CentralizedMatchesDistributedAfterAppends) {
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> full_before,
+                       wh_.central_catalog().GetTable("TPCR"));
+  ASSERT_OK(wh_.AppendRow("TPCR", row_));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> full,
+                       wh_.central_catalog().GetTable("TPCR"));
+  ASSERT_EQ(full->num_rows(), full_before->num_rows() + 1);
+  // Fragments unioned in site order: the appended row ends site 2's block.
+  int64_t end_of_target = 0;
+  for (int i = 0; i <= kTarget; ++i) {
+    end_of_target += Fragments(wh_)[i]->num_rows();
+  }
+  EXPECT_EQ(full->row(end_of_target - 1), row_);
+
+  ASSERT_OK(wh_.AppendRow("TPCR", With("Quantity", Value(int64_t{49}))));
+  for (const GmdjExpr& query : {queries::GroupReductionQuery("CustKey"),
+                                queries::CombinedQuery("CustKey")}) {
+    ASSERT_OK_AND_ASSIGN(Table expected, wh_.ExecuteCentralized(query));
+    ASSERT_OK_AND_ASSIGN(QueryResult result,
+                         wh_.Execute(query, OptimizerOptions::All()));
+    ExpectSameRows(result.table, expected);
+  }
+}
+
+TEST_F(AppendRowTest, FailuresLeaveEveryFragmentUntouched) {
+  const Row short_row(row_.begin(), row_.end() - 1);
+  struct Case {
+    const char* what;
+    std::string table;
+    Row row;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"wrong arity", "TPCR", short_row, StatusCode::kInvalidArgument},
+      {"wrong cell type", "TPCR", With("Quantity", Value("seven")),
+       StatusCode::kTypeError},
+      {"unknown relation", "NoSuchRelation", row_, StatusCode::kNotFound},
+      {"no site admits it", "TPCR", With("NationKey", Value(int64_t{1000})),
+       StatusCode::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    const Status status = wh_.AppendRow(c.table, c.row);
+    EXPECT_EQ(status.code(), c.code) << c.what << ": " << status.ToString();
+    EXPECT_EQ(Fragments(wh_), before_) << c.what;
+  }
+}
+
 TEST(CoordinatorTest, NoSitesRejected) {
   Coordinator coordinator({});
   DistributedPlan plan;
