@@ -13,21 +13,31 @@
 //    loading the warehouse add. The warehouse keeps one copy of each
 //    relation, its site fragments, so the binary exits nonzero when the
 //    load adds more than kMaxLoadOverSource times the source's heap.
+//  - The peak live heap (a counting global operator new) that one
+//    ExecuteCentralized per paper query and one cold EstimateCost add on
+//    the loaded warehouse. Both read the relation in place as its
+//    fragments, so the binary exits nonzero when that peak exceeds
+//    kMaxReferenceOverSource times the source's live heap; a whole copy of
+//    the relation reads about 1x. (VmHWM is not reset between phases, so
+//    it would under-report this peak.)
 //
 // Writes BENCH_storage_footprint.json.
 //
 //   ./bench_storage_footprint [--quick]
 //
-// --quick shrinks the warehouse to 8 x 1k rows (CI smoke).
+// --quick shrinks the warehouse to 8 x 1k rows with as many rows per group
+// as the full run (CI smoke).
 
 #include <malloc.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <variant>
@@ -35,6 +45,65 @@
 
 #include "bench_util.h"
 #include "storage/columnar.h"
+
+// ---- counting global allocator: the live heap and its high-water mark,
+// in malloc_usable_size bytes of every operator new block ----
+
+namespace {
+
+std::atomic<size_t> g_live_bytes{0};
+std::atomic<size_t> g_peak_bytes{0};
+
+void* Counted(void* p) {
+  if (p == nullptr) return p;
+  const size_t n = malloc_usable_size(p);
+  const size_t now = g_live_bytes.fetch_add(n, std::memory_order_relaxed) + n;
+  size_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (now > peak && !g_peak_bytes.compare_exchange_weak(
+                           peak, now, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void FreeCounted(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
+}
+
+}  // namespace
+
+// GCC pairs the library's operator new with this malloc-backed delete and
+// warns; the pairing is consistent (every overload below, the nothrow ones
+// included, allocates with malloc and frees with free).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  if (void* p = Counted(std::malloc(size))) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = Counted(std::malloc(size))) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return Counted(std::malloc(size));
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return Counted(std::malloc(size));
+}
+void operator delete(void* p) noexcept { FreeCounted(p); }
+void operator delete[](void* p) noexcept { FreeCounted(p); }
+void operator delete(void* p, std::size_t) noexcept { FreeCounted(p); }
+void operator delete[](void* p, std::size_t) noexcept { FreeCounted(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  FreeCounted(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  FreeCounted(p);
+}
 
 namespace {
 
@@ -47,6 +116,11 @@ using VariantCell = std::variant<std::monostate, int64_t, double, std::string>;
 /// Loading may add at most this multiple of the source relation's heap:
 /// one copy (the fragments) plus slack for per-fragment row vectors.
 constexpr double kMaxLoadOverSource = 1.25;
+
+/// The reference check and a cold estimate may add at most this multiple
+/// of the source relation's live heap at their peak: their own base
+/// relations, accumulators and results, but no copy of the relation.
+constexpr double kMaxReferenceOverSource = 0.25;
 
 /// Heap figures are in MiB, as VmRSS's are.
 constexpr double kMiB = 1024.0 * 1024.0;
@@ -205,7 +279,14 @@ int main(int argc, char** argv) {
   }
   // olap_highcard's warehouse: bench_util.h's default spec.
   bench::WarehouseSpec spec;
-  if (quick) spec.rows_per_site = 1000;
+  if (quick) {
+    // The full run's rows per group, so that per-group state (base
+    // relations, accumulators, answers) weighs against the relation as it
+    // does at full size.
+    spec.groups_per_site = spec.groups_per_site * 1000 / spec.rows_per_site;
+    spec.clerks = spec.clerks * 1000 / spec.rows_per_site;
+    spec.rows_per_site = 1000;
+  }
   TpcConfig config;
   config.num_rows = spec.rows_per_site * spec.sites;
   config.num_customers = spec.groups_per_site * spec.sites;
@@ -216,9 +297,12 @@ int main(int argc, char** argv) {
 
   const double rss_start = RssMb();
   const size_t heap_start = HeapInUse();
+  const size_t live_start = g_live_bytes.load();
   const Table tpcr = GenerateTpcr(config);
   const double rss_source = RssMb();
   const double heap_source = static_cast<double>(HeapInUse() - heap_start);
+  const double live_source =
+      static_cast<double>(g_live_bytes.load() - live_start);
   const double rows = static_cast<double>(tpcr.num_rows());
 
   // ---- bytes per row of the boxed relation, by column kind ----
@@ -297,11 +381,60 @@ int main(int argc, char** argv) {
               {"load_over_source", load_over_source},
               {"limit", kMaxLoadOverSource}},
              0);
+
+  // ---- peak live heap of the reference check (one ExecuteCentralized per
+  // paper query) and of a cold EstimateCost, on the loaded warehouse ----
+  const size_t live_before_reference = g_live_bytes.load();
+  g_peak_bytes.store(live_before_reference);
+  for (GmdjExpr (*make)(const std::string&) :
+       {queries::GroupReductionQuery, queries::CoalescingQuery,
+        queries::SyncReductionQuery, queries::CombinedQuery,
+        queries::MultiFeatureQuery}) {
+    const Result<Table> central = warehouse.ExecuteCentralized(make("CustKey"));
+    if (!central.ok()) {
+      std::fprintf(stderr, "reference failed: %s\n",
+                   central.status().ToString().c_str());
+      return 1;
+    }
+  }
+  const Result<DistributedPlan> plan = warehouse.Plan(
+      queries::GroupReductionQuery("CustKey"), OptimizerOptions::All());
+  const Result<CostBreakdown> cost =
+      plan.ok() ? warehouse.EstimateCost(*plan) : plan.status();
+  if (!cost.ok()) {
+    std::fprintf(stderr, "estimate failed: %s\n",
+                 cost.status().ToString().c_str());
+    return 1;
+  }
+  const double reference_peak =
+      static_cast<double>(g_peak_bytes.load() - live_before_reference);
+  const double reference_over_source = reference_peak / live_source;
+  std::printf("live heap: %.1f MB for the source; the reference check and "
+              "a cold estimate peak at +%.1f MB (%.2fx the source; limit "
+              "%.2fx)\n",
+              live_source / kMiB, reference_peak / kMiB,
+              reference_over_source, kMaxReferenceOverSource);
+  report.Add("reference_peak_heap_mb",
+             {{"rows", rows},
+              {"source", live_source / kMiB},
+              {"peak", reference_peak / kMiB},
+              {"peak_over_source", reference_over_source},
+              {"limit", kMaxReferenceOverSource}},
+             0);
+
   if (load_over_source > kMaxLoadOverSource) {
     std::fprintf(stderr,
                  "FAIL: loading added %.2fx the source relation's heap "
                  "(limit %.2fx): it holds a relation more than once\n",
                  load_over_source, kMaxLoadOverSource);
+    return 1;
+  }
+  if (reference_over_source > kMaxReferenceOverSource) {
+    std::fprintf(stderr,
+                 "FAIL: the reference check and a cold estimate added "
+                 "%.2fx the source relation's heap at their peak (limit "
+                 "%.2fx): a reader copies the relation\n",
+                 reference_over_source, kMaxReferenceOverSource);
     return 1;
   }
   return 0;

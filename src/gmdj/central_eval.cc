@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "engine/operators.h"
 #include "expr/evaluator.h"
 #include "gmdj/local_eval.h"
+#include "storage/group_map.h"
 
 namespace skalla {
 
@@ -80,40 +82,68 @@ bool KeyOrderLess(const Row& a, const Row& b) {
 
 }  // namespace
 
-Result<Table> EvalBaseQuery(const BaseQuery& base, const Table& source) {
-  const Table* input = &source;
-  Table filtered;
+Result<Table> EvalBaseQuery(const BaseQuery& base, const FragmentList& source) {
+  const Schema& schema = source.schema();
+  std::optional<CompiledExpr> filter;
   if (base.filter != nullptr) {
-    SKALLA_ASSIGN_OR_RETURN(filtered, Filter(source, base.filter));
-    input = &filtered;
+    SKALLA_ASSIGN_OR_RETURN(
+        filter, CompiledExpr::Compile(base.filter, /*base_schema=*/nullptr,
+                                      &schema));
   }
-  Table b;
+  std::vector<int> cols;
+  std::vector<Field> fields;
+  for (const std::string& name : base.project_cols) {
+    SKALLA_ASSIGN_OR_RETURN(int idx, schema.MustIndexOf(name));
+    cols.push_back(idx);
+    fields.push_back(schema.field(idx));
+  }
+  const int width = static_cast<int>(cols.size());
+  // DISTINCT keeps each key once, in first-appearance order.
+  GroupMap groups(width);
+  std::vector<Row> rows;
+  source.ForEachRow(0, source.num_rows(), [&](const Row& row) {
+    if (filter.has_value() && !filter->EvalBool(nullptr, &row)) return;
+    auto key_at = [&row, &cols](int c) -> const Value& {
+      return row[static_cast<size_t>(cols[static_cast<size_t>(c)])];
+    };
+    if (base.distinct) {
+      bool inserted = false;
+      groups.FindOrInsert(GroupMap::Hash(width, key_at), key_at, &inserted);
+      return;
+    }
+    Row projected;
+    projected.reserve(cols.size());
+    for (int c = 0; c < width; ++c) projected.push_back(key_at(c));
+    rows.push_back(std::move(projected));
+  });
   if (base.distinct) {
-    SKALLA_ASSIGN_OR_RETURN(b, DistinctProject(*input, base.project_cols));
-  } else {
-    SKALLA_ASSIGN_OR_RETURN(b, Project(*input, base.project_cols));
+    rows.resize(static_cast<size_t>(groups.size()));
+    for (int64_t g = 0; g < groups.size(); ++g) {
+      rows[static_cast<size_t>(g)].assign(groups.key(g),
+                                          groups.key(g) + width);
+    }
   }
   // Ascending key order: X, its views and every reply inherit it, so
   // sorted keys ship as small deltas (docs/wire-format.md §3).
-  std::vector<Row> rows = b.ReleaseRows();
   std::stable_sort(rows.begin(), rows.end(), KeyOrderLess);
-  return Table(b.schema_ptr(), std::move(rows));
+  return Table(MakeSchema(std::move(fields)), std::move(rows));
 }
 
 Result<Table> EvalGmdjExprCentralized(const GmdjExpr& expr,
-                                      const Catalog& catalog,
+                                      const FragmentCatalog& relations,
                                       int num_threads) {
-  SKALLA_ASSIGN_OR_RETURN(std::shared_ptr<const Table> source,
-                          catalog.GetTable(expr.base.source_table));
-  SKALLA_ASSIGN_OR_RETURN(Table x, EvalBaseQuery(expr.base, *source));
+  SKALLA_ASSIGN_OR_RETURN(
+      FragmentList source,
+      FragmentList::Of(relations, expr.base.source_table));
+  SKALLA_ASSIGN_OR_RETURN(Table x, EvalBaseQuery(expr.base, source));
   for (const GmdjOp& op : expr.ops) {
-    SKALLA_ASSIGN_OR_RETURN(std::shared_ptr<const Table> detail,
-                            catalog.GetTable(op.detail_table));
+    SKALLA_ASSIGN_OR_RETURN(FragmentList detail,
+                            FragmentList::Of(relations, op.detail_table));
     LocalGmdjOptions options;
     options.mode = AggMode::kFinal;
     options.num_threads = num_threads;
     options.vectorize = false;  // the oracle shares no kernel with sites
-    SKALLA_ASSIGN_OR_RETURN(x, EvalGmdjOp(x, *detail, op, options));
+    SKALLA_ASSIGN_OR_RETURN(x, EvalGmdjOp(x, detail, op, options));
   }
   if (expr.having != nullptr) {
     SKALLA_ASSIGN_OR_RETURN(

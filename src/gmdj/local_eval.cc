@@ -87,7 +87,7 @@ constexpr int64_t kProbeHashChunk = 1024;
 
 }  // namespace
 
-Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
+Result<Table> EvalGmdjOp(const Table& base, const FragmentList& detail,
                          const GmdjOp& op, const LocalGmdjOptions& options,
                          ScanCounters* scan) {
   obs::ScopedSpan eval_span("gmdj.local_eval");
@@ -184,12 +184,15 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
   int lanes = options.num_threads > 0 ? options.num_threads
                                       : ThreadPool::DefaultThreadCount();
 
-  // The columnar view is built lazily once per Table and cached
-  // (storage/columnar.h), so repeated rounds over a persistent detail
-  // partition fetch it for free.
-  const bool vectorize_on = options.vectorize;
+  // The vectorized scan reads one Table, `vec_detail`, through its columnar
+  // view, built lazily once per Table and cached (storage/columnar.h), so
+  // repeated rounds over a persistent detail partition fetch it for free.
+  // A detail relation of several fragments scans scalar, row by row across
+  // its fragments in order.
+  const bool vectorize_on = options.vectorize && detail.num_fragments() == 1;
+  const Table& vec_detail = detail.fragment(0);
   std::shared_ptr<const ColumnarTable> columnar;
-  if (vectorize_on) columnar = detail.columnar();
+  if (vectorize_on) columnar = vec_detail.columnar();
 
   // Blocks typically share the same equi-key over B (key equality appears
   // in every θ), so B's rows are grouped once per key-column set and the
@@ -355,7 +358,8 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
             case AggKernel::Kind::kBoxed:
               for (size_t k = 0; k < n; ++k) {
                 row_states[a].Update(
-                    detail.row(sel_pos[k])[static_cast<size_t>(kernel.col)]);
+                    vec_detail.row(sel_pos[k])[static_cast<size_t>(
+                        kernel.col)]);
               }
               break;
           }
@@ -395,9 +399,9 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
               std::vector<int64_t>& bsel = base_sel[static_cast<size_t>(b)];
               if (residual_at_flush) {
                 sel.clear();
-                plan.predicate->EvalBoolBatch(&base.row(b), detail, *columnar,
-                                              bsel.data(), bsel.size(),
-                                              &scratch, &sel);
+                plan.predicate->EvalBoolBatch(&base.row(b), vec_detail,
+                                              *columnar, bsel.data(),
+                                              bsel.size(), &scratch, &sel);
                 update_selected(b, sel.data(), sel.size());
               } else {
                 update_selected(b, bsel.data(), bsel.size());
@@ -442,7 +446,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
                     target.states[static_cast<size_t>(b) * num_aggs + a]
                         .Update(kernel.col < 0
                                     ? kOne
-                                    : detail.row(d)[static_cast<size_t>(
+                                    : vec_detail.row(d)[static_cast<size_t>(
                                           kernel.col)]);
                   }
                   break;
@@ -458,7 +462,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
             const Row* detail_row = nullptr;
             for (int64_t base_row_id : matches) {
               if (plan.predicate.has_value() && !residual_at_flush) {
-                if (detail_row == nullptr) detail_row = &detail.row(d);
+                if (detail_row == nullptr) detail_row = &vec_detail.row(d);
                 if (!plan.predicate->EvalBool(&base.row(base_row_id),
                                               detail_row)) {
                   continue;
@@ -510,9 +514,9 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
             }
           } else {
             for (int64_t d = lo; d < hi; ++d) {
-              if (null_key_row(detail.row(d))) continue;
-              const int64_t g =
-                  groups->Find(detail.row(d), plan.detail_key_cols);
+              const Row& detail_row = vec_detail.row(d);
+              if (null_key_row(detail_row)) continue;
+              const int64_t g = groups->Find(detail_row, plan.detail_key_cols);
               if (g >= 0) fold_matches(d, groups->rows(g));
             }
           }
@@ -522,11 +526,10 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
             flush();
           }
         } else {
-          for (int64_t d = lo; d < hi; ++d) {
-            const Row& detail_row = detail.row(d);
-            if (null_key_row(detail_row)) continue;
+          detail.ForEachRow(lo, hi, [&](const Row& detail_row) {
+            if (null_key_row(detail_row)) return;
             const int64_t g = groups->Find(detail_row, plan.detail_key_cols);
-            if (g < 0) continue;
+            if (g < 0) return;
             for (int64_t base_row_id : groups->rows(g)) {
               if (plan.predicate.has_value() &&
                   !plan.predicate->EvalBool(&base.row(base_row_id),
@@ -535,7 +538,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
               }
               update_match(base_row_id, detail_row);
             }
-          }
+          });
         }
       } else {
         if (vec_nested) {
@@ -545,13 +548,12 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
           for (int64_t base_row_id = 0; base_row_id < base.num_rows();
                ++base_row_id) {
             sel.clear();
-            plan.predicate->EvalBoolBatch(&base.row(base_row_id), detail,
+            plan.predicate->EvalBoolBatch(&base.row(base_row_id), vec_detail,
                                           *columnar, lo, hi, &scratch, &sel);
             update_selected(base_row_id, sel.data(), sel.size());
           }
         } else {
-          for (int64_t d = lo; d < hi; ++d) {
-            const Row& detail_row = detail.row(d);
+          detail.ForEachRow(lo, hi, [&](const Row& detail_row) {
             for (int64_t base_row_id = 0; base_row_id < base.num_rows();
                  ++base_row_id) {
               if (!plan.predicate->EvalBool(&base.row(base_row_id),
@@ -560,7 +562,7 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
               }
               update_match(base_row_id, detail_row);
             }
-          }
+          });
         }
       }
       if (scratch.fallback_chunks > 0) {
@@ -573,7 +575,10 @@ Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
 
     // The morsel grid depends only on the relation sizes and the
     // morsel_rows option — not on the lane count — so the merge below
-    // always folds the same partials in the same order. A scan_lo/scan_hi
+    // always folds the same partials in the same order. Over several
+    // fragments it is laid over their concatenated rows, morsels straddling
+    // fragment boundaries, so every state folds the rows of the fragments'
+    // union in the union's order. A scan_lo/scan_hi
     // window (skew rebalancing, docs/skew.md) restricts the grid to its
     // fragment; byte-identity across fragmentations holds because the
     // partial fold is associative, not because grids line up.

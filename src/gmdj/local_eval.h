@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "gmdj/gmdj.h"
+#include "storage/fragment_list.h"
 #include "storage/table.h"
 
 namespace skalla {
@@ -47,7 +48,8 @@ struct LocalGmdjOptions {
   /// Vectorized detail scan (docs/vectorized-execution.md): batch predicate
   /// evaluation over the cached columnar view, a typed equi-key probe, and
   /// typed aggregate kernels. false runs the scalar row-at-a-time path;
-  /// either way the result is byte-identical.
+  /// either way the result is byte-identical. A detail relation of several
+  /// fragments always scans scalar.
   bool vectorize = true;
 
   /// Restricts the detail scan to detail rows [scan_lo, scan_hi);
@@ -104,7 +106,12 @@ inline constexpr int64_t kDefaultMorselRows = 65536;
 /// analogue of the Theorem 1 sub/super-aggregate split, with the same
 /// determinism guarantee (docs/parallelism.md). When `scan` is non-null
 /// the evaluation's scan counts are added to it.
-Result<Table> EvalGmdjOp(const Table& base, const Table& detail,
+///
+/// `detail` is a site's fragment (a Table converts) or a relation read in
+/// place as its fragments, scanned as the rows of their union in the
+/// union's order: the answer equals the evaluation over the union, byte
+/// for byte.
+Result<Table> EvalGmdjOp(const Table& base, const FragmentList& detail,
                          const GmdjOp& op, const LocalGmdjOptions& options,
                          ScanCounters* scan = nullptr);
 

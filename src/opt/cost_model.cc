@@ -10,12 +10,12 @@
 
 namespace skalla {
 
-Result<RelationStats> ProfileRelation(const Table& table,
+Result<RelationStats> ProfileRelation(const FragmentList& relation,
                                       const std::vector<std::string>& attrs) {
   RelationStats stats;
-  stats.rows = table.num_rows();
+  stats.rows = relation.num_rows();
   for (const std::string& attr : attrs) {
-    SKALLA_RETURN_NOT_OK(table.schema().MustIndexOf(attr).status());
+    SKALLA_RETURN_NOT_OK(relation.schema().MustIndexOf(attr).status());
     // The attribute's distinct values (grouped through GroupMap) in the
     // ascending key order every site derives its base groups in, so X and
     // every reply carry one sorted key per group: the measured SKL2 width
@@ -23,7 +23,7 @@ Result<RelationStats> ProfileRelation(const Table& table,
     // differences or dictionary codes).
     BaseQuery keys;
     keys.project_cols = {attr};
-    SKALLA_ASSIGN_OR_RETURN(Table sorted, EvalBaseQuery(keys, table));
+    SKALLA_ASSIGN_OR_RETURN(Table sorted, EvalBaseQuery(keys, relation));
     stats.distinct_counts[attr] = sorted.num_rows();
     stats.avg_widths_skl2[attr] =
         sorted.num_rows() == 0

@@ -9,13 +9,14 @@
 #include "dist/plan.h"
 #include "dist/rebalance.h"
 #include "net/cost_model.h"
+#include "storage/fragment_list.h"
 #include "storage/partition_info.h"
-#include "storage/table.h"
 
 namespace skalla {
 
 /// \brief Summary statistics of a (global) relation, used by the cost
-/// estimator. Gathered once at load time via ProfileRelation.
+/// estimator. Gathered by ProfileRelation; Warehouse::EstimateCost profiles
+/// each key attribute of a plan on its first use.
 struct RelationStats {
   int64_t rows = 0;
   /// Distinct-value counts per profiled attribute, grouped as GroupMap
@@ -28,8 +29,9 @@ struct RelationStats {
   std::map<std::string, double> avg_widths_skl2;
 };
 
-/// Computes RelationStats for the given attributes.
-Result<RelationStats> ProfileRelation(const Table& table,
+/// Computes RelationStats for the given attributes of a relation, a Table or
+/// one read in place as its fragments: the same statistics either way.
+Result<RelationStats> ProfileRelation(const FragmentList& relation,
                                       const std::vector<std::string>& attrs);
 
 /// \brief Predicted cost of executing a distributed plan.

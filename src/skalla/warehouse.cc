@@ -4,8 +4,10 @@
 #include <cmath>
 #include <optional>
 
+#include "common/string_util.h"
 #include "engine/operators.h"
 #include "gmdj/central_eval.h"
+#include "obs/trace.h"
 #include "storage/freq_sketch.h"
 
 namespace skalla {
@@ -214,8 +216,8 @@ Result<QueryResult> Warehouse::ExecuteAuto(const GmdjExpr& expr,
   SKALLA_ASSIGN_OR_RETURN(DistributedPlan plan,
                           Plan(expr, OptimizerOptions::All()));
 
-  // Profile statistics for the base relation's key and θ-referenced
-  // attributes (cached across queries).
+  // The base relation's statistics for the plan's key attributes (each
+  // profiled on first use and cached across queries).
   CostEstimator estimator(num_sites(), net_, SiteInfos());
   SKALLA_ASSIGN_OR_RETURN(const RelationStats* stats, BaseStats(plan));
   estimator.AddRelation(plan.base.source_table, *stats);
@@ -237,19 +239,32 @@ Result<QueryResult> Warehouse::ExecuteAuto(const GmdjExpr& expr,
 
 Result<const RelationStats*> Warehouse::BaseStats(
     const DistributedPlan& plan) {
-  auto cached = stats_cache_.find(plan.base.source_table);
-  if (cached == stats_cache_.end()) {
-    SKALLA_ASSIGN_OR_RETURN(std::shared_ptr<const Table> full,
-                            central_catalog().GetTable(plan.base.source_table));
-    // Profile every column of the base relation once; the estimator only
-    // reads what a plan needs.
-    SKALLA_ASSIGN_OR_RETURN(
-        RelationStats stats,
-        ProfileRelation(*full, full->schema().FieldNames()));
-    cached = stats_cache_.emplace(plan.base.source_table, std::move(stats))
-                 .first;
+  const std::string& name = plan.base.source_table;
+  // The estimator reads the plan's key attributes only (EstimateGroups,
+  // XRowWidth): profile each on its first use, over the fragments.
+  std::vector<std::string> unprofiled;
+  auto cached = stats_cache_.find(name);
+  for (const std::string& attr : plan.key_attrs) {
+    if (cached == stats_cache_.end() ||
+        cached->second.distinct_counts.count(attr) == 0) {
+      unprofiled.push_back(attr);
+    }
   }
-  return &cached->second;
+  if (cached != stats_cache_.end() && unprofiled.empty()) {
+    return &cached->second;
+  }
+  const FragmentCatalog relations = fragments();
+  SKALLA_ASSIGN_OR_RETURN(FragmentList relation,
+                          FragmentList::Of(relations, name));
+  obs::ScopedSpan span("opt.profile");
+  if (span.armed()) span.set_detail(name + ": " + Join(unprofiled, ", "));
+  SKALLA_ASSIGN_OR_RETURN(RelationStats profiled,
+                          ProfileRelation(relation, unprofiled));
+  RelationStats& stats = stats_cache_[name];
+  stats.rows = profiled.rows;
+  stats.distinct_counts.merge(profiled.distinct_counts);
+  stats.avg_widths_skl2.merge(profiled.avg_widths_skl2);
+  return &stats;
 }
 
 Result<CostBreakdown> Warehouse::EstimateCost(const DistributedPlan& plan) {
@@ -259,15 +274,23 @@ Result<CostBreakdown> Warehouse::EstimateCost(const DistributedPlan& plan) {
   return estimator.EstimateFlat(plan);
 }
 
-Catalog Warehouse::central_catalog() const {
-  std::map<std::string, std::vector<const Table*>> fragments;
+FragmentCatalog Warehouse::fragments() const {
+  FragmentCatalog relations;
   for (const auto& site : sites_) {
     for (const std::string& name : site->catalog().TableNames()) {
-      fragments[name].push_back(site->catalog().GetTable(name)->get());
+      relations[name].push_back(*site->catalog().GetTable(name));
     }
   }
+  return relations;
+}
+
+Catalog Warehouse::central_catalog() const {
   Catalog central;
-  for (const auto& [name, in_site_order] : fragments) {
+  for (const auto& [name, parts] : fragments()) {
+    std::vector<const Table*> in_site_order;
+    for (const std::shared_ptr<const Table>& part : parts) {
+      in_site_order.push_back(part.get());
+    }
     Result<Table> full = UnionAll(in_site_order);
     if (!full.ok()) continue;  // fragments of unequal arity: left out
     central.PutTable(name, std::make_shared<const Table>(std::move(*full)));
@@ -276,7 +299,7 @@ Catalog Warehouse::central_catalog() const {
 }
 
 Result<Table> Warehouse::ExecuteCentralized(const GmdjExpr& expr) const {
-  return EvalGmdjExprCentralized(expr, central_catalog(), local_threads_);
+  return EvalGmdjExprCentralized(expr, fragments(), local_threads_);
 }
 
 Status Warehouse::AppendRow(const std::string& table, const Row& row) {

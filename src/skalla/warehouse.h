@@ -77,8 +77,11 @@ struct ExecHooks {
 ///   std::cout << result->table.ToString() << result->metrics.ToString();
 /// \endcode
 ///
-/// Each relation lives only in its site fragments (which replicas share);
-/// central_catalog() derives the union ExecuteCentralized checks against.
+/// Each relation lives only in its site fragments (which replicas share).
+/// Every reader outside a site — ExecuteCentralized and the statistics
+/// behind EstimateCost — reads a relation in place as the ordered list of
+/// its fragments (fragments()); central_catalog() copies the fragments into
+/// unions, for inspection only.
 class Warehouse {
  public:
   explicit Warehouse(int num_sites, NetworkConfig net = NetworkConfig());
@@ -145,14 +148,16 @@ class Warehouse {
                                       int fan_in);
 
   /// Fully automatic execution: optimizes with every optimization enabled,
-  /// profiles relation statistics (cached per relation), and lets the cost
-  /// model (opt/cost_model.h) choose between the flat coordinator and a
-  /// multi-tier tree before executing. `chosen_fan_in`, when non-null,
-  /// receives 0 (flat) or the winning fan-in.
+  /// profiles the plan's key attributes (each cached on first use), and
+  /// lets the cost model (opt/cost_model.h) choose between the flat
+  /// coordinator and a multi-tier tree before executing. `chosen_fan_in`,
+  /// when non-null, receives 0 (flat) or the winning fan-in.
   Result<QueryResult> ExecuteAuto(const GmdjExpr& expr,
                                   int* chosen_fan_in = nullptr);
 
-  /// Scalar reference evaluation over central_catalog()'s unions.
+  /// Scalar reference evaluation over fragments(): every relation the
+  /// expression reads is scanned in place, as the rows of its fragments'
+  /// union in the union's order, so no row is copied.
   Result<Table> ExecuteCentralized(const GmdjExpr& expr) const;
 
   /// Appends one row to a loaded relation, routing it to the unique site
@@ -170,8 +175,14 @@ class Warehouse {
   /// (docs/server.md).
   Status AppendRow(const std::string& table, const Row& row);
 
-  /// Every relation's fragments unioned in site order, built on each call:
-  /// it copies every row (for reference evaluation and inspection).
+  /// Every loaded relation as its site fragments in site order, shared with
+  /// the sites: the relation as every reader outside a site reads it
+  /// (FragmentList::Of). No row is copied.
+  FragmentCatalog fragments() const;
+
+  /// Every relation's fragments unioned in site order, built on each call.
+  /// It copies every row of every relation, so it is for inspection only;
+  /// no library path calls it.
   Catalog central_catalog() const;
 
   /// Partition metadata of every site (φ_1 … φ_n).
@@ -223,12 +234,14 @@ class Warehouse {
   SkewDetector& skew_detector() { return skew_detector_; }
 
   /// Prices `plan` with the calibrated cost model over cached relation
-  /// statistics (profiling the base relation on first use, as ExecuteAuto
-  /// does). The serving layer weighs admission order by this estimate.
+  /// statistics (profiling each of the plan's key attributes on its first
+  /// use, over the fragments, as ExecuteAuto does). The serving layer
+  /// weighs admission order by this estimate.
   Result<CostBreakdown> EstimateCost(const DistributedPlan& plan);
 
  private:
-  /// The profiled statistics of `plan`'s base relation (cached).
+  /// The statistics of `plan`'s base relation: its row count and the
+  /// plan's key attributes, each profiled on first use and cached.
   Result<const RelationStats*> BaseStats(const DistributedPlan& plan);
   /// The one body of ExecutePlan (fan_in 0: the flat, depth-1 tree) and
   /// ExecutePlanTree.
@@ -242,7 +255,8 @@ class Warehouse {
   FaultInjector* injector_ = nullptr;
   bool parallel_sites_ = false;
   int local_threads_ = 0;
-  /// Relation statistics cache for ExecuteAuto (profiled on first use).
+  /// Relation statistics cache for ExecuteAuto and EstimateCost: per
+  /// relation, the attributes profiled so far (each on first use).
   std::map<std::string, RelationStats> stats_cache_;
   /// Persistent straggler detector shared by every coordinator this
   /// warehouse builds (internally synchronized; see dist/rebalance.h).

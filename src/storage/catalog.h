@@ -14,8 +14,11 @@ namespace skalla {
 /// \brief A named collection of tables.
 ///
 /// Each Skalla site holds a Catalog of its local partitions, which a replica
-/// shares; Warehouse::central_catalog() builds one of unioned relations per
-/// call. Tables are held by shared pointer, so sharing copies no rows.
+/// shares. Tables are held by shared pointer, so sharing copies no rows.
+/// Readers outside a site take a relation as the list of its fragments
+/// (Warehouse::fragments(), storage/fragment_list.h);
+/// Warehouse::central_catalog() copies them into a Catalog of unions per
+/// call, for inspection only.
 class Catalog {
  public:
   Catalog() = default;

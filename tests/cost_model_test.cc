@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "skalla/queries.h"
 #include "skalla/warehouse.h"
@@ -208,6 +210,94 @@ TEST_F(CostEstimatorTest, InvalidFanInRejected) {
       warehouse_->Plan(queries::GroupReductionQuery("CustKey"),
                        OptimizerOptions::None()));
   EXPECT_FALSE(estimator_->EstimateTree(plan, 1).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The warehouse's own statistics: each key attribute profiled on first use,
+// over the site fragments read in place.
+// ---------------------------------------------------------------------------
+
+TEST_F(CostEstimatorTest, PerAttributeStatisticsEqualTheUnions) {
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> all,
+                       warehouse_->central_catalog().GetTable("TPCR"));
+  ASSERT_OK_AND_ASSIGN(FragmentList fragments,
+                       FragmentList::Of(warehouse_->fragments().at("TPCR")));
+  for (const char* attr : {"CustKey", "ClerkKey", "NationKey", "CustName"}) {
+    SCOPED_TRACE(attr);
+    ASSERT_OK_AND_ASSIGN(RelationStats over_union,
+                         ProfileRelation(*all, {attr}));
+    ASSERT_OK_AND_ASSIGN(RelationStats in_place,
+                         ProfileRelation(fragments, {attr}));
+    EXPECT_EQ(in_place.rows, over_union.rows);
+    EXPECT_EQ(in_place.distinct_counts, over_union.distinct_counts);
+    EXPECT_EQ(in_place.avg_widths_skl2, over_union.avg_widths_skl2);
+  }
+}
+
+// EstimateCost prices every plan exactly as an estimator over every column
+// of the union does (how the warehouse profiled before it profiled per
+// attribute).
+TEST_F(CostEstimatorTest, EstimateCostEqualsWholeUnionStatistics) {
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> all,
+                       warehouse_->central_catalog().GetTable("TPCR"));
+  ASSERT_OK_AND_ASSIGN(RelationStats whole,
+                       ProfileRelation(*all, all->schema().FieldNames()));
+  CostEstimator reference(8, warehouse_->network_config(),
+                          warehouse_->SiteInfos());
+  reference.AddRelation("TPCR", std::move(whole));
+  for (GmdjExpr (*make)(const std::string&) :
+       {queries::GroupReductionQuery, queries::CoalescingQuery,
+        queries::SyncReductionQuery, queries::CombinedQuery,
+        queries::MultiFeatureQuery}) {
+    for (const char* attr : {"CustKey", "ClerkKey", "NationKey", "CustName"}) {
+      for (const OptimizerOptions& options :
+           {OptimizerOptions::None(), OptimizerOptions::All()}) {
+        ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                             warehouse_->Plan(make(attr), options));
+        ASSERT_OK_AND_ASSIGN(CostBreakdown got,
+                             warehouse_->EstimateCost(plan));
+        ASSERT_OK_AND_ASSIGN(CostBreakdown want, reference.EstimateFlat(plan));
+        SCOPED_TRACE(std::string(attr) + ": " + want.ToString());
+        EXPECT_EQ(got.rounds, want.rounds);
+        EXPECT_EQ(got.groups, want.groups);
+        EXPECT_EQ(got.bytes_down, want.bytes_down);
+        EXPECT_EQ(got.bytes_up, want.bytes_up);
+        EXPECT_EQ(got.comm_seconds, want.comm_seconds);
+        EXPECT_EQ(got.site_seconds, want.site_seconds);
+      }
+    }
+  }
+}
+
+// An append drops the relation's statistics, so the next estimate counts
+// a fresh key: one more distinct SuppKey, one more estimated group.
+TEST_F(CostEstimatorTest, AppendWithAFreshKeyRaisesTheNextEstimate) {
+  ASSERT_OK_AND_ASSIGN(
+      DistributedPlan plan,
+      warehouse_->Plan(queries::GroupReductionQuery("SuppKey"),
+                       OptimizerOptions::All()));
+  ASSERT_OK_AND_ASSIGN(CostBreakdown before, warehouse_->EstimateCost(plan));
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> all,
+                       warehouse_->central_catalog().GetTable("TPCR"));
+  ASSERT_OK_AND_ASSIGN(RelationStats counted,
+                       ProfileRelation(*all, {"SuppKey"}));
+  ASSERT_LT(counted.distinct_counts["SuppKey"], all->num_rows());
+  EXPECT_EQ(before.groups,
+            static_cast<double>(counted.distinct_counts["SuppKey"]));
+
+  // Row 0 with a SuppKey no row holds. No site declares a SuppKey domain,
+  // so row 0's own site admits it.
+  const size_t supp =
+      static_cast<size_t>(all->schema().IndexOf("SuppKey").value());
+  int64_t max_key = 0;
+  for (const Row& row : all->rows()) {
+    max_key = std::max(max_key, row[supp].AsInt64());
+  }
+  Row fresh = all->row(0);
+  fresh[supp] = Value(max_key + 1);
+  ASSERT_OK(warehouse_->AppendRow("TPCR", fresh));
+  ASSERT_OK_AND_ASSIGN(CostBreakdown after, warehouse_->EstimateCost(plan));
+  EXPECT_EQ(after.groups, before.groups + 1);
 }
 
 }  // namespace

@@ -58,6 +58,51 @@ TEST(ExecuteAutoTest, PicksTreeOnBandwidthBoundNetworkAtScale) {
   EXPECT_NE(fan_in, 0);
 }
 
+// ExecuteAuto, which profiles the plan's key attributes on first use, picks
+// the fan-in an estimator over every column of the union picks.
+TEST(ExecuteAutoTest, FanInEqualsWholeUnionStatistics) {
+  TpcConfig config;
+  config.num_rows = 16000;
+  config.num_customers = 3200;
+  config.num_nations = 16;
+  const Table tpcr = GenerateTpcr(config);
+  NetworkConfig slow;
+  slow.bandwidth_bytes_per_sec = 128.0 * 1024;
+  slow.latency_sec = 0.0001;
+  int trees = 0;
+  for (const NetworkConfig& net : {NetworkConfig(), slow}) {
+    Warehouse wh(16, net);
+    ASSERT_OK(wh.LoadByRange("TPCR", tpcr, "NationKey", 0, 15, {"CustKey"}));
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> all,
+                         wh.central_catalog().GetTable("TPCR"));
+    ASSERT_OK_AND_ASSIGN(RelationStats whole,
+                         ProfileRelation(*all, all->schema().FieldNames()));
+    CostEstimator reference(16, net, wh.SiteInfos());
+    reference.AddRelation("TPCR", std::move(whole));
+    for (const GmdjExpr& query :
+         {queries::GroupReductionQuery("CustName"),
+          queries::GroupReductionQuery("CustKey"),
+          queries::CoalescingQuery("ClerkKey"),
+          queries::CombinedQuery("CustName")}) {
+      ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                           wh.Plan(query, OptimizerOptions::All()));
+      bool tree_eligible = plan.base_sites.empty();
+      for (const PlanRound& round : plan.rounds) {
+        if (!round.participating_sites.empty()) tree_eligible = false;
+      }
+      int want = 0;
+      if (tree_eligible) {
+        ASSERT_OK_AND_ASSIGN(want, reference.ChooseArchitecture(plan, {2, 4}));
+      }
+      int fan_in = -1;
+      ASSERT_OK(wh.ExecuteAuto(query, &fan_in).status());
+      EXPECT_EQ(fan_in, want);
+      trees += fan_in != 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(trees, 0);  // some choice is a tree, so the check is not vacuous
+}
+
 TEST(ExecuteAutoTest, StatsAreCachedAcrossQueries) {
   Warehouse wh(4);
   TpcConfig config;

@@ -514,8 +514,8 @@ TEST(GmdjLocalTest, NullKeysMatchNothingWhicheverFormThetaTakes) {
 // ---------------------------------------------------------------------------
 
 TEST(CentralEvalTest, Example1ShapeOnTinyData) {
-  Catalog catalog;
-  catalog.PutTable("T", std::make_shared<const Table>(MakeTinyTable()));
+  const FragmentCatalog catalog = {
+      {"T", {std::make_shared<const Table>(MakeTinyTable())}}};
 
   GmdjExpr expr;
   expr.base.source_table = "T";
@@ -549,8 +549,8 @@ TEST(CentralEvalTest, Example1ShapeOnTinyData) {
 }
 
 TEST(CentralEvalTest, BaseQueryWithFilter) {
-  Catalog catalog;
-  catalog.PutTable("T", std::make_shared<const Table>(MakeTinyTable()));
+  const FragmentCatalog catalog = {
+      {"T", {std::make_shared<const Table>(MakeTinyTable())}}};
 
   GmdjExpr expr;
   expr.base.source_table = "T";

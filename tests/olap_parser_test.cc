@@ -142,8 +142,8 @@ TEST(OlapParserTest, NumbersOutsideInt64AreRejected) {
 }
 
 TEST(OlapParserTest, ParsedQueryEvaluatesLikeHandBuilt) {
-  Catalog catalog;
-  catalog.PutTable("T", std::make_shared<const Table>(MakeTinyTable()));
+  const FragmentCatalog catalog = {
+      {"T", {std::make_shared<const Table>(MakeTinyTable())}}};
   ASSERT_OK_AND_ASSIGN(
       GmdjExpr parsed,
       ParseOlapQuery("SELECT g, COUNT(*) AS cnt1, SUM(v) AS sum1 FROM T "

@@ -637,6 +637,46 @@ TEST_F(TraceTest, FilteringLeavesStillGetReducedViews) {
   EXPECT_EQ(PreparedViews(), 4 * x_rounds);
 }
 
+// The admission estimate profiles only a plan's key attributes, each on
+// its first use: one opt.profile span per cold estimate, naming them.
+TEST_F(TraceTest, EstimateProfilesOnlyThePlansKeyAttributes) {
+  EnableTracing();
+  Warehouse wh(4);
+  ASSERT_OK(wh.LoadByRange("TPCR", SmallTpcr(), "NationKey", 0, 24,
+                           {"CustKey"}));
+  ASSERT_OK_AND_ASSIGN(DistributedPlan by_customer,
+                       wh.Plan(queries::GroupReductionQuery("CustKey"),
+                               OptimizerOptions::All()));
+  ASSERT_OK_AND_ASSIGN(DistributedPlan by_clerk,
+                       wh.Plan(queries::CoalescingQuery("ClerkKey"),
+                               OptimizerOptions::All()));
+  auto profiled = []() {
+    std::vector<std::string> details;
+    for (const obs::TraceSpan& span : obs::SpanSnapshot()) {
+      if (std::string_view(span.name) == "opt.profile") {
+        details.push_back(span.detail);
+      }
+    }
+    return details;
+  };
+  using Details = std::vector<std::string>;
+  obs::ResetTracing();
+  ASSERT_OK(wh.EstimateCost(by_customer).status());
+  EXPECT_EQ(profiled(), Details{"TPCR: CustKey"});
+  ASSERT_OK(wh.EstimateCost(by_customer).status());  // warm: no profile
+  ASSERT_OK(wh.EstimateCost(by_clerk).status());
+  EXPECT_EQ(profiled(), (Details{"TPCR: CustKey", "TPCR: ClerkKey"}));
+
+  // An append drops the relation's statistics; the next estimate profiles
+  // its own plan's attribute again, and only that one.
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> fragment,
+                       wh.site(0).catalog().GetTable("TPCR"));
+  ASSERT_OK(wh.AppendRow("TPCR", fragment->row(0)));
+  obs::ResetTracing();
+  ASSERT_OK(wh.EstimateCost(by_clerk).status());
+  EXPECT_EQ(profiled(), Details{"TPCR: ClerkKey"});
+}
+
 TEST_F(TraceTest, DeadlineExceededRoundCarriesItsCounts) {
   // Site 0's link is 100x slow: every exchange takes ~0.2 s of simulated
   // time against a fixed 0.05 s deadline, so the base round spends all
