@@ -238,16 +238,12 @@ void ShipToAggregators(SimNetwork* net, const TreeTopology& tree,
     for (int v : tree.NodesAtLevel(level)) {
       if (!active[static_cast<size_t>(v)]) continue;
       const DownMessage& msg = down_of[static_cast<size_t>(v)];
+      SiteLoad& hop = rm->Exchange(EncodeAggregatorId(v));
+      hop.attempts++;
       const TransferOutcome out =
-          net->Transfer(msg.from, EncodeAggregatorId(v), msg.bytes, msg.rows,
-                        msg.label, 0, TransferDirection::kToSite);
-      rm->bytes_to_sites += msg.bytes;
-      rm->groups_to_sites += msg.rows;
-      rm->bytes_baseline_skl1 +=
-          msg.baseline_bytes > 0 ? msg.baseline_bytes : msg.bytes;
-      if (msg.fallback_bytes > msg.bytes) {
-        rm->bytes_saved_by_delta += msg.fallback_bytes - msg.bytes;
-      }
+          net->Transfer(msg.from, EncodeAggregatorId(v),
+                        msg.Book(/*attempt=*/0, &hop), msg.rows, msg.label, 0,
+                        TransferDirection::kToSite);
       level_comm = std::max(level_comm, outbound[msg.from] += out.seconds);
     }
     rm->comm_sec += level_comm;
@@ -293,9 +289,8 @@ Result<std::vector<Inbound>> CombineUp(
       const TransferOutcome out = net->Transfer(
           EncodeAggregatorId(v), ParentEndpoint(tree, v), payload.size(),
           combined.num_rows(), label, 0, TransferDirection::kToCoordinator);
-      rm->bytes_to_coord += payload.size();
-      rm->groups_to_coord += combined.num_rows();
-      rm->bytes_baseline_skl1 += Serializer::Skl1Size(combined);
+      BookReply(combined, payload.size(), /*attempt=*/0,
+                &rm->Exchange(EncodeAggregatorId(v)));
       const size_t parent =
           static_cast<size_t>(tree.nodes[static_cast<size_t>(v)].parent);
       level_comm = std::max(level_comm, inbound_sec[parent] += out.seconds);
@@ -642,8 +637,7 @@ Result<Table> Coordinator::Run(const DistributedPlan& plan,
         drive_participants.push_back(helper_sid);
         // The helper holds no cached X, so it gets its own full copy of
         // the straggler's view (the delta's fallback size when the
-        // straggler got a delta), flagged so its traffic lands in the
-        // rebalance surcharge counters.
+        // straggler got a delta), flagged so its row is a helper's.
         DownMessage helper_msg = down[p_hot];
         if (helper_msg.fallback_bytes > 0) {
           helper_msg.bytes = helper_msg.fallback_bytes;
@@ -657,7 +651,6 @@ Result<Table> Coordinator::Run(const DistributedPlan& plan,
         ranges.push_back({decision.split_at, -1});
         assigned_rows[p_hot] = decision.split_at;
         assigned_rows.push_back(decision.rows - decision.split_at);
-        rm.rebalance_splits++;
       }
     }
 
@@ -695,15 +688,14 @@ Result<Table> Coordinator::Run(const DistributedPlan& plan,
         CombineUp(&network_, topology_, active, std::move(inbox), reply_label,
                   num_key, slots, sub_width, &rm));
 
-    // Feed the measured per-slot wall times back to the detector (primary
+    // Feed each slot's successful attempt back to the detector (primary
     // slots only — a helper's timing belongs to the replica's hardware,
     // not the straggler being modelled).
     if (splittable) {
       for (size_t p = 0; p < participants.size(); ++p) {
-        if (p < rm.site_seconds.size()) {
-          skew_detector_->ObserveRound(participants[p], rm.site_seconds[p],
-                                       assigned_rows[p]);
-        }
+        skew_detector_->ObserveRound(
+            participants[p], rm.Exchange(participants[p]).success_sec,
+            assigned_rows[p]);
       }
     }
 

@@ -172,7 +172,7 @@ class Coordinator {
   /// Attaches a skew detector (borrowed, may be null to disable): before
   /// each eligible GMDJ round the coordinator asks it to plan a
   /// rebalancing split over the per-slot detail row counts, and after each
-  /// round feeds back the measured per-slot wall timings. When the
+  /// round feeds back each slot's successful attempt's wall seconds. When the
   /// detector proposes a split and the hot slot has a φ-covering replica
   /// registered (AddReplica), the replica joins the round as a helper slot
   /// evaluating the straggler's upper detail fragment; the two H
@@ -213,7 +213,8 @@ class Coordinator {
 
 /// Theorem 2's bound on groups transferred by Alg. GMDJDistribEval:
 /// Σ_rounds (2 · s_i · |Q|) + s_0 · |Q|, with |Q| = `q_rows` result rows.
-/// Any execution's GroupsToSites()+GroupsToCoord() must not exceed it.
+/// Any execution's GroupsToSites()+GroupsToCoord(), less its retry share
+/// and its helper rows' first-attempt groups, must not exceed it.
 int64_t TheoremTwoGroupBound(const DistributedPlan& plan, int num_sites,
                              int64_t q_rows);
 

@@ -39,6 +39,34 @@ int SiteRoster::AddHelperSlot(Site* site, Site* failover_to) {
   return sid;
 }
 
+size_t DownMessage::Book(int attempt, SiteLoad* row) const {
+  // A delta payload is only safe on the first attempt: after a failed
+  // exchange (or a failover) the receiver's cached state is unknowable, so
+  // retries ship the full standalone payload.
+  const bool retry = attempt > 0;
+  const size_t sent = retry && fallback_bytes > 0 ? fallback_bytes : bytes;
+  row->bytes_in += sent;
+  row->groups_in += rows;
+  row->bytes_baseline_skl1 += baseline_bytes > 0 ? baseline_bytes : sent;
+  if (retry) {
+    row->bytes_retransmitted += sent;
+    row->groups_retry_in += rows;
+  } else if (fallback_bytes > bytes) {
+    row->bytes_saved_by_delta += fallback_bytes - bytes;
+  }
+  return sent;
+}
+
+void BookReply(const Table& reply, size_t bytes, int attempt, SiteLoad* row) {
+  row->bytes_out += bytes;
+  row->groups_out += reply.num_rows();
+  row->bytes_baseline_skl1 += Serializer::Skl1Size(reply);
+  if (attempt > 0) {
+    row->bytes_retransmitted += bytes;
+    row->groups_retry_out += reply.num_rows();
+  }
+}
+
 namespace {
 
 enum class FailureKind { kNone, kUnreachable, kTimeout };
@@ -53,10 +81,11 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
   obs::ScopedSpan drive_span("round.drive", obs::kTrackCoordinator);
   if (drive_span.armed()) drive_span.set_detail(rm->label);
   const size_t n = participants.size();
-  // Per-slot wall timings for the skew detector.
-  if (rm->site_seconds.size() < n) rm->site_seconds.resize(n, 0.0);
-  rm->site_loads.resize(n);
-  for (size_t p = 0; p < n; ++p) rm->site_loads[p].site = participants[p];
+  // Every slot's row exists before the first wave, so no row is appended
+  // (and no reference into the rows moved) while a wave runs.
+  for (size_t p = 0; p < n; ++p) {
+    rm->Exchange(participants[p]).rebalance = down[p].rebalance;
+  }
   const int attempts_per_budget = std::max(1, retry.max_attempts);
   std::vector<std::string> replies(n);
   std::vector<int> budget(n, attempts_per_budget);
@@ -70,51 +99,26 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     // Per-slot link-time charge of this wave; folded into comm_sec per
     // sender link at the end of the wave.
     std::vector<double> charge(n, 0.0);
+    Status failed;
 
     // ---- Downstream wave (deterministic slot order). ----
     std::vector<size_t> eligible;
     std::vector<double> down_sec(n, 0.0);
     for (size_t p : pending) {
       Site* site = roster->active(participants[p]);
-      SiteLoad& load = rm->site_loads[p];
+      SiteLoad& load = rm->Exchange(participants[p]);
       load.attempts++;
       if (attempt > 0) {
-        rm->retries++;
         load.retries++;
         charge[p] += retry.BackoffSeconds(attempt);
       }
       const DownMessage& msg = down[p];
-      // A delta payload is only safe on the first attempt: after a failed
-      // exchange (or a failover) the receiver's cached state is
-      // unknowable, so retries ship the full standalone payload.
-      const bool fall_back = attempt > 0 && msg.fallback_bytes > 0;
-      const size_t send_bytes = fall_back ? msg.fallback_bytes : msg.bytes;
-      const TransferOutcome out =
-          net->Transfer(msg.from, site->id(), send_bytes, msg.rows, msg.label,
-                        attempt, TransferDirection::kToSite);
-      rm->bytes_to_sites += send_bytes;
-      rm->groups_to_sites += msg.rows;
-      load.bytes_in += send_bytes;
-      load.groups_in += msg.rows;
-      if (msg.rebalance && attempt == 0) {
-        // The split surcharge: attempt-0 traffic of helper slots (retries
-        // of the same slot are already in the retry surcharge).
-        rm->bytes_rebalance += send_bytes;
-        rm->groups_rebalance_to_sites += msg.rows;
-      }
-      rm->bytes_baseline_skl1 +=
-          msg.baseline_bytes > 0 ? msg.baseline_bytes : send_bytes;
-      if (attempt == 0 && msg.fallback_bytes > msg.bytes) {
-        rm->bytes_saved_by_delta += msg.fallback_bytes - msg.bytes;
-      }
-      if (attempt > 0) {
-        rm->bytes_retransmitted += send_bytes;
-        rm->groups_retry_to_sites += msg.rows;
-      }
+      const TransferOutcome out = net->Transfer(
+          msg.from, site->id(), msg.Book(attempt, &load), msg.rows, msg.label,
+          attempt, TransferDirection::kToSite);
       if (!out.delivered) {
         // Loss is detected at the attempt deadline (or, without deadlines,
         // by an immediate negative acknowledgement).
-        rm->drops++;
         load.drops++;
         last_failure[p] = FailureKind::kUnreachable;
         charge[p] += retry.deadline_enabled() ? retry.DeadlineSeconds(attempt)
@@ -162,38 +166,25 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     for (size_t p : eligible) {
       const int sid = participants[p];
       Site* site = roster->active(sid);
-      SiteLoad& load = rm->site_loads[p];
-      const double cpu = reports[p].cpu_sec;
-      const ScanCounters& scan = reports[p].scan;
-      rm->detail_rows_scanned += scan.rows_scanned;
-      rm->detail_rows_matched += scan.rows_matched;
-      rm->morsels_vectorized += scan.morsels_vectorized;
-      rm->morsels_scalar += scan.morsels_scalar;
+      SiteLoad& load = rm->Exchange(sid);
+      load.scan += reports[p].scan;
       // Non-fault evaluation errors are logic bugs, not outages: propagate.
-      SKALLA_ASSIGN_OR_RETURN(Table reply_table, std::move(outcomes[p]));
+      if (!outcomes[p].ok()) {
+        failed = outcomes[p].status();
+        break;
+      }
+      const Table& reply_table = *outcomes[p];
+      // The site did the work, whatever becomes of its reply.
+      const double cpu = reports[p].cpu_sec;
+      load.cpu_sec += cpu;
       std::string payload = Serializer::SerializeTable(reply_table);
       const TransferOutcome out = net->Transfer(
           site->id(), down[p].from, payload.size(), reply_table.num_rows(),
           reply_label, attempt, TransferDirection::kToCoordinator);
-      rm->bytes_to_coord += payload.size();
-      rm->groups_to_coord += reply_table.num_rows();
-      load.bytes_out += payload.size();
-      load.groups_out += reply_table.num_rows();
-      if (down[p].rebalance && attempt == 0) {
-        rm->bytes_rebalance += payload.size();
-        rm->groups_rebalance_to_coord += reply_table.num_rows();
-      }
-      rm->bytes_baseline_skl1 += Serializer::Skl1Size(reply_table);
-      if (attempt > 0) {
-        rm->bytes_retransmitted += payload.size();
-        rm->groups_retry_to_coord += reply_table.num_rows();
-      }
+      BookReply(reply_table, payload.size(), attempt, &load);
       const double deadline = retry.DeadlineSeconds(attempt);
       if (!out.delivered) {
-        rm->drops++;
         load.drops++;
-        rm->site_cpu_sum_sec += cpu;  // the site did do the work
-        load.cpu_sec += cpu;
         last_failure[p] = FailureKind::kUnreachable;
         // The coordinator waited through the whole exchange before giving
         // up on the reply.
@@ -203,30 +194,19 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
       }
       const double attempt_sec = down_sec[p] + cpu + out.seconds;
       if (retry.deadline_enabled() && attempt_sec > deadline) {
-        rm->timeouts++;
         load.timeouts++;
-        rm->site_cpu_sum_sec += cpu;
-        load.cpu_sec += cpu;
         last_failure[p] = FailureKind::kTimeout;
         charge[p] += deadline;
         continue;
       }
       charge[p] += down_sec[p] + out.seconds;
-      // Track the fastest and slowest successful site alongside the max —
-      // PROFILE's min/avg/max column and straggler flag come from these.
-      rm->site_cpu_min_sec = rm->slowest_site < 0
-                                 ? cpu
-                                 : std::min(rm->site_cpu_min_sec, cpu);
-      if (rm->slowest_site < 0 || cpu > rm->site_cpu_max_sec) {
-        rm->slowest_site = sid;
-      }
-      rm->site_cpu_max_sec = std::max(rm->site_cpu_max_sec, cpu);
-      rm->site_cpu_sum_sec += cpu;
-      load.cpu_sec += cpu;
-      rm->site_seconds[p] = cpu;
+      load.success_sec = cpu;
       replies[p] = std::move(payload);
       done[p] = true;
     }
+    rm->site_cpu_max_sec = rm->ReplySeconds().max;
+    rm->site_cpu_sum_sec = rm->Total().cpu_sec;
+    if (!failed.ok()) return failed;
 
     // ---- Fold this wave's link time into the round: slots sharing a
     //      sender serialize on its link, distinct senders run in parallel.
@@ -241,7 +221,6 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
 
     // ---- Cull finished slots; exhausted slots fail over or abort. ----
     std::vector<size_t> next_pending;
-    Status failed;
     for (size_t p : pending) {
       if (done[p]) continue;
       const int sid = participants[p];
@@ -258,20 +237,21 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
                         rm->label.c_str(), attempt + 1, why.c_str()));
           break;
         }
-        rm->failovers++;
-        rm->site_loads[p].failovers++;
+        rm->Exchange(sid).failovers++;
         budget[p] += attempts_per_budget;
       }
       next_pending.push_back(p);
     }
     // The round's fault counts so far, on its timeline span: a round that
     // gives up carries them too.
-    if (drive_span.armed() &&
-        rm->retries + rm->timeouts + rm->drops + rm->failovers > 0) {
-      drive_span.set_detail(StrFormat(
-          "%s: retries=%d timeouts=%d drops=%d failovers=%d",
-          rm->label.c_str(), rm->retries, rm->timeouts, rm->drops,
-          rm->failovers));
+    if (drive_span.armed()) {
+      const SiteLoad total = rm->Total();
+      if (total.retries + total.timeouts + total.drops + total.failovers > 0) {
+        drive_span.set_detail(StrFormat(
+            "%s: retries=%d timeouts=%d drops=%d failovers=%d",
+            rm->label.c_str(), total.retries, total.timeouts, total.drops,
+            total.failovers));
+      }
     }
     if (!failed.ok()) return failed;
     pending = std::move(next_pending);

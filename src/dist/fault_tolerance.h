@@ -73,11 +73,21 @@ struct DownMessage {
   size_t baseline_bytes = 0;
 
   /// This slot exists only because of a skew-rebalancing split (the helper
-  /// evaluating a straggler's upper detail fragment). Its first-attempt
-  /// traffic is mirrored into RoundMetrics' rebalance surcharge counters
-  /// so Theorem-2 bound checks can subtract it, exactly as retries are.
+  /// evaluating a straggler's upper detail fragment). Its row is flagged
+  /// (SiteLoad::rebalance), so Theorem-2 bound checks can subtract its
+  /// first-attempt traffic, exactly as they subtract retries.
   bool rebalance = false;
+
+  /// Books attempt `attempt` of this message into its receiver's `row` and
+  /// returns the bytes it ships: a retry ships the full fallback payload
+  /// (retransmitted bytes and groups), a first attempt saves what its
+  /// delta saves.
+  size_t Book(int attempt, SiteLoad* row) const;
 };
+
+/// Books `reply`, shipped in `bytes` by attempt `attempt`, into its
+/// sender's `row`, the reply's SKL1 size into the row's baseline.
+void BookReply(const Table& reply, size_t bytes, int attempt, SiteLoad* row);
 
 /// Local evaluation callback: slot index, the site serving it (primary or
 /// replica), and the report it fills (CPU seconds and scan counts).
@@ -101,13 +111,11 @@ using SiteEvalFn =
 /// Each reply travels back to its DownMessage's sender (the coordinator or
 /// an aggregation-tree parent). Slots sharing a sender share its link, so a
 /// wave costs the max over senders of the per-sender sum (for a flat round,
-/// the sum over slots). Retry, timeout, drop, failover, and
-/// retransmission counters are accumulated into `rm`; retransmitted bytes
-/// and groups are also counted as real traffic in the round totals. Each
-/// slot also gets its own rm->site_loads row, and every evaluated attempt's
-/// scan counts are added to the round's.
-/// Each reply's SKL1 size is folded into the round's bytes_baseline_skl1
-/// alongside each DownMessage's baseline_bytes.
+/// the sum over slots). Each slot's traffic, faults, scan counts and
+/// seconds are booked into its own row of `rm` (RoundMetrics::Exchange,
+/// keyed by slot id; retransmissions count as real traffic too), and
+/// rm->site_cpu_max_sec and rm->site_cpu_sum_sec are set from the rows
+/// after each wave.
 Result<std::vector<std::string>> DriveRoundWithRetries(
     SimNetwork* net, const RetryPolicy& retry, RoundMetrics* rm,
     SiteRoster* roster, const std::vector<int>& participants,

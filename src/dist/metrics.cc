@@ -10,139 +10,79 @@
 
 namespace skalla {
 
-size_t ExecutionMetrics::TotalBytes() const {
-  return BytesToSites() + BytesToCoord();
+SiteLoad& SiteLoad::operator+=(const SiteLoad& other) {
+  cpu_sec += other.cpu_sec;
+  success_sec += other.success_sec;
+  bytes_in += other.bytes_in;
+  bytes_out += other.bytes_out;
+  groups_in += other.groups_in;
+  groups_out += other.groups_out;
+  bytes_retransmitted += other.bytes_retransmitted;
+  groups_retry_in += other.groups_retry_in;
+  groups_retry_out += other.groups_retry_out;
+  bytes_saved_by_delta += other.bytes_saved_by_delta;
+  bytes_baseline_skl1 += other.bytes_baseline_skl1;
+  attempts += other.attempts;
+  retries += other.retries;
+  timeouts += other.timeouts;
+  drops += other.drops;
+  failovers += other.failovers;
+  scan += other.scan;
+  return *this;
 }
 
-size_t ExecutionMetrics::BytesToSites() const {
-  size_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.bytes_to_sites;
+SiteLoad& RoundMetrics::Exchange(int id) {
+  for (SiteLoad& row : exchanges) {
+    if (row.site == id) return row;
+  }
+  SiteLoad& row = exchanges.emplace_back();
+  row.site = id;
+  return row;
+}
+
+SiteLoad RoundMetrics::Total() const {
+  SiteLoad total;
+  for (const SiteLoad& row : exchanges) total += row;
   return total;
 }
 
-size_t ExecutionMetrics::BytesToCoord() const {
-  size_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.bytes_to_coord;
-  return total;
+SiteSeconds RoundMetrics::ReplySeconds() const {
+  SiteSeconds out;
+  int replied = 0;
+  double sum = 0;
+  for (const SiteLoad& row : exchanges) {
+    if (row.site < 0 || !row.replied()) continue;
+    const double sec = row.success_sec;
+    out.min = replied == 0 ? sec : std::min(out.min, sec);
+    if (replied == 0 || sec > out.max) {
+      out.max = sec;
+      out.slowest_site = row.site;
+    }
+    sum += sec;
+    ++replied;
+  }
+  if (replied > 0) out.mean = sum / static_cast<double>(replied);
+  return out;
 }
 
-int64_t ExecutionMetrics::GroupsToSites() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.groups_to_sites;
-  return total;
-}
-
-int64_t ExecutionMetrics::GroupsToCoord() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.groups_to_coord;
-  return total;
-}
-
-int ExecutionMetrics::Retries() const {
-  int total = 0;
-  for (const RoundMetrics& r : rounds) total += r.retries;
-  return total;
-}
-
-int ExecutionMetrics::Timeouts() const {
-  int total = 0;
-  for (const RoundMetrics& r : rounds) total += r.timeouts;
-  return total;
-}
-
-int ExecutionMetrics::Drops() const {
-  int total = 0;
-  for (const RoundMetrics& r : rounds) total += r.drops;
-  return total;
-}
-
-int ExecutionMetrics::Failovers() const {
-  int total = 0;
-  for (const RoundMetrics& r : rounds) total += r.failovers;
-  return total;
-}
-
-size_t ExecutionMetrics::BytesRetransmitted() const {
-  size_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.bytes_retransmitted;
-  return total;
-}
-
-int64_t ExecutionMetrics::RetryGroupsToSites() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.groups_retry_to_sites;
-  return total;
-}
-
-int64_t ExecutionMetrics::RetryGroupsToCoord() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.groups_retry_to_coord;
-  return total;
-}
-
-size_t ExecutionMetrics::BytesSavedByDelta() const {
-  size_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.bytes_saved_by_delta;
-  return total;
-}
-
-size_t ExecutionMetrics::BytesBaselineSkl1() const {
-  size_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.bytes_baseline_skl1;
-  return total;
-}
-
-int64_t ExecutionMetrics::DetailRowsScanned() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.detail_rows_scanned;
-  return total;
-}
-
-int64_t ExecutionMetrics::DetailRowsMatched() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.detail_rows_matched;
-  return total;
-}
-
-int64_t ExecutionMetrics::MorselsVectorized() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.morsels_vectorized;
-  return total;
-}
-
-int64_t ExecutionMetrics::MorselsScalar() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.morsels_scalar;
+SiteLoad ExecutionMetrics::Total() const {
+  SiteLoad total;
+  for (const RoundMetrics& r : rounds) total += r.Total();
   return total;
 }
 
 int ExecutionMetrics::RebalanceSplits() const {
-  int total = 0;
-  for (const RoundMetrics& r : rounds) total += r.rebalance_splits;
-  return total;
-}
-
-int64_t ExecutionMetrics::RebalanceGroupsToSites() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.groups_rebalance_to_sites;
-  return total;
-}
-
-int64_t ExecutionMetrics::RebalanceGroupsToCoord() const {
-  int64_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.groups_rebalance_to_coord;
-  return total;
-}
-
-size_t ExecutionMetrics::RebalanceBytes() const {
-  size_t total = 0;
-  for (const RoundMetrics& r : rounds) total += r.bytes_rebalance;
-  return total;
+  int splits = 0;
+  for (const RoundMetrics& r : rounds) {
+    for (const SiteLoad& row : r.exchanges) splits += row.rebalance;
+  }
+  return splits;
 }
 
 double ExecutionMetrics::CompressionRatio() const {
-  const size_t actual = TotalBytes();
-  const size_t baseline = BytesBaselineSkl1();
+  const SiteLoad total = Total();
+  const size_t actual = total.bytes_in + total.bytes_out;
+  const size_t baseline = total.bytes_baseline_skl1;
   if (actual == 0 || baseline == 0) return 1.0;
   return static_cast<double>(baseline) / static_cast<double>(actual);
 }
@@ -172,54 +112,68 @@ double ExecutionMetrics::ResponseSeconds() const {
 }
 
 std::string ExecutionMetrics::ToString() const {
+  const SiteLoad total = Total();
   std::ostringstream os;
   os << StrFormat("%d round(s), response %.4fs (site %.4fs, coord %.4fs, "
                   "comm %.4fs), traffic %s out / %s in, groups %lld out / "
                   "%lld in\n",
                   NumRounds(), ResponseSeconds(), SiteCpuSeconds(),
                   CoordCpuSeconds(), CommSeconds(),
-                  HumanBytes(static_cast<double>(BytesToSites())).c_str(),
-                  HumanBytes(static_cast<double>(BytesToCoord())).c_str(),
-                  static_cast<long long>(GroupsToSites()),
-                  static_cast<long long>(GroupsToCoord()));
-  if (Retries() > 0 || Timeouts() > 0 || Drops() > 0 || Failovers() > 0) {
+                  HumanBytes(static_cast<double>(total.bytes_in)).c_str(),
+                  HumanBytes(static_cast<double>(total.bytes_out)).c_str(),
+                  static_cast<long long>(total.groups_in),
+                  static_cast<long long>(total.groups_out));
+  if (total.retries > 0 || total.timeouts > 0 || total.drops > 0 ||
+      total.failovers > 0) {
     os << StrFormat(
         "faults survived: %d retry(ies), %d timeout(s), %d drop(s), "
         "%d failover(s), %s retransmitted\n",
-        Retries(), Timeouts(), Drops(), Failovers(),
-        HumanBytes(static_cast<double>(BytesRetransmitted())).c_str());
+        total.retries, total.timeouts, total.drops, total.failovers,
+        HumanBytes(static_cast<double>(total.bytes_retransmitted)).c_str());
   }
   if (RebalanceSplits() > 0) {
+    // The split surcharge: the helper rows' first-attempt traffic (their
+    // retries are in the retry surcharge).
+    SiteLoad helpers;
+    for (const RoundMetrics& r : rounds) {
+      for (const SiteLoad& row : r.exchanges) {
+        if (row.rebalance) helpers += row;
+      }
+    }
     os << StrFormat(
         "skew: %d straggler split(s), %s rebalance traffic, %lld groups "
         "out / %lld in\n",
         RebalanceSplits(),
-        HumanBytes(static_cast<double>(RebalanceBytes())).c_str(),
-        static_cast<long long>(RebalanceGroupsToSites()),
-        static_cast<long long>(RebalanceGroupsToCoord()));
+        HumanBytes(static_cast<double>(helpers.bytes_in + helpers.bytes_out -
+                                       helpers.bytes_retransmitted))
+            .c_str(),
+        static_cast<long long>(helpers.groups_in - helpers.groups_retry_in),
+        static_cast<long long>(helpers.groups_out -
+                               helpers.groups_retry_out));
   }
-  if (BytesSavedByDelta() > 0 || CompressionRatio() > 1.0) {
+  if (total.bytes_saved_by_delta > 0 || CompressionRatio() > 1.0) {
     os << StrFormat(
         "wire: %s saved by delta shipping, %.2fx vs SKL1 full-ship\n",
-        HumanBytes(static_cast<double>(BytesSavedByDelta())).c_str(),
+        HumanBytes(static_cast<double>(total.bytes_saved_by_delta)).c_str(),
         CompressionRatio());
   }
-  if (DetailRowsScanned() > 0) {
+  if (total.scan.rows_scanned > 0) {
     os << StrFormat(
         "scan: %lld detail row(s), %lld match(es), morsels %lld vectorized "
         "/ %lld scalar\n",
-        static_cast<long long>(DetailRowsScanned()),
-        static_cast<long long>(DetailRowsMatched()),
-        static_cast<long long>(MorselsVectorized()),
-        static_cast<long long>(MorselsScalar()));
+        static_cast<long long>(total.scan.rows_scanned),
+        static_cast<long long>(total.scan.rows_matched),
+        static_cast<long long>(total.scan.morsels_vectorized),
+        static_cast<long long>(total.scan.morsels_scalar));
   }
   for (const RoundMetrics& r : rounds) {
+    const SiteLoad round = r.Total();
     os << StrFormat(
         "  %-28s sites=%d  out=%s in=%s  site_cpu(max)=%.4fs "
         "coord_cpu=%.4fs comm=%.4fs\n",
         r.label.c_str(), r.sites,
-        HumanBytes(static_cast<double>(r.bytes_to_sites)).c_str(),
-        HumanBytes(static_cast<double>(r.bytes_to_coord)).c_str(),
+        HumanBytes(static_cast<double>(round.bytes_in)).c_str(),
+        HumanBytes(static_cast<double>(round.bytes_out)).c_str(),
         r.site_cpu_max_sec, r.coord_cpu_sec, r.comm_sec);
   }
   return os.str();
@@ -227,24 +181,26 @@ std::string ExecutionMetrics::ToString() const {
 
 void PublishExecutionMetrics(const ExecutionMetrics& metrics) {
   if (!obs::MetricsEnabled()) return;
+  const SiteLoad total = metrics.Total();
   const std::pair<const char*, int64_t> totals[] = {
       {"skalla_dist_rounds_total", metrics.NumRounds()},
-      {"skalla_dist_retries_total", metrics.Retries()},
-      {"skalla_dist_timeouts_total", metrics.Timeouts()},
-      {"skalla_dist_drops_total", metrics.Drops()},
-      {"skalla_dist_failovers_total", metrics.Failovers()},
+      {"skalla_dist_retries_total", total.retries},
+      {"skalla_dist_timeouts_total", total.timeouts},
+      {"skalla_dist_drops_total", total.drops},
+      {"skalla_dist_failovers_total", total.failovers},
       {"skalla_dist_bytes_shipped_total",
-       static_cast<int64_t>(metrics.TotalBytes())},
+       static_cast<int64_t>(total.bytes_in + total.bytes_out)},
       {"skalla_dist_bytes_saved_by_delta_total",
-       static_cast<int64_t>(metrics.BytesSavedByDelta())},
-      {"skalla_gmdj_rows_scanned_total", metrics.DetailRowsScanned()},
-      {"skalla_gmdj_rows_matched_total", metrics.DetailRowsMatched()},
+       static_cast<int64_t>(total.bytes_saved_by_delta)},
+      {"skalla_gmdj_rows_scanned_total", total.scan.rows_scanned},
+      {"skalla_gmdj_rows_matched_total", total.scan.rows_matched},
   };
   for (const auto& [name, value] : totals) {
     obs::GetCounter(name).Add(static_cast<uint64_t>(value));
   }
   for (const RoundMetrics& r : metrics.rounds) {
-    for (const SiteLoad& load : r.site_loads) {
+    for (const SiteLoad& load : r.exchanges) {
+      if (load.site < 0) continue;  // an aggregator hop: no site of its own
       const std::string site = std::to_string(load.site);
       obs::GetHistogram("skalla_dist_site_round_seconds{site=\"" + site + "\"}",
                         obs::HistogramLayout::LatencySeconds())
@@ -269,24 +225,11 @@ double SkewFactor(double max_value, double sum, size_t n) {
 
 }  // namespace
 
-SiteLoad& SiteLoad::operator+=(const SiteLoad& other) {
-  cpu_sec += other.cpu_sec;
-  bytes_in += other.bytes_in;
-  bytes_out += other.bytes_out;
-  groups_in += other.groups_in;
-  groups_out += other.groups_out;
-  attempts += other.attempts;
-  retries += other.retries;
-  timeouts += other.timeouts;
-  drops += other.drops;
-  failovers += other.failovers;
-  return *this;
-}
-
 StragglerReport BuildStragglerReport(const ExecutionMetrics& metrics) {
   std::map<int, SiteLoad> by_site;
   for (const RoundMetrics& r : metrics.rounds) {
-    for (const SiteLoad& load : r.site_loads) {
+    for (const SiteLoad& load : r.exchanges) {
+      if (load.site < 0) continue;
       SiteLoad& sum = by_site[load.site];
       sum.site = load.site;
       sum += load;

@@ -78,6 +78,14 @@ struct ScanCounters {
   /// path vs the scalar row-at-a-time path.
   int64_t morsels_vectorized = 0;
   int64_t morsels_scalar = 0;
+
+  ScanCounters& operator+=(const ScanCounters& other) {
+    rows_scanned += other.rows_scanned;
+    rows_matched += other.rows_matched;
+    morsels_vectorized += other.morsels_vectorized;
+    morsels_scalar += other.morsels_scalar;
+    return *this;
+  }
 };
 
 /// Default morsel granularity: small enough to load-balance skewed

@@ -13,10 +13,11 @@ std::string FormatExecutionReport(const QueryResult& result) {
   os << StrFormat("%-30s %6s %12s %12s %10s %10s %10s\n", "round", "sites",
                   "out", "in", "site[s]", "coord[s]", "comm[s]");
   for (const RoundMetrics& rm : result.metrics.rounds) {
+    const SiteLoad total = rm.Total();
     os << StrFormat(
         "%-30s %6d %12s %12s %10.4f %10.4f %10.4f\n", rm.label.c_str(),
-        rm.sites, HumanBytes(static_cast<double>(rm.bytes_to_sites)).c_str(),
-        HumanBytes(static_cast<double>(rm.bytes_to_coord)).c_str(),
+        rm.sites, HumanBytes(static_cast<double>(total.bytes_in)).c_str(),
+        HumanBytes(static_cast<double>(total.bytes_out)).c_str(),
         rm.site_cpu_max_sec, rm.coord_cpu_sec, rm.comm_sec);
   }
   os << "=== summary ===\n";
@@ -73,31 +74,29 @@ std::string FormatQueryProfile(const QueryResult* result,
                   "sites", "out[B/rows]", "in[B/rows]", "coord[s]", "comm[s]",
                   "site[min/avg/max s]", "slow");
   for (const RoundMetrics& rm : result->metrics.rounds) {
-    const double avg =
-        rm.sites > 0 ? rm.site_cpu_sum_sec / static_cast<double>(rm.sites)
-                     : 0.0;
+    const SiteLoad total = rm.Total();
+    const SiteSeconds site = rm.ReplySeconds();
     std::string site_col =
-        StrFormat("%8.4f/%8.4f/%8.4f", rm.site_cpu_min_sec, avg,
-                  rm.site_cpu_max_sec);
+        StrFormat("%8.4f/%8.4f/%8.4f", site.min, site.mean, site.max);
     std::string slow_col =
-        rm.slowest_site >= 0 ? StrFormat("s%d", rm.slowest_site) : "-";
+        site.slowest_site >= 0 ? StrFormat("s%d", site.slowest_site) : "-";
     os << StrFormat(
         "%-30s %6d %14s %14s %12.4f %12.4f %26s %6s\n", rm.label.c_str(),
         rm.sites,
-        StrFormat("%zu/%lld", rm.bytes_to_sites,
-                  static_cast<long long>(rm.groups_to_sites))
+        StrFormat("%zu/%lld", total.bytes_in,
+                  static_cast<long long>(total.groups_in))
             .c_str(),
-        StrFormat("%zu/%lld", rm.bytes_to_coord,
-                  static_cast<long long>(rm.groups_to_coord))
+        StrFormat("%zu/%lld", total.bytes_out,
+                  static_cast<long long>(total.groups_out))
             .c_str(),
         rm.coord_cpu_sec, rm.comm_sec, site_col.c_str(), slow_col.c_str());
-    if (rm.retries > 0 || rm.timeouts > 0 || rm.drops > 0 ||
-        rm.failovers > 0) {
+    if (total.retries > 0 || total.timeouts > 0 || total.drops > 0 ||
+        total.failovers > 0) {
       os << StrFormat(
           "  ^ faults: %d retries, %d timeouts, %d drops, %d failovers, "
           "%zu B retransmitted\n",
-          rm.retries, rm.timeouts, rm.drops, rm.failovers,
-          rm.bytes_retransmitted);
+          total.retries, total.timeouts, total.drops, total.failovers,
+          total.bytes_retransmitted);
     }
   }
 

@@ -16,9 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "dist/coordinator.h"
 #include "net/fault_injector.h"
 #include "skalla/queries.h"
+#include "skalla/report.h"
 #include "skalla/warehouse.h"
 #include "storage/serializer.h"
 #include "test_util.h"
@@ -369,6 +371,53 @@ TEST_F(FaultInjectionTest, NonCoveringReplicaIsRefused) {
             std::string::npos);
 }
 
+// PROFILE's site column under the same straggler: site 0's timed-out
+// attempt is in the round's summed seconds, which `sites` does not count,
+// so the average is the mean of the slots' successful attempts — between
+// the fastest and the slowest of them.
+TEST_F(FaultInjectionTest, ProfileSiteAverageIsTheMeanOfTheReplies) {
+  NetworkConfig net;
+  net.bandwidth_bytes_per_sec = 1e12;
+  net.latency_sec = 0.01;
+  net.retry.timeout_sec = 0.15;
+  net.retry.timeout_escalation = 2.0;
+  net.retry.max_attempts = 3;
+  Warehouse wh(4, net);
+  Load(&wh);
+  ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                       wh.Plan(queries::GroupReductionQuery("CustKey"),
+                               OptimizerOptions::None()));
+  FaultInjector injector(/*seed=*/5);
+  injector.SlowSite(/*site=*/0, /*factor=*/10.0);
+  wh.set_fault_injector(&injector);
+  ASSERT_OK_AND_ASSIGN(QueryResult faulty, wh.ExecutePlan(plan));
+  ASSERT_EQ(faulty.metrics.Timeouts(), 3);
+
+  const std::string profile =
+      FormatQueryProfile(&faulty, QueryProfileInfo());
+  for (const RoundMetrics& rm : faulty.metrics.rounds) {
+    SCOPED_TRACE(rm.label);
+    double replied_sum = 0;
+    int replied = 0;
+    for (const SiteLoad& row : rm.exchanges) {
+      if (row.site < 0 || !row.replied()) continue;
+      replied_sum += row.success_sec;
+      ++replied;
+    }
+    ASSERT_EQ(replied, rm.sites);
+    EXPECT_GT(rm.site_cpu_sum_sec, replied_sum);  // the timed-out attempt
+
+    const SiteSeconds site = rm.ReplySeconds();
+    EXPECT_DOUBLE_EQ(site.mean, replied_sum / replied);
+    EXPECT_LE(site.min, site.mean);
+    EXPECT_LE(site.mean, site.max);
+    EXPECT_EQ(site.max, rm.site_cpu_max_sec);
+    EXPECT_NE(profile.find(StrFormat("%8.4f/%8.4f/%8.4f", site.min,
+                                     site.mean, site.max)),
+              std::string::npos);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Metrics vs. network traffic: the accounting must match the wire exactly,
 // retransmissions included.
@@ -497,9 +546,8 @@ TEST_F(FaultInjectionTest, MetricsEqualNetworkTotalsUnderFailover) {
       EXPECT_EQ(metrics.Failovers(), 1);
       EXPECT_EQ(metrics.Drops(), 3);
       ExpectMetricsMatchNetwork(metrics, coordinator.network());
-      // Per-site rows carry the leaf exchange only; aggregator hops are in
-      // the totals alone.
-      if (fan_in == 4) ExpectSiteLoadsSumToTotals(metrics);
+      // Leaf and aggregator-hop rows: a fan-in of 2 has hops.
+      ExpectSiteLoadsSumToTotals(metrics);
     }
   }
 }

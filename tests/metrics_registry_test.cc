@@ -384,7 +384,8 @@ std::map<std::string, uint64_t> SumOfRecords(
     want["skalla_gmdj_rows_matched_total"] +=
         static_cast<uint64_t>(m.DetailRowsMatched());
     for (const RoundMetrics& r : m.rounds) {
-      for (const SiteLoad& load : r.site_loads) {
+      for (const SiteLoad& load : r.exchanges) {
+        if (load.site < 0) continue;  // an aggregator hop
         const std::string site = std::to_string(load.site);
         const std::string seconds =
             "skalla_dist_site_round_seconds{site=\"" + site + "\"}";

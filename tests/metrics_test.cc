@@ -34,6 +34,38 @@ TEST(RoundMetricsTest, ResponseSecondsZeroByDefault) {
   EXPECT_DOUBLE_EQ(rm.ResponseSeconds(), 0.0);
 }
 
+TEST(RoundMetricsTest, ReplySecondsCoverRepliedLeafRowsOnly) {
+  RoundMetrics rm;
+  SiteLoad fast;  // one clean attempt
+  fast.site = 0;
+  fast.attempts = 1;
+  fast.cpu_sec = fast.success_sec = 0.25;
+  SiteLoad slow;  // a timed-out attempt, then a reply
+  slow.site = 1;
+  slow.attempts = 2;
+  slow.timeouts = 1;
+  slow.cpu_sec = 1.5;
+  slow.success_sec = 0.75;
+  SiteLoad lost;  // every attempt dropped
+  lost.site = 2;
+  lost.attempts = 3;
+  lost.drops = 3;
+  SiteLoad hop;  // an aggregator hop replies but is no site
+  hop.site = -2;
+  hop.attempts = 1;
+  rm.exchanges = {hop, fast, slow, lost};
+
+  const SiteSeconds site = rm.ReplySeconds();
+  EXPECT_DOUBLE_EQ(site.min, 0.25);
+  EXPECT_DOUBLE_EQ(site.mean, 0.5);
+  EXPECT_DOUBLE_EQ(site.max, 0.75);
+  EXPECT_EQ(site.slowest_site, 1);
+  EXPECT_DOUBLE_EQ(rm.Total().cpu_sec, 1.75);
+  EXPECT_EQ(&rm.Exchange(1), &rm.exchanges[2]);  // keyed by endpoint id
+  EXPECT_EQ(rm.Exchange(7).site, 7);              // appended on first use
+  EXPECT_EQ(rm.exchanges.size(), 5u);
+}
+
 TEST(ExecutionMetricsTest, EmptyRounds) {
   ExecutionMetrics metrics;
   EXPECT_EQ(metrics.NumRounds(), 0);
@@ -48,7 +80,7 @@ TEST(ExecutionMetricsTest, EmptyRounds) {
 TEST(ExecutionMetricsTest, CompressionRatioZeroActualBytes) {
   ExecutionMetrics metrics;
   RoundMetrics rm;
-  rm.bytes_baseline_skl1 = 1024;  // baseline recorded, nothing shipped
+  rm.Exchange(0).bytes_baseline_skl1 = 1024;  // baseline, nothing shipped
   metrics.rounds.push_back(rm);
   EXPECT_DOUBLE_EQ(metrics.CompressionRatio(), 1.0);
 }
@@ -56,7 +88,7 @@ TEST(ExecutionMetricsTest, CompressionRatioZeroActualBytes) {
 TEST(ExecutionMetricsTest, CompressionRatioZeroBaseline) {
   ExecutionMetrics metrics;
   RoundMetrics rm;
-  rm.bytes_to_sites = 512;  // bytes shipped but no baseline recorded
+  rm.Exchange(0).bytes_in = 512;  // bytes shipped but no baseline recorded
   metrics.rounds.push_back(rm);
   EXPECT_DOUBLE_EQ(metrics.CompressionRatio(), 1.0);
 }
@@ -64,9 +96,9 @@ TEST(ExecutionMetricsTest, CompressionRatioZeroBaseline) {
 TEST(ExecutionMetricsTest, CompressionRatioBaselineOverActual) {
   ExecutionMetrics metrics;
   RoundMetrics rm;
-  rm.bytes_to_sites = 300;
-  rm.bytes_to_coord = 200;
-  rm.bytes_baseline_skl1 = 1500;
+  rm.Exchange(0).bytes_in = 300;
+  rm.Exchange(0).bytes_out = 200;
+  rm.Exchange(0).bytes_baseline_skl1 = 1500;
   metrics.rounds.push_back(rm);
   EXPECT_DOUBLE_EQ(metrics.CompressionRatio(), 3.0);
 }
@@ -74,14 +106,22 @@ TEST(ExecutionMetricsTest, CompressionRatioBaselineOverActual) {
 TEST(ExecutionMetricsTest, AccessorsSumAcrossRounds) {
   ExecutionMetrics metrics;
   RoundMetrics a;
-  a.bytes_to_sites = 100;
-  a.bytes_to_coord = 10;
-  a.groups_to_sites = 7;
-  a.groups_to_coord = 3;
-  a.retries = 1;
-  a.timeouts = 2;
-  a.drops = 3;
-  a.failovers = 1;
+  // A slot and an aggregator hop: totals sum every row.
+  SiteLoad slot;
+  slot.site = 0;
+  slot.bytes_in = 60;
+  slot.bytes_out = 4;
+  slot.groups_in = 7;
+  slot.groups_out = 3;
+  slot.retries = 1;
+  slot.timeouts = 2;
+  slot.drops = 3;
+  slot.failovers = 1;
+  SiteLoad hop;
+  hop.site = -2;
+  hop.bytes_in = 40;
+  hop.bytes_out = 6;
+  a.exchanges = {slot, hop};
   a.site_cpu_max_sec = 0.5;
   a.coord_cpu_sec = 0.25;
   a.comm_sec = 0.125;

@@ -162,8 +162,10 @@ TEST(StragglerTest, SlowSiteGatesTheRound) {
   // peers measured within the same rounds instead.
   std::vector<double> per_site(4, 0.0);
   for (const RoundMetrics& rm : slow.metrics.rounds) {
-    for (size_t p = 0; p < rm.site_seconds.size() && p < 4; ++p) {
-      per_site[p] += rm.site_seconds[p];
+    for (const SiteLoad& row : rm.exchanges) {
+      if (row.site >= 0 && row.site < 4) {
+        per_site[static_cast<size_t>(row.site)] += row.success_sec;
+      }
     }
   }
   double peer_max = 0;

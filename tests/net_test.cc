@@ -256,15 +256,15 @@ TEST(SimNetworkTest, ResetKeepsScheduleClearsEvents) {
 TEST(MetricsTest, AggregatesAcrossRounds) {
   ExecutionMetrics m;
   RoundMetrics r1;
-  r1.bytes_to_sites = 100;
-  r1.bytes_to_coord = 50;
-  r1.groups_to_sites = 10;
-  r1.groups_to_coord = 5;
+  r1.Exchange(0).bytes_in = 100;
+  r1.Exchange(0).bytes_out = 50;
+  r1.Exchange(0).groups_in = 10;
+  r1.Exchange(0).groups_out = 5;
   r1.site_cpu_max_sec = 0.5;
   r1.coord_cpu_sec = 0.1;
   r1.comm_sec = 0.2;
   RoundMetrics r2 = r1;
-  r2.bytes_to_sites = 200;
+  r2.Exchange(0).bytes_in = 200;
   m.rounds = {r1, r2};
 
   EXPECT_EQ(m.NumRounds(), 2);

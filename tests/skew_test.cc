@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/coordinator.h"
 #include "dist/rebalance.h"
 #include "flow/flowgen.h"
 #include "net/fault_injector.h"
@@ -412,10 +413,10 @@ TEST(RebalanceIdentityTest, MatrixOfTopologiesAndThreads) {
         ASSERT_OK(result.status());
         EXPECT_EQ(TableBytes(result->table), oracle_bytes);
         total_splits += result->metrics.RebalanceSplits();
+        // The helper slot (id 4, after the four primaries) is a row of its
+        // own, and the rows, hops included, still sum to the totals.
+        ExpectSiteLoadsSumToTotals(result->metrics);
         if (!tree) {
-          // The helper slot (id 4, after the four primaries) is a row of
-          // its own, and the rows still sum to the flat plan's totals.
-          ExpectSiteLoadsSumToTotals(result->metrics);
           const StragglerReport load = BuildStragglerReport(result->metrics);
           const bool split = result->metrics.RebalanceSplits() > 0;
           ASSERT_EQ(load.sites.size(), split ? 5u : 4u);
@@ -479,6 +480,48 @@ TEST(RebalanceIdentityTest, DetectorStateCarriesAcrossQueries) {
   EXPECT_TRUE(any_observed);
 }
 
+// The detector learns a slot's successful attempt. Site 2's reply in the
+// single-operator round is lost after evaluation, so its row's seconds sum
+// two evaluations; the rate the detector keeps is the second one's alone.
+TEST(RebalanceIdentityTest, DetectorLearnsTheSuccessfulAttempt) {
+  const Table tpcr = SkewedTpcr();
+  auto wh = SkewedWarehouse(tpcr, /*rebalance=*/false);
+  // ClerkKey is no partition attribute: All() fuses the base query into
+  // the first round and leaves the second operator a round of its own, the
+  // one the detector observes.
+  ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                       wh->Plan(queries::GroupReductionQuery("ClerkKey"),
+                                OptimizerOptions::All()));
+  ASSERT_TRUE(plan.fuse_base);
+  ASSERT_EQ(plan.rounds.size(), 2u);
+  ASSERT_EQ(plan.rounds[1].ops.size(), 1u);
+
+  std::vector<Site*> sites;
+  for (int i = 0; i < wh->num_sites(); ++i) sites.push_back(&wh->site(i));
+  RebalanceConfig config;
+  config.ewma_alpha = 1.0;
+  SkewDetector detector(config);
+  Coordinator coordinator(sites, NetworkConfig());
+  coordinator.set_skew_detector(&detector);
+  FaultInjector injector(/*seed=*/5);
+  injector.DropOnce(/*site=*/2, /*round=*/1,
+                    TransferDirection::kToCoordinator);
+  coordinator.network().set_fault_injector(&injector);
+
+  ExecutionMetrics metrics;
+  ASSERT_OK(coordinator.Execute(plan, &metrics).status());
+  ASSERT_EQ(metrics.NumRounds(), 2);
+  const SiteLoad& row = metrics.rounds[1].Exchange(2);
+  ASSERT_EQ(row.attempts, 2);
+  ASSERT_EQ(row.drops, 1);
+  EXPECT_GT(row.cpu_sec, row.success_sec);
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> detail,
+                       wh->site(2).catalog().GetTable("TPCR"));
+  EXPECT_DOUBLE_EQ(detector.CostPerRow(2),
+                   row.success_sec / static_cast<double>(detail->num_rows()) *
+                       1e6);
+}
+
 // ---------------------------------------------------------------------------
 // Fault interaction: stragglers that are also flaky.
 // ---------------------------------------------------------------------------
@@ -529,6 +572,46 @@ TEST(RebalanceFaultTest, DeadHelperFailsOverToTheStragglerPrimary) {
     EXPECT_GT(result.metrics.Failovers(), 0);
   }
   ExpectSiteLoadsSumToTotals(result.metrics);
+}
+
+// Theorem 2 under a split (docs/skew.md): a helper's first-attempt traffic
+// is a surcharge over the unsplit plan, as the retry share is over the
+// fault-free one. Under None() every leaf ships and returns all of X, so
+// the unsplit plan nearly meets the bound and a helper's rows can take a
+// run past it.
+TEST(RebalanceFaultTest, GroupsLessRetryAndHelperSharesMeetTheoremTwo) {
+  const Table tpcr = SkewedTpcr();
+  auto wh = SkewedWarehouse(tpcr, /*rebalance=*/true);
+  FaultInjector injector;
+  injector.FailSite(/*site=*/0, /*first_round=*/0, /*last_round=*/9,
+                    /*failed_attempts_per_round=*/1);
+  wh->set_fault_injector(&injector);
+  ASSERT_OK_AND_ASSIGN(DistributedPlan plan,
+                       wh->Plan(queries::GroupReductionQuery("ClerkKey"),
+                                OptimizerOptions::None()));
+  int splits = 0;
+  for (int iter = 0; iter < 2; ++iter) {  // repeat with warm rates
+    ASSERT_OK_AND_ASSIGN(QueryResult result, wh->ExecutePlan(plan));
+    const ExecutionMetrics& m = result.metrics;
+    EXPECT_GT(m.Retries(), 0);
+    splits += m.RebalanceSplits();
+    int64_t helper_groups = 0;
+    for (const RoundMetrics& r : m.rounds) {
+      for (const SiteLoad& row : r.exchanges) {
+        if (!row.rebalance) continue;
+        helper_groups += row.groups_in - row.groups_retry_in +
+                         row.groups_out - row.groups_retry_out;
+      }
+    }
+    EXPECT_EQ(helper_groups > 0, m.RebalanceSplits() > 0);
+    const int64_t bound = TheoremTwoGroupBound(plan, wh->num_sites(),
+                                               result.table.num_rows());
+    const int64_t less_retries = m.GroupsToSites() + m.GroupsToCoord() -
+                                 m.RetryGroupsToSites() -
+                                 m.RetryGroupsToCoord();
+    EXPECT_LE(less_retries - helper_groups, bound);
+  }
+  EXPECT_GT(splits, 0);
 }
 
 // ---------------------------------------------------------------------------

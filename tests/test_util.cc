@@ -7,14 +7,33 @@ void ExpectSiteLoadsSumToTotals(const ExecutionMetrics& metrics) {
   for (const SiteLoad& site : BuildStragglerReport(metrics).sites) {
     sum += site;
   }
+  for (const RoundMetrics& r : metrics.rounds) {
+    double cpu_sum = 0;
+    for (const SiteLoad& row : r.exchanges) {
+      if (row.site < 0) sum += row;  // an aggregator hop
+      cpu_sum += row.cpu_sec;
+    }
+    SCOPED_TRACE(r.label);
+    EXPECT_DOUBLE_EQ(r.site_cpu_sum_sec, cpu_sum);
+    EXPECT_EQ(r.site_cpu_max_sec, r.ReplySeconds().max);
+  }
   EXPECT_EQ(sum.bytes_in, metrics.BytesToSites());
   EXPECT_EQ(sum.bytes_out, metrics.BytesToCoord());
   EXPECT_EQ(sum.groups_in, metrics.GroupsToSites());
   EXPECT_EQ(sum.groups_out, metrics.GroupsToCoord());
+  EXPECT_EQ(sum.bytes_retransmitted, metrics.BytesRetransmitted());
+  EXPECT_EQ(sum.groups_retry_in, metrics.RetryGroupsToSites());
+  EXPECT_EQ(sum.groups_retry_out, metrics.RetryGroupsToCoord());
+  EXPECT_EQ(sum.bytes_saved_by_delta, metrics.BytesSavedByDelta());
+  EXPECT_EQ(sum.bytes_baseline_skl1, metrics.BytesBaselineSkl1());
   EXPECT_EQ(sum.retries, metrics.Retries());
   EXPECT_EQ(sum.timeouts, metrics.Timeouts());
   EXPECT_EQ(sum.drops, metrics.Drops());
   EXPECT_EQ(sum.failovers, metrics.Failovers());
+  EXPECT_EQ(sum.scan.rows_scanned, metrics.DetailRowsScanned());
+  EXPECT_EQ(sum.scan.rows_matched, metrics.DetailRowsMatched());
+  EXPECT_EQ(sum.scan.morsels_vectorized, metrics.MorselsVectorized());
+  EXPECT_EQ(sum.scan.morsels_scalar, metrics.MorselsScalar());
 }
 
 Table MakeTinyTable() {

@@ -50,9 +50,11 @@ inline std::string TableBytes(const Table& table) {
   return Serializer::SerializeTable(table);
 }
 
-/// Per-site load conservation of a flat plan: the query's per-site rows
-/// (BuildStragglerReport) sum to its bytes and groups in each direction
-/// and to its retry, timeout, drop, and failover counts.
+/// Per-exchange load conservation, flat and tree: the query's per-site rows
+/// (BuildStragglerReport) and its aggregator hops' rows sum to every total
+/// (bytes and groups each way, their retry share, delta savings, the SKL1
+/// baseline, faults and scan counts), and each round's stored site seconds
+/// are its rows'.
 void ExpectSiteLoadsSumToTotals(const ExecutionMetrics& metrics);
 
 /// A tiny deterministic detail relation used across unit tests:

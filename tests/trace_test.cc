@@ -472,7 +472,7 @@ TEST_F(TraceTest, RetriedRoundShowsOnTheTimeline) {
   // One round retried; its span names the round and its counts.
   std::string retried_label;
   for (const RoundMetrics& rm : result.metrics.rounds) {
-    if (rm.retries > 0) retried_label = rm.label;
+    if (rm.Total().retries > 0) retried_label = rm.label;
   }
   EXPECT_EQ(FaultedRoundDetails(),
             std::vector<std::string>{retried_label +
@@ -547,7 +547,7 @@ TEST_F(TraceTest, CleanRoundsCarryOnlyTheirLabels) {
   size_t slots = 0;
   for (const RoundMetrics& rm : result.metrics.rounds) {
     labels.push_back(rm.label);
-    slots += rm.site_loads.size();
+    slots += rm.exchanges.size();
   }
   std::vector<std::string> drives;
   for (const obs::TraceSpan& span : obs::SpanSnapshot()) {
@@ -602,10 +602,10 @@ TEST_F(TraceTest, LeavesKeepingAllOfXShareOneView) {
 
   size_t x_rounds = 0;
   for (const RoundMetrics& rm : result.metrics.rounds) {
-    if (rm.groups_to_sites == 0) continue;  // a plan, not X
+    if (rm.Total().groups_in == 0) continue;  // a plan, not X
     ++x_rounds;
     // The precondition: every leaf's view is all of X.
-    EXPECT_EQ(rm.groups_to_sites, 4 * result.table.num_rows());
+    EXPECT_EQ(rm.Total().groups_in, 4 * result.table.num_rows());
   }
   ASSERT_GE(x_rounds, 1u);
   EXPECT_EQ(PreparedViews(), x_rounds);
@@ -629,9 +629,9 @@ TEST_F(TraceTest, FilteringLeavesStillGetReducedViews) {
 
   size_t x_rounds = 0;
   for (const RoundMetrics& rm : result.metrics.rounds) {
-    if (rm.groups_to_sites == 0) continue;
+    if (rm.Total().groups_in == 0) continue;
     ++x_rounds;
-    EXPECT_LT(rm.groups_to_sites, 4 * result.table.num_rows());
+    EXPECT_LT(rm.Total().groups_in, 4 * result.table.num_rows());
   }
   ASSERT_GE(x_rounds, 1u);
   EXPECT_EQ(PreparedViews(), 4 * x_rounds);
@@ -775,7 +775,7 @@ TEST_F(TraceTest, TreeRoundRetryShowsOnTheTimeline) {
   // round driver as in the flat plan, and its round says so.
   std::string retried_label;
   for (const RoundMetrics& rm : result.metrics.rounds) {
-    if (rm.retries > 0) retried_label = rm.label;
+    if (rm.Total().retries > 0) retried_label = rm.label;
   }
   EXPECT_EQ(FaultedRoundDetails(),
             std::vector<std::string>{retried_label +
@@ -963,7 +963,7 @@ TEST_F(TraceTest, StragglerReportMath) {
     row.bytes_in = bytes_in;
     row.groups_in = groups_in;
     row.attempts = 1;
-    return metrics.rounds[round].site_loads.emplace_back(row);
+    return metrics.rounds[round].exchanges.emplace_back(row);
   };
   load(0, 1, 2.0, 200, 20);
   load(0, 0, 0.5, 50, 5);

@@ -181,10 +181,10 @@ TEST_F(TreeExecutionTest, FlatIsTheDepthOneTree) {
         for (int r = 0; r < flat_metrics.NumRounds(); ++r) {
           const RoundMetrics& t = tree_metrics.rounds[static_cast<size_t>(r)];
           const RoundMetrics& f = flat_metrics.rounds[static_cast<size_t>(r)];
-          EXPECT_EQ(t.bytes_to_sites, f.bytes_to_sites);
-          EXPECT_EQ(t.bytes_to_coord, f.bytes_to_coord);
-          EXPECT_EQ(t.groups_to_sites, f.groups_to_sites);
-          EXPECT_EQ(t.groups_to_coord, f.groups_to_coord);
+          EXPECT_EQ(t.Total().bytes_in, f.Total().bytes_in);
+          EXPECT_EQ(t.Total().bytes_out, f.Total().bytes_out);
+          EXPECT_EQ(t.Total().groups_in, f.Total().groups_in);
+          EXPECT_EQ(t.Total().groups_out, f.Total().groups_out);
           EXPECT_EQ(t.comm_sec, f.comm_sec);  // exact: fault-free
         }
         const auto& tree_log = tree.network().transfers();

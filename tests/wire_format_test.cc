@@ -1096,13 +1096,12 @@ TEST_F(WireEndToEndTest, FusedRoundRepliesStayUnderTenBytesPerGroup) {
   ASSERT_TRUE(plan.fuse_base);
   ASSERT_OK_AND_ASSIGN(QueryResult result, wh.ExecutePlan(plan));
   ASSERT_EQ(result.metrics.NumRounds(), 1);
-  const RoundMetrics& fused = result.metrics.rounds[0];
-  ASSERT_GT(fused.groups_to_coord, 0);
-  EXPECT_LT(static_cast<double>(fused.bytes_to_coord) /
-                static_cast<double>(fused.groups_to_coord),
+  const SiteLoad fused = result.metrics.rounds[0].Total();
+  ASSERT_GT(fused.groups_out, 0);
+  EXPECT_LT(static_cast<double>(fused.bytes_out) /
+                static_cast<double>(fused.groups_out),
             10.0)
-      << fused.bytes_to_coord << " bytes for " << fused.groups_to_coord
-      << " groups";
+      << fused.bytes_out << " bytes for " << fused.groups_out << " groups";
 }
 
 TEST_F(WireEndToEndTest, AvgCarriersLeaveResultsUnchanged) {
@@ -1164,7 +1163,7 @@ TEST_F(WireEndToEndTest, XViewsShipAvgsAsCarriersAndAResumedXRaw) {
   ASSERT_TRUE(x1.has_value());
   const size_t raw_views =
       sites.size() * Serializer::SerializeTable(*x1).size();
-  const size_t carrier_views = fresh_metrics.rounds.back().bytes_to_sites;
+  const size_t carrier_views = fresh_metrics.rounds.back().Total().bytes_in;
   // Raw, a view takes ≈9 bytes a group, 8 of them avg1's; with avg1's
   // carriers it takes ≈3.
   EXPECT_LT(carrier_views * 2, raw_views)
@@ -1177,7 +1176,7 @@ TEST_F(WireEndToEndTest, XViewsShipAvgsAsCarriersAndAResumedXRaw) {
                        resumed.Execute(plan, &resumed_metrics));
   EXPECT_EQ(TableBytes(resumed_table), TableBytes(fresh_table));
   ASSERT_EQ(resumed_metrics.rounds.size(), 1u);
-  EXPECT_EQ(resumed_metrics.rounds[0].bytes_to_sites, raw_views);
+  EXPECT_EQ(resumed_metrics.rounds[0].Total().bytes_in, raw_views);
 }
 
 void ExpectBytesMatchNetwork(const ExecutionMetrics& metrics,
@@ -1213,6 +1212,7 @@ TEST_F(WireEndToEndTest, MetricsEqualNetworkBytesUnderDelta) {
                            flat.Execute(plan, &flat_metrics));
       EXPECT_GT(flat_table.num_rows(), 0);
       ExpectBytesMatchNetwork(flat_metrics, flat.network());
+      ExpectSiteLoadsSumToTotals(flat_metrics);
 
       Coordinator tree(sites, /*fan_in=*/2, Config(delta));
       ExecutionMetrics tree_metrics;
@@ -1220,6 +1220,8 @@ TEST_F(WireEndToEndTest, MetricsEqualNetworkBytesUnderDelta) {
                            tree.Execute(plan, &tree_metrics));
       EXPECT_EQ(TableBytes(tree_table), TableBytes(flat_table));
       ExpectBytesMatchNetwork(tree_metrics, tree.network());
+      // The aggregator hops' rows carry their views' delta savings.
+      ExpectSiteLoadsSumToTotals(tree_metrics);
     }
   }
 }
