@@ -677,7 +677,7 @@ Result<Table> Coordinator::Run(const DistributedPlan& plan,
         std::vector<std::string> replies,
         DriveRoundWithRetries(&network_, retry, &rm, &roster,
                               drive_participants, down, reply_label, eval,
-                              parallel_sites_));
+                              local_threads_));
     std::vector<std::vector<Inbound>> inbox(topology_.nodes.size());
     for (size_t p = 0; p < replies.size(); ++p) {
       inbox[static_cast<size_t>(NodeOfEndpoint(topology_, down[p].from))]

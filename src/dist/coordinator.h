@@ -107,18 +107,15 @@ class Coordinator {
   }
   const std::map<int, Site*>& replicas() const { return replicas_; }
 
-  /// Evaluates the sites of each round on real threads (one per site)
-  /// instead of sequentially. Results are identical — synchronization
-  /// happens in deterministic site order either way — only the wall-clock
-  /// time of the simulation changes (the *modelled* response time already
-  /// treats sites as parallel).
-  void set_parallel_sites(bool parallel) { parallel_sites_ = parallel; }
-  bool parallel_sites() const { return parallel_sites_; }
-
-  /// Lanes each site may use for its morsel-driven local GMDJ evaluation
-  /// (SiteRoundInput::num_threads): 0 = the SKALLA_THREADS default, 1 =
-  /// sequential local scans. Orthogonal to set_parallel_sites — both feed
-  /// the same shared pool (common/thread_pool.h).
+  /// The query's lane quota on the shared pool (common/thread_pool.h): it
+  /// caps both how many sites of a wave evaluate at once and the lanes of
+  /// each site's morsel-driven local GMDJ evaluation
+  /// (SiteRoundInput::num_threads). 0 = the SKALLA_THREADS default, 1 =
+  /// sites one after another in slot order, each scanning sequentially.
+  /// Results are identical for every quota — transfers and synchronization
+  /// run in deterministic slot order on the coordinator thread — only the
+  /// wall-clock time changes (the *modelled* response time already treats
+  /// sites as parallel).
   void set_local_threads(int num_threads) { local_threads_ = num_threads; }
   int local_threads() const { return local_threads_; }
 
@@ -201,7 +198,6 @@ class Coordinator {
   std::map<int, Site*> replicas_;
   TreeTopology topology_;
   SimNetwork network_;
-  bool parallel_sites_ = false;
   int local_threads_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
   RoundObserver round_observer_;

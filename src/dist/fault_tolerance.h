@@ -105,8 +105,10 @@ using SiteEvalFn =
 /// kDeadlineExceeded status — never a partial answer.
 ///
 /// All transfers happen on the calling thread in deterministic slot order
-/// (wave by wave); only local evaluation is parallelized when `parallel`
-/// is set, so the network transfer/event logs are identical either way.
+/// (wave by wave); only local evaluation runs in parallel, the wave's slots
+/// on the shared pool under the query's lane quota `lanes` (0 = every pool
+/// lane, 1 = inline in slot order), so the network transfer/event logs are
+/// identical for every quota.
 ///
 /// Each reply travels back to its DownMessage's sender (the coordinator or
 /// an aggregation-tree parent). Slots sharing a sender share its link, so a
@@ -120,7 +122,7 @@ Result<std::vector<std::string>> DriveRoundWithRetries(
     SimNetwork* net, const RetryPolicy& retry, RoundMetrics* rm,
     SiteRoster* roster, const std::vector<int>& participants,
     const std::vector<DownMessage>& down, const std::string& reply_label,
-    const SiteEvalFn& eval, bool parallel);
+    const SiteEvalFn& eval, int lanes);
 
 }  // namespace skalla
 

@@ -40,10 +40,11 @@ struct AdmissionOptions {
 /// shedding: a bounded queue refuses work instead of growing an unbounded
 /// tail, preferring to shed expensive work (shed_cost_threshold).
 ///
-/// Why slots gate *queries* while morsels gate *lanes*: an admitted query
-/// parallelizes its site scans over the shared ThreadPool under its own
-/// morsel quota (ExecHooks::local_threads), so admission bounds memory and
-/// coordination state while the pool stays fully multiplexed.
+/// Why slots gate *queries* while the pool gates *lanes*: an admitted query
+/// evaluates a round's sites, and each site's morsels, on the shared
+/// ThreadPool under its own lane quota (ExecHooks::local_threads, which
+/// caps both layers), so admission bounds memory and coordination state
+/// while the pool stays fully multiplexed.
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionOptions options);

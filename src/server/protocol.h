@@ -84,7 +84,7 @@ struct Command {
   std::string query_text;  ///< the OLAP dialect text (sql/olap_parser.h)
   QueryPriority priority = QueryPriority::kNormal;
   double deadline_sec = -1.0;  ///< per-attempt deadline; < 0 = warehouse's
-  int threads = -1;            ///< morsel-lane quota; < 0 = warehouse's
+  int threads = -1;            ///< site + morsel lane quota; < 0 = warehouse's
   bool no_cache = false;       ///< bypass (and do not populate) the caches
 
   // LOAD

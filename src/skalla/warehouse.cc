@@ -192,7 +192,6 @@ Result<QueryResult> Warehouse::ExecuteOnTree(const DistributedPlan& plan,
   Coordinator coordinator =
       fan_in == 0 ? Coordinator(std::move(site_ptrs), net)
                   : Coordinator(std::move(site_ptrs), fan_in, net);
-  coordinator.set_parallel_sites(parallel_sites_);
   coordinator.set_local_threads(
       hooks.local_threads >= 0 ? hooks.local_threads : local_threads_);
   coordinator.set_cancel_flag(hooks.cancel);

@@ -33,10 +33,11 @@ struct QueryResult {
 /// (src/server/). Every field is optional; default-constructed hooks make
 /// ExecutePlan behave exactly like the hook-less overload.
 struct ExecHooks {
-  /// Morsel-lane quota for this query's local GMDJ evaluation; -1 keeps
-  /// the warehouse default (set_local_threads). The quota bounds how many
-  /// shared-pool lanes one query may occupy, so concurrent queries share
-  /// the pool instead of each grabbing every worker.
+  /// Lane quota for this query: its concurrent site evaluations and each
+  /// site's local GMDJ morsel lanes; -1 keeps the warehouse default
+  /// (set_local_threads). The quota bounds how many shared-pool lanes one
+  /// query may occupy, so concurrent queries share the pool instead of
+  /// each grabbing every worker.
   int local_threads = -1;
 
   /// Per-attempt deadline in simulated seconds for every round exchange,
@@ -206,17 +207,12 @@ class Warehouse {
   /// warehouse keeps ownership. At most one replica per primary.
   Result<Site*> AddReplica(int site_id);
 
-  /// Runs each round's site evaluations on real threads (see
-  /// Coordinator::set_parallel_sites). Identical results, faster
-  /// simulation wall-clock on multi-core machines.
-  void set_parallel_site_execution(bool parallel) {
-    parallel_sites_ = parallel;
-  }
-
-  /// Lanes each site may use for its morsel-driven local GMDJ evaluation
-  /// (see Coordinator::set_local_threads): 0 = the SKALLA_THREADS default
-  /// (hardware concurrency), 1 = sequential local scans. Results are
-  /// byte-identical for every setting (docs/parallelism.md).
+  /// The lane quota of every query (see Coordinator::set_local_threads):
+  /// it caps a round's concurrent site evaluations and each site's
+  /// morsel-driven local GMDJ evaluation. 0 = the SKALLA_THREADS default
+  /// (hardware concurrency), 1 = sites in slot order with sequential local
+  /// scans. Results are byte-identical for every setting
+  /// (docs/parallelism.md).
   void set_local_threads(int num_threads) { local_threads_ = num_threads; }
   int local_threads() const { return local_threads_; }
 
@@ -253,7 +249,6 @@ class Warehouse {
   std::map<int, std::unique_ptr<Site>> replicas_;
   NetworkConfig net_;
   FaultInjector* injector_ = nullptr;
-  bool parallel_sites_ = false;
   int local_threads_ = 0;
   /// Relation statistics cache for ExecuteAuto and EstimateCost: per
   /// relation, the attributes profiled so far (each on first use).

@@ -1,12 +1,19 @@
 #include "storage/columnar.h"
 
 #include <algorithm>
-#include <mutex>
+#include <functional>
 #include <numeric>
 
 #include "storage/table.h"
 
 namespace skalla {
+
+int32_t ColumnarTable::Column::CodeOf(std::string_view s) const {
+  const size_t rank = static_cast<size_t>(LowerBoundRank(s));
+  if (rank == sorted_codes.size()) return -1;
+  const int32_t code = sorted_codes[rank];
+  return dict[static_cast<size_t>(code)] == s ? code : -1;
+}
 
 int32_t ColumnarTable::Column::LowerBoundRank(std::string_view s) const {
   auto it = std::lower_bound(
@@ -17,16 +24,68 @@ int32_t ColumnarTable::Column::LowerBoundRank(std::string_view s) const {
   return static_cast<int32_t>(it - sorted_codes.begin());
 }
 
+namespace {
+
+/// Hands out one string column's first-appearance dictionary codes while
+/// Build runs, appending each new string to the column's `dict`. The
+/// (hash, code) slot array is open-addressing with linear probing, at most
+/// half full; it is dropped with the coder, so the snapshot keeps no index.
+class DictCoder {
+ public:
+  int32_t Code(std::string_view s, std::vector<std::string>* dict) {
+    if (2 * (dict->size() + 1) > slots_.size()) Grow();
+    const uint64_t hash = std::hash<std::string_view>{}(s);
+    for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.code < 0) {
+        slot = {hash, static_cast<int32_t>(dict->size())};
+        dict->emplace_back(s);
+        return slot.code;
+      }
+      if (slot.hash == hash && (*dict)[static_cast<size_t>(slot.code)] == s) {
+        return slot.code;
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    int32_t code = -1;
+  };
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, 2 * old.size()), Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.code < 0) continue;
+      size_t i = slot.hash & mask_;
+      while (slots_[i].code >= 0) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+};
+
+}  // namespace
+
 std::shared_ptr<const ColumnarTable> ColumnarTable::Build(const Table& table) {
   auto view = std::shared_ptr<ColumnarTable>(new ColumnarTable());
   const int64_t n = table.num_rows();
-  const int num_cols = table.schema().num_fields();
+  const size_t num_cols = static_cast<size_t>(table.schema().num_fields());
   view->num_rows_ = n;
-  view->columns_.resize(static_cast<size_t>(num_cols));
+  view->columns_.resize(num_cols);
   const size_t words = static_cast<size_t>((n + 63) / 64);
-  for (int c = 0; c < num_cols; ++c) {
-    Column& col = view->columns_[static_cast<size_t>(c)];
-    col.type = table.schema().field(c).type;
+  std::vector<DictCoder> coders(num_cols);
+  // The columns still being filled; a type-deviant cell drops its column.
+  std::vector<size_t> live(num_cols);
+  std::iota(live.begin(), live.end(), size_t{0});
+  for (size_t c = 0; c < num_cols; ++c) {
+    Column& col = view->columns_[c];
+    col.type = table.schema().field(static_cast<int>(c)).type;
     col.usable = true;
     col.valid.assign(words, 0);
     switch (col.type) {
@@ -44,40 +103,46 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::Build(const Table& table) {
         // the batch evaluator then folds it to a constant.
         break;
     }
-    for (int64_t i = 0; i < n && col.usable; ++i) {
-      const Value& v = table.row(i)[static_cast<size_t>(c)];
+  }
+
+  // One row-major pass: each boxed row is visited once.
+  for (int64_t i = 0; i < n && !live.empty(); ++i) {
+    const Row& row = table.row(i);
+    const size_t at = static_cast<size_t>(i);
+    const uint64_t bit = uint64_t{1} << (i & 63);
+    for (size_t k = 0; k < live.size();) {
+      const size_t c = live[k];
+      Column& col = view->columns_[c];
+      const Value& v = row[c];
       if (v.is_null()) {
         col.has_nulls = true;
+        ++k;
         continue;
       }
       if (v.type() != col.type) {
         col.usable = false;
-        break;
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        continue;
       }
-      col.valid[static_cast<size_t>(i) >> 6] |= uint64_t{1} << (i & 63);
+      col.valid[at >> 6] |= bit;
       switch (col.type) {
         case ValueType::kInt64:
-          col.ints[static_cast<size_t>(i)] = v.AsInt64();
+          col.ints[at] = v.AsInt64();
           break;
         case ValueType::kDouble:
-          col.doubles[static_cast<size_t>(i)] = v.AsDouble();
+          col.doubles[at] = v.AsDouble();
           break;
-        case ValueType::kString: {
-          const std::string_view s = v.AsString();
-          auto it = col.dict_index.find(s);
-          if (it == col.dict_index.end()) {
-            it = col.dict_index
-                     .emplace(s, static_cast<int32_t>(col.dict.size()))
-                     .first;
-            col.dict.emplace_back(s);
-          }
-          col.codes[static_cast<size_t>(i)] = it->second;
+        case ValueType::kString:
+          col.codes[at] = coders[c].Code(v.AsString(), &col.dict);
           break;
-        }
         case ValueType::kNull:
           break;
       }
+      ++k;
     }
+  }
+
+  for (Column& col : view->columns_) {
     if (!col.usable || !col.has_nulls) col.valid.clear();
     col.valid.shrink_to_fit();
     if (!col.usable) {
@@ -85,7 +150,6 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::Build(const Table& table) {
       col.doubles.clear();
       col.codes.clear();
       col.dict.clear();
-      col.dict_index.clear();
     }
     if (col.usable && col.type == ValueType::kString) {
       // Order index: dictionary entries are distinct, so a plain sort by
@@ -107,19 +171,13 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::Build(const Table& table) {
   return view;
 }
 
-namespace {
-// Guards the lazy per-Table snapshot build. Build-under-lock keeps the
-// "thread-safe once" contract trivially TSan-clean; a table is built at
-// most once per lifetime, so the serialization cost is negligible.
-std::mutex g_columnar_mutex;
-}  // namespace
-
 std::shared_ptr<const ColumnarTable> Table::columnar() const {
-  std::lock_guard<std::mutex> lock(g_columnar_mutex);
-  if (columnar_cache_ == nullptr) {
-    columnar_cache_ = ColumnarTable::Build(*this);
-  }
-  return columnar_cache_;
+  // A moved-from table holds no slot; its snapshot is built and not kept.
+  if (columnar_ == nullptr) return ColumnarTable::Build(*this);
+  ColumnarSlot& slot = *columnar_;
+  std::call_once(slot.once,
+                 [&] { slot.snapshot = ColumnarTable::Build(*this); });
+  return slot.snapshot;
 }
 
 }  // namespace skalla

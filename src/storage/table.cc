@@ -21,21 +21,31 @@ bool RowLess(const Row& a, const Row& b) {
 
 }  // namespace
 
+void Table::DropColumnar() {
+  // A mutator has the table to itself, so a slot held by this table alone
+  // and never built can serve the new rows; a moved-from table has none.
+  if (columnar_ != nullptr && columnar_.use_count() == 1 &&
+      columnar_->snapshot == nullptr) {
+    return;
+  }
+  columnar_ = std::make_shared<ColumnarSlot>();
+}
+
 void Table::AddRow(Row row) {
   SKALLA_DCHECK(static_cast<int>(row.size()) == schema_->num_fields())
       << "row arity " << row.size() << " vs schema " << schema_->num_fields();
-  columnar_cache_.reset();
+  DropColumnar();
   rows_.push_back(std::move(row));
 }
 
 void Table::Append(const Table& other) {
   SKALLA_DCHECK(other.schema().num_fields() == schema_->num_fields());
-  columnar_cache_.reset();
+  DropColumnar();
   rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
 }
 
 void Table::SortBy(const std::vector<int>& cols) {
-  columnar_cache_.reset();
+  DropColumnar();
   std::stable_sort(rows_.begin(), rows_.end(),
                    [&cols](const Row& a, const Row& b) {
                      for (int c : cols) {
@@ -48,7 +58,7 @@ void Table::SortBy(const std::vector<int>& cols) {
 }
 
 void Table::SortAllColumns() {
-  columnar_cache_.reset();
+  DropColumnar();
   std::sort(rows_.begin(), rows_.end(), RowLess);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,7 +36,7 @@ class Table {
 
   const Row& row(int64_t i) const { return rows_[static_cast<size_t>(i)]; }
   Row& mutable_row(int64_t i) {
-    columnar_cache_.reset();
+    DropColumnar();
     return rows_[static_cast<size_t>(i)];
   }
   const std::vector<Row>& rows() const { return rows_; }
@@ -44,7 +45,7 @@ class Table {
   /// `Table(schema, rows)` this lets a caller widen every row in place
   /// under a new schema instead of copying the relation.
   std::vector<Row> ReleaseRows() {
-    columnar_cache_.reset();
+    DropColumnar();
     return std::move(rows_);
   }
 
@@ -61,13 +62,13 @@ class Table {
   void Reserve(int64_t n) { rows_.reserve(static_cast<size_t>(n)); }
   void Clear() {
     rows_.clear();
-    columnar_cache_.reset();
+    DropColumnar();
   }
 
   /// The lazily built, cached columnar snapshot of this table
-  /// (storage/columnar.h). Thread-safe once: concurrent readers of a
-  /// non-mutating table share one snapshot; every mutator drops the cache.
-  /// Defined in columnar.cc.
+  /// (storage/columnar.h). Built once: concurrent first callers share one
+  /// build and different tables build at the same time; copies share the
+  /// snapshot, and every mutator drops it. Defined in columnar.cc.
   std::shared_ptr<const ColumnarTable> columnar() const;
 
   /// Stable sort by the given columns ascending (Value::Compare order).
@@ -88,11 +89,21 @@ class Table {
   bool SameRowMultiset(const Table& other) const;
 
  private:
+  /// The once-built snapshot of one row set. Copies of a table share its
+  /// slot (so a snapshot built through either serves both); a mutator
+  /// gives its table a fresh slot.
+  struct ColumnarSlot {
+    std::once_flag once;
+    std::shared_ptr<const ColumnarTable> snapshot;
+  };
+
+  /// Gives this table an unbuilt slot of its own, unless it already holds
+  /// one (so appending row after row allocates once).
+  void DropColumnar();
+
   SchemaPtr schema_;
   std::vector<Row> rows_;
-  /// Copies share the (immutable) snapshot; mutation resets only the
-  /// mutated table's pointer.
-  mutable std::shared_ptr<const ColumnarTable> columnar_cache_;
+  std::shared_ptr<ColumnarSlot> columnar_ = std::make_shared<ColumnarSlot>();
 };
 
 }  // namespace skalla

@@ -12,9 +12,16 @@ Result<int> AttrIndex(const Table& table, const std::string& attr) {
 
 PartitionedData MakeFragments(const Table& table, int num_sites,
                               const std::vector<int>& assignment) {
+  // Each fragment is sized to its row count up front, so no fragment
+  // reallocates (or ends with spare slots) on the way.
+  std::vector<int64_t> rows_of(static_cast<size_t>(num_sites), 0);
+  for (int site : assignment) ++rows_of[static_cast<size_t>(site)];
   std::vector<Table> tables;
   tables.reserve(static_cast<size_t>(num_sites));
-  for (int i = 0; i < num_sites; ++i) tables.emplace_back(table.schema_ptr());
+  for (int i = 0; i < num_sites; ++i) {
+    tables.emplace_back(table.schema_ptr());
+    tables.back().Reserve(rows_of[static_cast<size_t>(i)]);
+  }
   for (int64_t r = 0; r < table.num_rows(); ++r) {
     tables[static_cast<size_t>(assignment[static_cast<size_t>(r)])].AddRow(
         table.row(r));

@@ -367,5 +367,33 @@ TEST(ServerStressTest, ProfileSiteLoadIsTheQuerysOwn) {
   EXPECT_TRUE(background_error.empty()) << background_error;
 }
 
+// THREADS caps a query's site fan-out as well as its morsel lanes:
+// `THREADS 1` evaluates the sites one after another in slot order, the
+// default quota on the shared pool. Neither the answer nor the bytes the
+// query ships may differ.
+TEST(ServerStressTest, LaneQuotaOfOneMatchesTheDefaultByteForByte) {
+  server::ServerOptions opts;
+  opts.enable_result_cache = false;
+  opts.enable_prefix_reuse = false;
+  auto srv = MakeLoadedServer(opts);
+  server::Client client(srv.get());
+  for (const char* text : kTemplates) {
+    SCOPED_TRACE(text);
+    auto serial = client.Call(std::string("QUERY THREADS 1 ") + text);
+    auto parallel = client.Call(std::string("QUERY ") + text);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_EQ(*serial, *parallel);
+
+    auto serial_profile = client.Call(std::string("PROFILE THREADS 1 ") + text);
+    auto parallel_profile = client.Call(std::string("PROFILE ") + text);
+    ASSERT_TRUE(serial_profile.ok()) << serial_profile.status().ToString();
+    ASSERT_TRUE(parallel_profile.ok()) << parallel_profile.status().ToString();
+    const uint64_t bytes = ProfileTotal(*serial_profile, "bytes_total");
+    EXPECT_GT(bytes, 0u);
+    EXPECT_EQ(bytes, ProfileTotal(*parallel_profile, "bytes_total"));
+  }
+}
+
 }  // namespace
 }  // namespace skalla

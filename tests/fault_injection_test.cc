@@ -553,9 +553,10 @@ TEST_F(FaultInjectionTest, MetricsEqualNetworkTotalsUnderFailover) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: sequential and thread-parallel site evaluation observe the
-// identical fault pattern and produce identical bytes. (This test is the
-// prime -DSKALLA_SANITIZE=thread target.)
+// Determinism: sequential (a lane quota of 1) and thread-parallel (the
+// default quota) site evaluation observe the identical fault pattern and
+// produce identical bytes. (This test is the prime -DSKALLA_SANITIZE=thread
+// target.)
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultInjectionTest, ParallelAndSequentialRunsAreByteIdentical) {
@@ -576,7 +577,7 @@ TEST_F(FaultInjectionTest, ParallelAndSequentialRunsAreByteIdentical) {
     wh.set_fault_injector(&injector);
 
     auto run = [&](bool parallel) -> Result<QueryResult> {
-      wh.set_parallel_site_execution(parallel);
+      wh.set_local_threads(parallel ? 0 : 1);
       return tree ? wh.ExecutePlanTree(plan, 2) : wh.ExecutePlan(plan);
     };
 

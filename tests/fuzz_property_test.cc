@@ -292,7 +292,7 @@ TEST_P(FuzzFaultPropertyTest, FaultsNeverChangeAnswers) {
   injector.SlowSite(static_cast<int>(rng.Uniform(0, num_sites - 1)),
                     /*factor=*/1.0 + rng.Uniform(0, 9));
   wh.set_fault_injector(&injector);
-  wh.set_parallel_site_execution(rng.Chance(0.5));
+  wh.set_local_threads(rng.Chance(0.5) ? 0 : 1);
 
   for (const OptimizerOptions& options :
        {OptimizerOptions::None(), OptimizerOptions::All()}) {

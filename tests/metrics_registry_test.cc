@@ -450,7 +450,7 @@ void ExpectPaperQueriesPublishTheirRecords(bool parallel_sites) {
   net.delta_shipping = true;
   Warehouse wh(4, net);
   LoadSmallTpcr(&wh);
-  wh.set_parallel_site_execution(parallel_sites);
+  wh.set_local_threads(parallel_sites ? 0 : 1);
   ASSERT_OK(wh.AddReplica(/*site_id=*/1).status());
   FaultInjector injector(/*seed=*/11);
   injector.KillSite(/*site=*/1);

@@ -237,7 +237,6 @@ TEST(ParallelDistributedTest, FaultedParallelRunMatchesSequentialCleanRun) {
   Warehouse parallel(4);
   ASSERT_OK(parallel.LoadByRange("TPCR", tpcr, "NationKey", 0, 24,
                                  {"CustKey"}));
-  parallel.set_parallel_site_execution(true);
   parallel.set_local_threads(8);
   FaultInjector injector;
   injector.DropOnce(/*site=*/1, /*round=*/2,

@@ -14,13 +14,15 @@ TEST(ParallelSitesTest, IdenticalResultsAndTraffic) {
   config.num_customers = 700;
   Table tpcr = GenerateTpcr(config);
 
+  // One lane runs the sites one after another in slot order; the default
+  // quota evaluates them on the shared pool.
   Warehouse sequential(8);
   ASSERT_OK(sequential.LoadByRange("TPCR", tpcr, "NationKey", 0, 24,
                                    {"CustKey"}));
+  sequential.set_local_threads(1);
   Warehouse parallel(8);
   ASSERT_OK(parallel.LoadByRange("TPCR", tpcr, "NationKey", 0, 24,
                                  {"CustKey"}));
-  parallel.set_parallel_site_execution(true);
 
   for (const auto& [name, query] :
        std::vector<std::pair<std::string, GmdjExpr>>{
@@ -44,7 +46,6 @@ TEST(ParallelSitesTest, ErrorsPropagateFromWorkerThreads) {
   config.num_rows = 400;
   Table tpcr = GenerateTpcr(config);
   ASSERT_OK(wh.LoadByRange("TPCR", tpcr, "NationKey", 0, 24));
-  wh.set_parallel_site_execution(true);
   // Drop the relation from one site after loading: that site's round must
   // fail and the failure must surface through the parallel path.
   wh.site(1).catalog().DropTable("TPCR");
@@ -60,7 +61,6 @@ TEST(ParallelSitesTest, SingleSiteUsesSequentialPath) {
   config.num_rows = 300;
   Table tpcr = GenerateTpcr(config);
   ASSERT_OK(wh.LoadByRange("TPCR", tpcr, "NationKey", 0, 24));
-  wh.set_parallel_site_execution(true);
   ASSERT_OK_AND_ASSIGN(QueryResult result,
                        wh.Execute(queries::CoalescingQuery("ClerkKey"),
                                   OptimizerOptions::All()));

@@ -990,6 +990,7 @@ TEST_F(WireEndToEndTest, ResultsAreByteIdenticalAcrossFormats) {
                          wh.Plan(query, OptimizerOptions::None()));
     // The reference ships every X in full, serially and flat.
     wh.set_network_config(Config(false));
+    wh.set_local_threads(1);
     ASSERT_OK_AND_ASSIGN(QueryResult reference, wh.ExecutePlan(plan));
     const std::string expected = TableBytes(reference.table);
 
@@ -998,14 +999,13 @@ TEST_F(WireEndToEndTest, ResultsAreByteIdenticalAcrossFormats) {
         SCOPED_TRACE(std::string(delta ? "skl2+delta" : "skl2") +
                      (parallel ? " parallel" : " serial"));
         wh.set_network_config(Config(delta));
-        wh.set_parallel_site_execution(parallel);
+        wh.set_local_threads(parallel ? 0 : 1);
         ASSERT_OK_AND_ASSIGN(QueryResult flat, wh.ExecutePlan(plan));
         EXPECT_EQ(TableBytes(flat.table), expected);
         ASSERT_OK_AND_ASSIGN(QueryResult tree, wh.ExecutePlanTree(plan, 2));
         EXPECT_EQ(TableBytes(tree.table), expected);
       }
     }
-    wh.set_parallel_site_execution(false);
   }
 }
 
